@@ -9,11 +9,14 @@ output.
 from .channel import (
     ChannelParams,
     FadingModel,
+    capacity_bits,
     clamped,
     fading_secrecy_pair,
     gaussian_wiretap_secrecy,
+    link_snr,
     path_loss_coeff_sq,
     sample_fading,
+    secrecy_bits,
     shannon_capacity,
 )
 from .cluster import (

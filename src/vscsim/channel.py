@@ -1,5 +1,8 @@
 """Core channel math: Shannon capacity, wiretap secrecy, path loss, fading.
 
+capacity_bits, secrecy_bits and link_snr are the package's one
+implementation of log2(1 + SNR), SNR-pair secrecy and path-loss SNR.
+
 Secrecy values are signed differences of log2 capacities and are not
 clamped at zero here; callers that want the information-theoretic
 max(0, Cs) go through :func:`clamped`.
@@ -40,13 +43,36 @@ class ChannelParams:
         return cls(db_to_linear(p_over_n0_db), alpha, bandwidth_hz)
 
 
+def capacity_bits(snr):
+    """log2(1 + SNR) in bits/s/Hz: math.log2 for a float, np.log2 for an
+    ndarray.  The two differ in the last bit on some inputs, and each
+    caller's artifacts are pinned to the one its argument type selects."""
+    if isinstance(snr, np.ndarray):
+        return np.log2(1.0 + snr)
+    return math.log2(1.0 + snr)
+
+
+def secrecy_bits(snr_b, snr_e):
+    """Signed secrecy log2(1 + SNR_B) - log2(1 + SNR_E); floats and arrays broadcast."""
+    return capacity_bits(snr_b) - capacity_bits(snr_e)
+
+
+def link_snr(p_over_n0, d, alpha):
+    """Path-loss SNR (P/N0) * d^(-2*alpha) for a float or ndarray distance.
+    A float distance so short that d^(-2*alpha) overflows raises ValueError."""
+    try:
+        return p_over_n0 * d ** (-2.0 * alpha)
+    except (OverflowError, ZeroDivisionError):
+        raise ValueError(f"distance {d!r} m is too short: d**(-2*alpha) overflows") from None
+
+
 def shannon_capacity(bandwidth_hz: float, snr: float) -> float:
     """Channel capacity W * log2(1 + SNR) in bits/s."""
     if bandwidth_hz <= 0.0:
         raise ValueError(f"bandwidth must be > 0, got {bandwidth_hz!r}")
     if snr < 0.0:
         raise ValueError(f"snr must be >= 0, got {snr!r}")
-    return bandwidth_hz * math.log2(1.0 + snr)
+    return bandwidth_hz * capacity_bits(snr)
 
 
 def gaussian_wiretap_secrecy(power: float, noise_main: float, noise_wiretap: float) -> float:
@@ -59,7 +85,7 @@ def gaussian_wiretap_secrecy(power: float, noise_main: float, noise_wiretap: flo
         raise ValueError(f"power must be > 0, got {power!r}")
     if noise_main <= 0.0 or noise_wiretap <= 0.0:
         raise ValueError("noise levels must be > 0")
-    return 0.5 * math.log2(1.0 + power / noise_main) - 0.5 * math.log2(1.0 + power / noise_wiretap)
+    return 0.5 * secrecy_bits(power / noise_main, power / noise_wiretap)
 
 
 def path_loss_coeff_sq(distance_m: float, alpha: float) -> float:
@@ -68,7 +94,7 @@ def path_loss_coeff_sq(distance_m: float, alpha: float) -> float:
         raise ValueError(f"distance must be > 0, got {distance_m!r}")
     if alpha <= 0.0:
         raise ValueError(f"alpha must be > 0, got {alpha!r}")
-    return distance_m ** (-2.0 * alpha)
+    return link_snr(1.0, distance_m, alpha)
 
 
 def fading_secrecy_pair(params: ChannelParams, h_ab_sq: float, h_ae_sq: float) -> float:
@@ -79,7 +105,7 @@ def fading_secrecy_pair(params: ChannelParams, h_ab_sq: float, h_ae_sq: float) -
     if h_ab_sq < 0.0 or h_ae_sq < 0.0:
         raise ValueError("squared channel gains must be >= 0")
     c = params.p_over_n0
-    return math.log2(1.0 + c * h_ab_sq) - math.log2(1.0 + c * h_ae_sq)
+    return secrecy_bits(c * h_ab_sq, c * h_ae_sq)
 
 
 def clamped(secrecy_bits: float) -> float:

@@ -9,10 +9,9 @@
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 
-from .config import ConfigError, build_config, validate_config
+from .config import ConfigError, build_config, read_config_doc, validate_config
 from .presets import get_preset, list_presets
 from .runner import run
 
@@ -49,16 +48,6 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load_doc(path: str) -> dict:
-    try:
-        with open(path, encoding="utf-8") as fh:
-            return json.load(fh)
-    except OSError as exc:
-        raise ConfigError([f"$: cannot read {path}: {exc}"]) from exc
-    except json.JSONDecodeError as exc:
-        raise ConfigError([f"$: not valid JSON: {exc}"]) from exc
-
-
 def _execute(doc: dict, args: argparse.Namespace) -> int:
     if args.seed is not None:
         doc["seed"] = args.seed
@@ -74,7 +63,7 @@ def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         if args.command == "run":
-            return _execute(_load_doc(args.config), args)
+            return _execute(read_config_doc(args.config), args)
         if args.command == "preset":
             try:
                 doc = get_preset(args.preset_name)
@@ -87,7 +76,7 @@ def main(argv: list[str] | None = None) -> int:
                 print(name)
             return 0
         if args.command == "validate":
-            errors = validate_config(_load_doc(args.config_path))
+            errors = validate_config(read_config_doc(args.config_path))
             if errors:
                 for err in errors:
                     print(f"error: {err}", file=sys.stderr)

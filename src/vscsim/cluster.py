@@ -15,7 +15,9 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Iterable, Sequence
 
+from .channel import path_loss_coeff_sq
 from .scenarios import HighwayScenario, RelayScenario, highway_secrecy, relay_secrecy
+from .units import db_to_linear
 from .vsc import CsiRecord, VscResult, compute_vsc
 
 _DIGEST_SIZE = hashlib.sha256().digest_size
@@ -195,18 +197,14 @@ class AdjustableHighwayLink:
         if not self.relay_enabled:
             return highway_secrecy(self._scenario)
         s = self._scenario
-        d = s.v * s.tau
-        if d <= 0.0:
-            raise ValueError("v*tau must be > 0")
-        a2 = 2.0 * s.params.alpha
         assert self._relay is not None
         return relay_secrecy(
             RelayScenario(
                 p_a=s.params.p_over_n0,
                 p_r=self._relay.p_r,
-                h_ab_sq=d**-a2,
+                h_ab_sq=path_loss_coeff_sq(s.v * s.tau, s.params.alpha),
                 h_rb_sq=self._relay.h_rb_sq,
-                h_ae_sq=s.r**-a2,
+                h_ae_sq=path_loss_coeff_sq(s.r, s.params.alpha),
                 h_re_sq=self._relay.h_re_sq,
             )
         )
@@ -220,8 +218,8 @@ class AdjustableHighwayLink:
         self._scenario = replace(self._scenario, v=self._scenario.v - step)
 
     def increase_power(self, step_db: float) -> None:
-        factor = 10.0 ** (step_db / 10.0)
-        params = replace(self._scenario.params, p_over_n0=self._scenario.params.p_over_n0 * factor)
+        params = self._scenario.params
+        params = replace(params, p_over_n0=params.p_over_n0 * db_to_linear(step_db))
         self._scenario = replace(self._scenario, params=params)
 
     def can_enable_relay(self) -> bool:
@@ -445,12 +443,3 @@ def select_consensus_candidates(
         kept.append((vehicle_id, claimed))
     kept.sort(key=lambda p: (-p[1], p[0]))
     return [vehicle_id for vehicle_id, _ in kept]
-
-
-def submit_to_consensus(candidate_ids: Sequence[str]) -> None:
-    """Hand the ranked candidates to the ledger layer.
-
-    Block assembly and agreement live outside this package; this stub
-    exists so callers have a stable seam and does nothing.
-    """
-    return None

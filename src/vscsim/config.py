@@ -8,11 +8,16 @@ Unknown keys are rejected everywhere.
 from __future__ import annotations
 
 import copy
+import inspect
 import json
 from dataclasses import dataclass
 from pathlib import Path
 
 import jsonschema
+
+from .channel import DEFAULT_ALPHA, DEFAULT_P_OVER_N0_DB
+from .highway import HighwayWorld, run_perturbation_study
+from .intersection import run_intersection_case
 
 EXPERIMENTS = ("sweep", "intersection", "highway_cluster", "perturbation", "ppp")
 
@@ -46,7 +51,6 @@ _SCENARIO_FIELDS = {
         "r": {"type": "number", "exclusiveMinimum": 0},
         "v": {"type": "number", "minimum": 0},
         "tau": {"type": "number", "minimum": 0},
-        "theta": {"type": "number"},
         "alpha": {"type": "number", "exclusiveMinimum": 0},
         "p_over_n0_db": {"type": "number"},
     },
@@ -181,45 +185,61 @@ _PARAMS_SCHEMAS["perturbation"]["properties"].update(
     }
 )
 
-_HIGHWAY_CLUSTER_DEFAULTS = {
-    "n_nodes": 25,
-    "n_sources": 2,
-    "lanes": 6,
-    "lane_width_m": 10.0,
-    "length_m": 2500.0,
-    "duration_s": 100.0,
-    "dt_s": 0.1,
-    "speed_redraw_period_s": 1.0,
-    "max_speed_kmh": 120.0,
-    "alpha": 1.4,
-    "p_over_n0_db": 70.0,
-    "eavesdropper_range_m": 1000.0,
-    "obu_range_m": 2500.0,
+# Config key -> keyword of the model it sets: a HighwayWorld field or an
+# argument of run_perturbation_study or run_intersection_case.  Defaults
+# are written once, on the models, and PARAM_DEFAULTS reads them there.
+MODEL_KEYWORDS = {
+    "n_nodes": "n_nodes",
+    "n_sources": "n_sources",
+    "lanes": "lanes",
+    "lane_width_m": "lane_width",
+    "length_m": "length",
+    "duration_s": "duration",
+    "dt_s": "dt",
+    "speed_kmh": "speed_kmh",
+    "speed_redraw_period_s": "speed_redraw_period",
+    "max_speed_kmh": "max_speed_kmh",
+    "alpha": "alpha",
+    "p_over_n0_db": "p_over_n0_db",
+    "eavesdropper_range_m": "eavesdropper_range",
+    "obu_range_m": "obu_range",
+    "delta_m": "delta",
+    "allow_custom_delta": "allow_custom_delta",
+    "case": "case_id",
+    "lane_offset_m": "lane_offset",
+    "host_span": "host_span",
+    "target_span": "target_span",
 }
+
+
+def model_kwargs(params: dict) -> dict:
+    """Defaulted highway_cluster, perturbation or intersection params
+    renamed to the keywords of the models they configure."""
+    return {MODEL_KEYWORDS[key]: value for key, value in params.items()}
+
+
+def _model_defaults(model) -> dict:
+    """The config defaults that a model's keyword defaults stand for,
+    with tuples as the lists a JSON document holds."""
+    defaults = {
+        name: list(p.default) if isinstance(p.default, tuple) else p.default
+        for name, p in inspect.signature(model).parameters.items()
+        if p.default is not p.empty
+    }
+    return {key: defaults[kw] for key, kw in MODEL_KEYWORDS.items() if kw in defaults}
+
 
 PARAM_DEFAULTS: dict[str, dict] = {
     "sweep": {"unit": "si", "series": [{"label": "cs", "overrides": {}}]},
-    "intersection": {
-        "dt_s": 0.1,
-        "speed_kmh": 35.0,
-        "alpha": 1.4,
-        "p_over_n0_db": 70.0,
-        "lane_offset_m": 3.0,
-        "host_span": [-60.0, 40.0],
-        "target_span": [-20.0, 20.0],
-    },
-    "highway_cluster": dict(_HIGHWAY_CLUSTER_DEFAULTS),
-    "perturbation": {
-        **_HIGHWAY_CLUSTER_DEFAULTS,
-        "delta_m": 5.0,
-        "allow_custom_delta": False,
-    },
+    "intersection": _model_defaults(run_intersection_case),
+    "highway_cluster": _model_defaults(HighwayWorld),
+    "perturbation": {**_model_defaults(HighwayWorld), **_model_defaults(run_perturbation_study)},
     "ppp": {
         "lam": 6.0,
         "region_area_m2": 1000.0,
         "ref_area_m2": 1000.0,
-        "alpha": 1.4,
-        "p_over_n0_db": 70.0,
+        "alpha": DEFAULT_ALPHA,
+        "p_over_n0_db": DEFAULT_P_OVER_N0_DB,
         "mode": "distance_curve",
         "d_fracs": [0.1, 0.3, 0.5],
         "target_distance_m": 10.0,
@@ -270,7 +290,9 @@ class RunConfig:
         }
 
 
-def _schema_errors(instance, schema, prefix: str) -> list[str]:
+def _schema_errors(instance, schema, prefix: str, bad_keys: set | None = None) -> list[str]:
+    """Messages for every schema violation; the top-level keys they sit
+    under are added to bad_keys when given."""
     validator = jsonschema.Draft202012Validator(schema)
     out = []
     for err in sorted(validator.iter_errors(instance), key=lambda e: list(e.absolute_path)):
@@ -278,6 +300,8 @@ def _schema_errors(instance, schema, prefix: str) -> list[str]:
             f"[{p}]" if isinstance(p, int) else f".{p}" for p in err.absolute_path
         )
         out.append(f"{path}: {err.message}")
+        if bad_keys is not None and err.absolute_path:
+            bad_keys.add(err.absolute_path[0])
     return out
 
 
@@ -298,7 +322,10 @@ def validate_config(doc) -> list[str]:
     experiment = doc.get("experiment")
     params = doc.get("params", {})
     if experiment in EXPERIMENTS and isinstance(params, dict):
-        errors += _schema_errors(params, _PARAMS_SCHEMAS[experiment], "$.params")
+        bad_keys: set = set()
+        errors += _schema_errors(params, _PARAMS_SCHEMAS[experiment], "$.params", bad_keys)
+        # Cross-field checks read only the fields that passed the schema.
+        params = {k: v for k, v in params.items() if k not in bad_keys}
         if experiment == "sweep":
             errors += _sweep_extra_errors(params)
         if experiment in ("highway_cluster", "perturbation"):
@@ -370,13 +397,17 @@ def build_config(doc: dict) -> RunConfig:
     )
 
 
-def load_config(path: str | Path) -> RunConfig:
-    """Read, validate, and default-fill a JSON config file."""
+def read_config_doc(path: str | Path):
+    """Parse a JSON config file without validating it."""
     try:
         with open(path, encoding="utf-8") as fh:
-            doc = json.load(fh)
+            return json.load(fh)
     except OSError as exc:
         raise ConfigError([f"$: cannot read {path}: {exc}"]) from exc
     except json.JSONDecodeError as exc:
         raise ConfigError([f"$: not valid JSON: {exc}"]) from exc
-    return build_config(doc)
+
+
+def load_config(path: str | Path) -> RunConfig:
+    """Read, validate, and default-fill a JSON config file."""
+    return build_config(read_config_doc(path))

@@ -5,13 +5,15 @@ the secrecy of that link, plus a position-perturbation study on top.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import DEFAULT_ALPHA, DEFAULT_P_OVER_N0_DB
+from .channel import DEFAULT_ALPHA, DEFAULT_P_OVER_N0_DB, link_snr, secrecy_bits
 from .units import db_to_linear, kmh_to_ms
+
+# Source shift, in meters, that the perturbation study is calibrated for.
+CALIBRATED_DELTA = 5.0
 
 
 @dataclass(frozen=True)
@@ -77,11 +79,6 @@ class HighwayRunResult:
                 )
 
 
-def _pair_secrecy(c: float, alpha: float, d: float, d_eve: float) -> float:
-    a2 = 2.0 * alpha
-    return math.log2(1.0 + c * d**-a2) - math.log2(1.0 + c * d_eve**-a2)
-
-
 def _nearest(xs: np.ndarray, ys: np.ndarray, src: int, obu_range: float) -> tuple[int, float]:
     """Brute-force nearest other node within radio range."""
     dx = xs - xs[src]
@@ -105,6 +102,7 @@ def run_highway_experiment(world: HighwayWorld) -> HighwayRunResult:
     xs = rng.uniform(0.0, world.length, n)
     speeds = np.zeros(n)
     c = db_to_linear(world.p_over_n0_db)
+    snr_eve = link_snr(c, world.eavesdropper_range, world.alpha)
     redraw_every = max(1, round(world.speed_redraw_period / world.dt))
     n_steps = int(round(world.duration / world.dt))
     times = np.arange(n_steps) * world.dt
@@ -121,7 +119,7 @@ def run_highway_experiment(world: HighwayWorld) -> HighwayRunResult:
             j, d = _nearest(xs, ys, s, world.obu_range)
             target_idx[k, s] = j
             dists[k, s] = d
-            secr[k, s] = _pair_secrecy(c, world.alpha, d, world.eavesdropper_range)
+            secr[k, s] = secrecy_bits(link_snr(c, d, world.alpha), snr_eve)
         xs = (xs + speeds * world.dt) % world.length
     return HighwayRunResult(world, node_ids, times, positions, target_idx, dists, secr)
 
@@ -161,7 +159,7 @@ class PerturbationResult:
 
 
 def run_perturbation_study(
-    world: HighwayWorld, delta: float = 5.0, allow_custom_delta: bool = False
+    world: HighwayWorld, delta: float = CALIBRATED_DELTA, allow_custom_delta: bool = False
 ) -> PerturbationResult:
     """Re-evaluate every source link with the source shifted by delta meters.
 
@@ -172,12 +170,13 @@ def run_perturbation_study(
     """
     if delta == 0.0:
         raise ValueError("delta must be non-zero")
-    if abs(delta) != 5.0 and not allow_custom_delta:
+    if abs(delta) != CALIBRATED_DELTA and not allow_custom_delta:
         raise ValueError("perturbation is calibrated for +/-5 m; pass allow_custom_delta=True to override")
     base = run_highway_experiment(world)
     n_steps = base.times.size
     n_sources = world.n_sources
     c = db_to_linear(world.p_over_n0_db)
+    snr_eve = link_snr(c, world.eavesdropper_range, world.alpha)
     t_idx = np.empty((n_steps, n_sources), dtype=int)
     d_pert = np.empty((n_steps, n_sources))
     s_pert = np.empty((n_steps, n_sources))
@@ -192,7 +191,7 @@ def run_perturbation_study(
             j, d = _nearest(shifted, ys, s, world.obu_range)
             t_idx[k, s] = j
             d_pert[k, s] = d
-            s_pert[k, s] = _pair_secrecy(c, world.alpha, d, world.eavesdropper_range)
+            s_pert[k, s] = secrecy_bits(link_snr(c, d, world.alpha), snr_eve)
     return PerturbationResult(
         world=world,
         delta=delta,

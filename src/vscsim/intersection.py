@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import DEFAULT_ALPHA, DEFAULT_P_OVER_N0_DB
+from .channel import DEFAULT_ALPHA, DEFAULT_P_OVER_N0_DB, capacity_bits, link_snr
 from .units import Point2D, db_to_linear, kmh_to_ms
 
 # A capacity sample counts as "nearly zero" below this fraction of the
@@ -21,6 +21,12 @@ from .units import Point2D, db_to_linear, kmh_to_ms
 NEAR_ZERO_FRACTION = 1e-3
 
 CASE_IDS = (1, 2, 3, 4, 5, 6)
+
+# Geometry defaults of make_case and run_intersection_case.
+SPEED_KMH = 35.0
+HOST_SPAN = (-60.0, 40.0)
+TARGET_SPAN = (-20.0, 20.0)
+LANE_OFFSET = 3.0
 
 
 @dataclass(frozen=True)
@@ -75,10 +81,10 @@ class IntersectionCase:
 
 def make_case(
     case_id: int,
-    speed_kmh: float = 35.0,
-    host_span: tuple[float, float] = (-60.0, 40.0),
-    target_span: tuple[float, float] = (-20.0, 20.0),
-    lane_offset: float = 3.0,
+    speed_kmh: float = SPEED_KMH,
+    host_span: tuple[float, float] = HOST_SPAN,
+    target_span: tuple[float, float] = TARGET_SPAN,
+    lane_offset: float = LANE_OFFSET,
 ) -> IntersectionCase:
     """Build one of the six crossing geometries.
 
@@ -148,12 +154,12 @@ def _cutoff_distance(p_over_n0: float, alpha: float, peak_capacity: float) -> fl
 def run_intersection_case(
     case_id: int,
     dt: float = 0.1,
-    speed_kmh: float = 35.0,
+    speed_kmh: float = SPEED_KMH,
     alpha: float = DEFAULT_ALPHA,
     p_over_n0_db: float = DEFAULT_P_OVER_N0_DB,
-    host_span: tuple[float, float] = (-60.0, 40.0),
-    target_span: tuple[float, float] = (-20.0, 20.0),
-    lane_offset: float = 3.0,
+    host_span: tuple[float, float] = HOST_SPAN,
+    target_span: tuple[float, float] = TARGET_SPAN,
+    lane_offset: float = LANE_OFFSET,
 ) -> IntersectionResult:
     """Sample distance and link capacity at dt steps over the host's run."""
     if dt <= 0.0:
@@ -170,7 +176,7 @@ def run_intersection_case(
         dists[i] = math.hypot(hp.x - tp.x, hp.y - tp.y)
     if np.any(dists <= 0.0):
         raise ValueError("host and target collide under this geometry")
-    caps = np.log2(1.0 + c * dists ** (-2.0 * alpha))
+    caps = capacity_bits(link_snr(c, dists, alpha))
     peak = float(np.max(caps))
     near = caps < NEAR_ZERO_FRACTION * peak
     return IntersectionResult(

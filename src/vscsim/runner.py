@@ -5,7 +5,7 @@ from __future__ import annotations
 import os
 from pathlib import Path
 
-from .config import RunConfig
+from .config import RunConfig, model_kwargs
 from .highway import HighwayWorld, run_highway_experiment, run_perturbation_study
 from .intersection import run_intersection_case
 from .sweeps import (
@@ -46,16 +46,7 @@ def _sweep_table(params: dict) -> TableData:
 
 
 def _intersection_table(params: dict) -> TableData:
-    res = run_intersection_case(
-        case_id=params["case"],
-        dt=params["dt_s"],
-        speed_kmh=params["speed_kmh"],
-        alpha=params["alpha"],
-        p_over_n0_db=params["p_over_n0_db"],
-        host_span=tuple(params["host_span"]),
-        target_span=tuple(params["target_span"]),
-        lane_offset=params["lane_offset_m"],
-    )
+    res = run_intersection_case(**model_kwargs(params))
     rows = tuple(
         (float(t), float(d), float(c))
         for t, d, c in zip(res.times, res.distances, res.capacities)
@@ -63,27 +54,8 @@ def _intersection_table(params: dict) -> TableData:
     return TableData(("t_s", "distance_m", "capacity"), rows)
 
 
-def _world_from_params(params: dict, seed: int) -> HighwayWorld:
-    return HighwayWorld(
-        n_nodes=params["n_nodes"],
-        n_sources=params["n_sources"],
-        lanes=params["lanes"],
-        lane_width=params["lane_width_m"],
-        length=params["length_m"],
-        duration=params["duration_s"],
-        dt=params["dt_s"],
-        speed_redraw_period=params["speed_redraw_period_s"],
-        max_speed_kmh=params["max_speed_kmh"],
-        alpha=params["alpha"],
-        p_over_n0_db=params["p_over_n0_db"],
-        eavesdropper_range=params["eavesdropper_range_m"],
-        obu_range=params["obu_range_m"],
-        seed=seed,
-    )
-
-
 def _highway_table(params: dict, seed: int) -> TableData:
-    res = run_highway_experiment(_world_from_params(params, seed))
+    res = run_highway_experiment(HighwayWorld(seed=seed, **model_kwargs(params)))
     return TableData(
         ("t_s", "source_id", "target_id", "distance_m", "secrecy"),
         tuple(res.iter_rows()),
@@ -91,14 +63,9 @@ def _highway_table(params: dict, seed: int) -> TableData:
 
 
 def _perturbation_table(params: dict, seed: int) -> TableData:
-    world_params = {
-        k: v for k, v in params.items() if k not in ("delta_m", "allow_custom_delta")
-    }
-    res = run_perturbation_study(
-        _world_from_params(world_params, seed),
-        delta=params["delta_m"],
-        allow_custom_delta=params["allow_custom_delta"],
-    )
+    kwargs = model_kwargs(params)
+    delta, allow_custom_delta = kwargs.pop("delta"), kwargs.pop("allow_custom_delta")
+    res = run_perturbation_study(HighwayWorld(seed=seed, **kwargs), delta, allow_custom_delta)
     return TableData(
         (
             "t_s",

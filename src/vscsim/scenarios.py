@@ -11,22 +11,27 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .channel import ChannelParams
+from .channel import ChannelParams, secrecy_bits
+
+
+def _snr(params: ChannelParams, d: float) -> float:
+    """Path-loss SNR written c / d^(2a).  channel.link_snr's c * d^(-2a)
+    differs from it in the last bit for some distances, and the sweep
+    artifacts are pinned to this form."""
+    try:
+        return params.p_over_n0 / d ** (2.0 * params.alpha)
+    except (ZeroDivisionError, OverflowError):
+        raise ValueError(f"distance {d!r} m is out of range: d**(2*alpha) leaves float range") from None
 
 
 @dataclass(frozen=True)
 class HighwayScenario:
-    """Follower at headway distance v*tau, eavesdropper at fixed range r.
-
-    theta (an optional bearing, radians) is retained for configuration
-    round-trips but the link distance is governed by v*tau alone.
-    """
+    """Follower at headway distance v*tau, eavesdropper at fixed range r."""
 
     params: ChannelParams
     r: float
     v: float
     tau: float
-    theta: float | None = None
 
     def __post_init__(self) -> None:
         if self.r <= 0.0:
@@ -40,9 +45,7 @@ def highway_secrecy(s: HighwayScenario) -> float:
     d = s.v * s.tau
     if d <= 0.0:
         raise ValueError("v*tau must be > 0 (zero headway distance is singular)")
-    c = s.params.p_over_n0
-    a2 = 2.0 * s.params.alpha
-    return math.log2(1.0 + c / d**a2) - math.log2(1.0 + c / s.r**a2)
+    return secrecy_bits(_snr(s.params, d), _snr(s.params, s.r))
 
 
 @dataclass(frozen=True)
@@ -78,12 +81,6 @@ def _legitimate_range(w: float, x: float) -> float:
     return math.sqrt(5.0 * w * w + 2.0 * w * x + 2.0 * x * x)
 
 
-def _pair_secrecy(params: ChannelParams, r1: float, r2: float) -> float:
-    c = params.p_over_n0
-    a2 = 2.0 * params.alpha
-    return math.log2(1.0 + c / r1**a2) - math.log2(1.0 + c / r2**a2)
-
-
 def urban_fixed_secrecy(s: UrbanScenario) -> float:
     """Corner geometry against a stationary eavesdropper r0 + 2w - v*t away."""
     x = s.v_limit * s.t
@@ -93,7 +90,7 @@ def urban_fixed_secrecy(s: UrbanScenario) -> float:
             f"host has reached the eavesdropper (r0 + 2w - v*t = {r2!r} m); "
             "shorten t or lower v_limit"
         )
-    return _pair_secrecy(s.params, _legitimate_range(s.lane_width_w, x), r2)
+    return secrecy_bits(_snr(s.params, _legitimate_range(s.lane_width_w, x)), _snr(s.params, r2))
 
 
 def urban_moving_secrecy(s: UrbanScenario) -> float:
@@ -103,7 +100,7 @@ def urban_moving_secrecy(s: UrbanScenario) -> float:
     r2 = math.hypot(s.lane_width_w - x, s.r0 - x)
     if r2 <= 0.0:
         raise ValueError("eavesdropper coincides with the host position")
-    return _pair_secrecy(s.params, _legitimate_range(s.lane_width_w, x), r2)
+    return secrecy_bits(_snr(s.params, _legitimate_range(s.lane_width_w, x)), _snr(s.params, r2))
 
 
 def urban_secrecy(s: UrbanScenario) -> float:
@@ -150,4 +147,4 @@ def relay_secrecy(s: RelayScenario) -> float:
     """
     sinr_b = s.p_a * s.h_ab_sq / (s.p_r * s.h_rb_sq + s.sigma_b_sq)
     sinr_e = s.p_a * s.h_ae_sq / (s.p_r * s.h_re_sq + s.sigma_e_sq)
-    return s.bandwidth_hz * (math.log2(1.0 + sinr_b) - math.log2(1.0 + sinr_e))
+    return s.bandwidth_hz * secrecy_bits(sinr_b, sinr_e)

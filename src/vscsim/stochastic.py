@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import ChannelParams, FadingModel, sample_fading
+from .channel import ChannelParams, FadingModel, link_snr, sample_fading, secrecy_bits
 from .units import Point2D, distance
 
 COLLUDING = "colluding"
@@ -86,9 +86,9 @@ def sample_field(lam: float, region: Rect, seed, ref_area_m2: float = 1000.0) ->
 
 def _eavesdropper_snrs(host: Point2D, field: PppField, params: ChannelParams) -> np.ndarray:
     dists = np.array([distance(host, p) for p in field.points])
-    if dists.size and np.any(dists <= 0.0):
+    if np.any(dists <= 0.0):
         raise ValueError("an eavesdropper coincides with the host position")
-    return params.p_over_n0 * dists ** (-2.0 * params.alpha) if dists.size else dists
+    return link_snr(params.p_over_n0, dists, params.alpha)
 
 
 def ppp_secrecy(
@@ -109,7 +109,7 @@ def ppp_secrecy(
     d_ab = distance(host, target)
     if d_ab <= 0.0:
         raise ValueError("host and target must be at distinct positions")
-    snr_ab = params.p_over_n0 * d_ab ** (-2.0 * params.alpha)
+    snr_ab = link_snr(params.p_over_n0, d_ab, params.alpha)
     snrs_e = _eavesdropper_snrs(host, field, params)
     if snrs_e.size == 0:
         agg = 0.0
@@ -117,7 +117,7 @@ def ppp_secrecy(
         agg = float(np.sum(snrs_e))
     else:
         agg = float(np.max(snrs_e))
-    return math.log2(1.0 + snr_ab) - math.log2(1.0 + agg)
+    return secrecy_bits(snr_ab, agg)
 
 
 def average_secrecy(host: Point2D, target: Point2D, field: PppField, params: ChannelParams) -> float:
@@ -127,10 +127,8 @@ def average_secrecy(host: Point2D, target: Point2D, field: PppField, params: Cha
     d_ab = distance(host, target)
     if d_ab <= 0.0:
         raise ValueError("host and target must be at distinct positions")
-    snr_ab = params.p_over_n0 * d_ab ** (-2.0 * params.alpha)
-    snrs_e = _eavesdropper_snrs(host, field, params)
-    terms = math.log2(1.0 + snr_ab) - np.log2(1.0 + snrs_e)
-    return float(np.mean(terms))
+    snr_ab = link_snr(params.p_over_n0, d_ab, params.alpha)
+    return float(np.mean(secrecy_bits(snr_ab, _eavesdropper_snrs(host, field, params))))
 
 
 @dataclass(frozen=True)
@@ -181,7 +179,7 @@ def ergodic_secrecy_mc(
     h_ae = sample_fading(h_ae_model, rng, n)
     g_b = cfg.mean_power_budget * h_ab / cfg.sigma_b_sq
     g_e = cfg.mean_power_budget * h_ae / cfg.sigma_e_sq
-    terms = np.log2(1.0 + g_b) - np.log2(1.0 + g_e)
+    terms = secrecy_bits(g_b, g_e)
     in_set = h_ab / cfg.sigma_b_sq > h_ae / cfg.sigma_e_sq
     in_set_count = int(np.count_nonzero(in_set))
     if restrict_to_advantage:

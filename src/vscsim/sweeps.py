@@ -3,20 +3,18 @@ study, producing plain (columns, rows) results for the output layer."""
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import ChannelParams
+from .channel import ChannelParams, link_snr, secrecy_bits
 from .scenarios import (
     HighwayScenario,
     RelayScenario,
     UrbanScenario,
     highway_secrecy,
     relay_secrecy,
-    urban_fixed_secrecy,
-    urban_moving_secrecy,
+    urban_secrecy,
 )
 from .stochastic import (
     COLLUDING,
@@ -26,7 +24,7 @@ from .stochastic import (
     sample_field,
     square_region,
 )
-from .units import Point2D, distance, kmh_to_ms
+from .units import Point2D, db_to_linear, distance, kmh_to_ms
 
 SWEEP_KINDS = ("highway", "urban_fixed", "urban_moving", "relay")
 GRID_UNITS = ("si", "kmh", "db", "ms")
@@ -58,7 +56,7 @@ def _convert(value: float, unit: str) -> float:
     if unit == "kmh":
         return kmh_to_ms(value)
     if unit == "db":
-        return 10.0 ** (value / 10.0)
+        return db_to_linear(value)
     if unit == "ms":
         return value / 1000.0
     raise ValueError(f"unknown grid unit {unit!r}")
@@ -67,10 +65,7 @@ def _convert(value: float, unit: str) -> float:
 def _evaluate(kind: str, kwargs: dict) -> float:
     if kind == "highway":
         params = ChannelParams(kwargs["p_over_n0"], kwargs["alpha"])
-        s = HighwayScenario(
-            params, kwargs["r"], kwargs["v"], kwargs["tau"], kwargs.get("theta")
-        )
-        return highway_secrecy(s)
+        return highway_secrecy(HighwayScenario(params, kwargs["r"], kwargs["v"], kwargs["tau"]))
     if kind in ("urban_fixed", "urban_moving"):
         params = ChannelParams(kwargs["p_over_n0"], kwargs["alpha"])
         s = UrbanScenario(
@@ -79,9 +74,9 @@ def _evaluate(kind: str, kwargs: dict) -> float:
             kwargs["v_limit"],
             kwargs["t"],
             kwargs["r0"],
-            "fixed" if kind == "urban_fixed" else "moving",
+            kind.removeprefix("urban_"),
         )
-        return urban_fixed_secrecy(s) if kind == "urban_fixed" else urban_moving_secrecy(s)
+        return urban_secrecy(s)
     if kind == "relay":
         s = RelayScenario(
             p_a=kwargs["p_a"],
@@ -179,11 +174,9 @@ def run_ppp_field_dump(
     host = Point2D(0.0, 0.0)
     field = sample_field(lam, square_region(host, region_area_m2), seed, ref_area_m2)
     params = ChannelParams(p_over_n0, alpha)
-    snr_ab = p_over_n0 * target_distance_m ** (-2.0 * alpha)
+    snr_ab = link_snr(params.p_over_n0, target_distance_m, params.alpha)
     rows = []
     for p in field.points:
         d_e = distance(host, p)
-        snr_e = p_over_n0 * d_e ** (-2.0 * alpha)
-        pair = math.log2(1.0 + snr_ab) - math.log2(1.0 + snr_e)
-        rows.append((p.x, p.y, d_e, pair))
+        rows.append((p.x, p.y, d_e, secrecy_bits(snr_ab, link_snr(params.p_over_n0, d_e, params.alpha))))
     return TableData(("x_m", "y_m", "distance_m", "pair_secrecy"), tuple(rows))

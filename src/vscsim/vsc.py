@@ -13,6 +13,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Sequence
 
+from .channel import secrecy_bits
 from .units import db_to_linear, linear_to_db
 
 ADEQUATE = "adequate"
@@ -76,8 +77,7 @@ def compute_vsc(
         snr_xor = sum(rest) / len(rest)
     else:
         snr_xor = sum(r.snr for r in window) / len(window)
-    vsc = math.log2(1.0 + snr_ab) - math.log2(1.0 + snr_xor)
-    return VscResult(target_id, vsc, snr_xor, len(window))
+    return VscResult(target_id, secrecy_bits(snr_ab, snr_xor), snr_xor, len(window))
 
 
 def windowed_stream(

@@ -9,13 +9,19 @@ from vscsim.channel import (
     DEFAULT_P_OVER_N0_DB,
     ChannelParams,
     FadingModel,
+    capacity_bits,
     clamped,
     fading_secrecy_pair,
     gaussian_wiretap_secrecy,
+    link_snr,
     path_loss_coeff_sq,
     sample_fading,
+    secrecy_bits,
     shannon_capacity,
 )
+
+SNRS = 10.0 ** np.random.default_rng(11).uniform(-12.0, 12.0, 4000)
+DISTANCES = 10.0 ** np.random.default_rng(12).uniform(-3.0, 4.0, 4000)
 
 
 def test_defaults():
@@ -184,3 +190,52 @@ def test_channel_params_validation():
         ChannelParams(p_over_n0=1.0, alpha=1.4, bandwidth_hz=0.0)
     with pytest.raises(ValueError):
         ChannelParams(p_over_n0=math.nan, alpha=1.4)
+
+
+# --- the shared kernels: float inputs follow math, arrays follow numpy ---
+
+
+def test_capacity_bits_float_is_the_math_result():
+    for snr in SNRS.tolist():
+        got = capacity_bits(snr)
+        assert type(got) is float
+        assert got == math.log2(1.0 + snr)
+
+
+def test_capacity_bits_array_is_the_numpy_result():
+    got = capacity_bits(SNRS)
+    assert isinstance(got, np.ndarray)
+    assert got.tobytes() == np.log2(1.0 + SNRS).tobytes()
+
+
+def test_secrecy_bits_scalar_and_broadcast():
+    for a, b in zip(SNRS[:500].tolist(), SNRS[500:1000].tolist()):
+        assert secrecy_bits(a, b) == math.log2(1.0 + a) - math.log2(1.0 + b)
+    # a float legitimate SNR against an array of wiretap SNRs, as in average_secrecy
+    got = secrecy_bits(25.0, SNRS)
+    assert got.shape == SNRS.shape
+    assert got.tobytes() == (math.log2(26.0) - np.log2(1.0 + SNRS)).tobytes()
+    assert secrecy_bits(SNRS, SNRS).tobytes() == np.zeros_like(SNRS).tobytes()
+
+
+def test_link_snr_is_the_power_operator_form():
+    for d in DISTANCES[:500].tolist():
+        assert link_snr(1e7, d, 1.4) == 1e7 * d ** (-2.0 * 1.4)
+    assert link_snr(1e7, DISTANCES, 1.4).tobytes() == (1e7 * DISTANCES ** (-2.8)).tobytes()
+    assert path_loss_coeff_sq(7.5, 2.0) == link_snr(1.0, 7.5, 2.0)
+
+
+def test_link_snr_against_oracle():
+    for d in (1e-3, 0.7, 4.4, 1000.0, 1e5):
+        want = oracles.db_to_linear(70.0) * oracles.mp.mpf(d) ** (-2 * oracles.mp.mpf(1.4))
+        assert link_snr(1e7, d, 1.4) == pytest.approx(float(want), rel=1e-14)
+
+
+def test_link_snr_names_a_distance_out_of_range():
+    for d in (1e-200, 0.0):
+        with pytest.raises(ValueError, match=f"distance {d!r} m"):
+            link_snr(1e7, d, 1.4)
+    with pytest.raises(ValueError, match="distance"):
+        path_loss_coeff_sq(1e-200, 1.4)
+    # a far link only loses its signal: the SNR underflows to zero
+    assert link_snr(1e7, 1e200, 1.4) == 0.0

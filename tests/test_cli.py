@@ -106,6 +106,15 @@ def test_validate_subcommand_bad(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_validate_subcommand_wrong_type(tmp_path, capsys):
+    cfg = _write_cfg(tmp_path, {"experiment": "highway_cluster", "params": {"n_sources": "a"}})
+    rc = main(["validate", str(cfg)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert "error: $.params.n_sources:" in err
+    assert "Traceback" not in err
+
+
 def test_entry_point_installed():
     import shutil
 

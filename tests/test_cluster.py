@@ -21,7 +21,6 @@ from vscsim.cluster import (
     rsc_negotiate,
     sc_select,
     select_consensus_candidates,
-    submit_to_consensus,
     validate_identity,
     verify_identity_exchange,
     vin_is_well_formed,
@@ -290,7 +289,3 @@ def test_consensus_cross_checks_claims():
         [("zz", 3.0)], threshold=0.0, window=win, tolerance=0.05
     )
     assert got == ["zz"]
-
-
-def test_submit_stub():
-    assert submit_to_consensus(["a", "b"]) is None

@@ -29,7 +29,10 @@ def _assert_rows_match(got, want, rel):
     assert len(got.rows) == len(want.rows)
     for grow, wrow in zip(got.rows, want.rows):
         for g, w in zip(grow, wrow):
-            assert g == pytest.approx(w, rel=rel, abs=1e-15)
+            if isinstance(w, str):
+                assert g == w
+            else:
+                assert g == pytest.approx(w, rel=rel, abs=1e-15)
 
 
 def test_fig4_matches_golden():
@@ -53,6 +56,28 @@ def test_intersection_case1_matches_golden():
     _assert_rows_match(got, want, rel=1e-12)
 
 
+def test_highway_cluster_matches_golden():
+    got = _preset_table("highway-cluster")
+    want = _golden("highway_cluster_expected.csv")
+    assert len(want.rows) == 2000
+    _assert_rows_match(got, want, rel=1e-12)
+
+
+def test_perturbation_matches_golden():
+    got = _preset_table("perturbation")
+    want = _golden("perturbation_expected.csv")
+    assert len(want.rows) == 2000
+    # the shift must change some target, or the study pins nothing
+    assert any(row[2] != row[3] for row in want.rows)
+    _assert_rows_match(got, want, rel=1e-12)
+
+
 def test_goldens_are_committed():
-    for name in ("fig4_expected.csv", "fig5_expected.csv", "table1_case1_expected.csv"):
+    for name in (
+        "fig4_expected.csv",
+        "fig5_expected.csv",
+        "table1_case1_expected.csv",
+        "highway_cluster_expected.csv",
+        "perturbation_expected.csv",
+    ):
         assert (GOLDEN_DIR / name).exists()

@@ -2,6 +2,8 @@ import json
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from vscsim.config import (
     EXPERIMENTS,
@@ -10,8 +12,11 @@ from vscsim.config import (
     RunConfig,
     build_config,
     load_config,
+    model_kwargs,
     validate_config,
 )
+from vscsim.highway import HighwayWorld
+from vscsim.intersection import run_intersection_case
 from vscsim.presets import PRESETS, get_preset, list_presets
 from vscsim.runner import OUT_DIR_ENV, build_table, resolve_out_dir, run
 from vscsim.tables import (
@@ -113,6 +118,46 @@ def test_build_config_fills_defaults():
     assert cfg.emit_csv and not cfg.emit_plot_data
     # defaults exist for every experiment
     assert set(PARAM_DEFAULTS) == set(EXPERIMENTS)
+
+
+def test_param_defaults_are_pinned():
+    # the provenance hash of every run covers these values
+    assert config_hash(PARAM_DEFAULTS) == "63e0a4be2ab8"
+    for experiment in ("intersection", "highway_cluster", "perturbation"):
+        assert all(type(v) is not tuple for v in PARAM_DEFAULTS[experiment].values())
+
+
+def test_highway_cluster_defaults_map_to_default_world():
+    cfg = build_config({"experiment": "highway_cluster"})
+    assert HighwayWorld(seed=cfg.seed, **model_kwargs(cfg.params)) == HighwayWorld()
+
+
+def test_intersection_defaults_map_to_default_case():
+    cfg = build_config({"experiment": "intersection", "params": {"case": 3}})
+    got = run_intersection_case(**model_kwargs(cfg.params))
+    want = run_intersection_case(3)
+    assert got.capacities.tobytes() == want.capacities.tobytes()
+    assert got.distances.tobytes() == want.distances.tobytes()
+
+
+@pytest.mark.parametrize(
+    "doc, where",
+    [
+        ({"experiment": "highway_cluster", "params": {"n_sources": "a"}}, "$.params.n_sources"),
+        ({"experiment": "perturbation", "params": {"n_nodes": None, "delta_m": "x"}}, "$.params.delta_m"),
+        ({"experiment": "intersection", "params": {"case": 1, "host_span": ["a", 1]}}, "$.params.host_span[0]"),
+        (
+            {"experiment": "sweep", "params": {"kind": ["highway"], "base": {}, "param": "v", "grid": [1.0]}},
+            "$.params.kind",
+        ),
+        ({"experiment": "sweep", "params": {**SWEEP_DOC["params"], "series": 5}}, "$.params.series"),
+    ],
+)
+def test_validate_reports_wrongly_typed_fields(doc, where):
+    errors = validate_config(doc)
+    assert any(e.startswith(where + ":") for e in errors)
+    with pytest.raises(ConfigError):
+        build_config(doc)
 
 
 def test_build_config_raises_collected_errors():
@@ -309,3 +354,28 @@ def test_preset_copies_are_independent():
     assert b["params"]["grid"][0] == 10.0
     with pytest.raises(KeyError):
         get_preset("fig999")
+
+
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 30) | st.floats(allow_nan=False) | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=6,
+)
+_PARAM_KEYS = sorted(
+    {key for defaults in PARAM_DEFAULTS.values() for key in defaults}
+    | {"kind", "base", "param", "grid", "param_label", "case"}
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    experiment=st.sampled_from(EXPERIMENTS),
+    params=st.dictionaries(st.sampled_from(_PARAM_KEYS), _JSON_VALUES, max_size=5),
+)
+def test_validate_config_reports_instead_of_raising(experiment, params):
+    doc = {"experiment": experiment, "params": params}
+    errors = validate_config(doc)
+    assert all(isinstance(e, str) for e in errors)
+    if errors:
+        with pytest.raises(ConfigError):
+            build_config(doc)

@@ -196,3 +196,15 @@ def test_relay_jamming_hurts_when_legitimate_hit_harder():
 def test_relay_rejects_negative_power():
     with pytest.raises(ValueError):
         RelayScenario(p_a=-1.0, p_r=0.0, h_ab_sq=0.1, h_rb_sq=0.1, h_ae_sq=0.1, h_re_sq=0.1)
+
+
+def test_out_of_range_distances_raise_value_error():
+    tiny = HighwayScenario(ChannelParams.from_db(70.0, 1.4), 1000.0, 1e-100, 1e-100)
+    with pytest.raises(ValueError, match=f"distance {1e-100 * 1e-100!r} m"):
+        highway_secrecy(tiny)
+    far = HighwayScenario(ChannelParams.from_db(70.0, 1.4), 1e300, 20.0, 0.2)
+    with pytest.raises(ValueError, match="distance 1e\\+300 m"):
+        highway_secrecy(far)
+    urban = UrbanScenario(HIGHWAY_PARAMS, 3.5, 10.0, 1.0, 1e300, "fixed")
+    with pytest.raises(ValueError, match="distance"):
+        urban_secrecy(urban)

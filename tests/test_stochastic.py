@@ -234,3 +234,13 @@ def test_ergodic_deterministic_per_seed():
     b = ergodic_secrecy_mc(cfg, FadingModel.rayleigh(), FadingModel.nakagami(2.0))
     assert a.value == b.value
     assert a.stderr == b.stderr
+
+
+def test_target_too_close_raises_value_error():
+    field = sample_field(6.0, square_region(Point2D(0.0, 0.0), 1000.0), seed=3)
+    host, target = Point2D(0.0, 0.0), Point2D(1e-200, 0.0)
+    for mode in (COLLUDING, NON_COLLUDING):
+        with pytest.raises(ValueError, match="distance 1e-200 m"):
+            ppp_secrecy(host, target, field, mode, PARAMS)
+    with pytest.raises(ValueError, match="distance 1e-200 m"):
+        average_secrecy(host, target, field, PARAMS)
