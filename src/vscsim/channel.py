@@ -15,6 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .units import db_to_linear
+
 # Defaults used by the simulation harness when a config does not pin them.
 DEFAULT_ALPHA = 1.4
 DEFAULT_P_OVER_N0_DB = 70.0
@@ -22,25 +24,20 @@ DEFAULT_P_OVER_N0_DB = 70.0
 
 @dataclass(frozen=True)
 class ChannelParams:
-    """Transmit power over noise density (linear), path-loss exponent, bandwidth."""
+    """Transmit power over noise density (linear) and path-loss exponent."""
 
     p_over_n0: float
     alpha: float
-    bandwidth_hz: float = 1.0
 
     def __post_init__(self) -> None:
         if not (math.isfinite(self.p_over_n0) and self.p_over_n0 > 0.0):
             raise ValueError(f"p_over_n0 must be finite and > 0, got {self.p_over_n0!r}")
         if not (math.isfinite(self.alpha) and self.alpha > 0.0):
             raise ValueError(f"alpha must be finite and > 0, got {self.alpha!r}")
-        if not (math.isfinite(self.bandwidth_hz) and self.bandwidth_hz > 0.0):
-            raise ValueError(f"bandwidth_hz must be > 0, got {self.bandwidth_hz!r}")
 
     @classmethod
-    def from_db(cls, p_over_n0_db: float, alpha: float, bandwidth_hz: float = 1.0) -> "ChannelParams":
-        from .units import db_to_linear
-
-        return cls(db_to_linear(p_over_n0_db), alpha, bandwidth_hz)
+    def from_db(cls, p_over_n0_db: float, alpha: float) -> "ChannelParams":
+        return cls(db_to_linear(p_over_n0_db), alpha)
 
 
 def capacity_bits(snr):
@@ -59,7 +56,13 @@ def secrecy_bits(snr_b, snr_e):
 
 def link_snr(p_over_n0, d, alpha):
     """Path-loss SNR (P/N0) * d^(-2*alpha) for a float or ndarray distance.
-    A float distance so short that d^(-2*alpha) overflows raises ValueError."""
+    A distance so short that d^(-2*alpha) overflows raises ValueError."""
+    if isinstance(d, np.ndarray):
+        with np.errstate(over="ignore", divide="ignore"):
+            snr = p_over_n0 * d ** (-2.0 * alpha)
+        if np.isinf(snr).any():
+            raise ValueError(f"distance {float(d.min())!r} m is too short: d**(-2*alpha) overflows")
+        return snr
     try:
         return p_over_n0 * d ** (-2.0 * alpha)
     except (OverflowError, ZeroDivisionError):

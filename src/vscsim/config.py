@@ -18,6 +18,7 @@ import jsonschema
 from .channel import DEFAULT_ALPHA, DEFAULT_P_OVER_N0_DB
 from .highway import HighwayWorld, run_perturbation_study
 from .intersection import run_intersection_case
+from .sweeps import GRID_UNITS, SWEEP_FIELDS
 
 EXPERIMENTS = ("sweep", "intersection", "highway_cluster", "perturbation", "ppp")
 
@@ -44,8 +45,9 @@ _TOP_SCHEMA = {
     "additionalProperties": False,
 }
 
-# Scenario fields a sweep base (or series override) may set.  Values are
-# SI / linear except the *_db fields, which are converted on load.
+# JSON bounds of the fields a sweep base (or series override) may set;
+# sweeps.SWEEP_FIELDS says which fields a kind takes and requires.  Values
+# are SI / linear except the *_db fields, which are converted on load.
 _SCENARIO_FIELDS = {
     "highway": {
         "r": {"type": "number", "exclusiveMinimum": 0},
@@ -76,24 +78,15 @@ _SCENARIO_FIELDS = {
 }
 _SCENARIO_FIELDS["urban_moving"] = _SCENARIO_FIELDS["urban_fixed"]
 
-# Fields that must be pinned (by base or series overrides) for a sweep to
-# be evaluable; the swept parameter itself is exempt.
-_SWEEP_REQUIRED = {
-    "highway": ("r", "v", "tau", "alpha", "p_over_n0_db"),
-    "urban_fixed": ("lane_width_w", "v_limit", "t", "r0", "alpha", "p_over_n0_db"),
-    "urban_moving": ("lane_width_w", "v_limit", "t", "r0", "alpha", "p_over_n0_db"),
-    "relay": ("p_a", "p_r", "h_ab_sq", "h_rb_sq", "h_ae_sq", "h_re_sq"),
-}
-
 _PARAMS_SCHEMAS = {
     "sweep": {
         "type": "object",
         "properties": {
-            "kind": {"enum": list(_SWEEP_REQUIRED)},
+            "kind": {"enum": list(SWEEP_FIELDS)},
             "base": {"type": "object"},
             "param": {"type": "string", "minLength": 1},
             "grid": {"type": "array", "minItems": 1, "items": {"type": "number"}},
-            "unit": {"enum": ["si", "kmh", "db", "ms"]},
+            "unit": {"enum": list(GRID_UNITS)},
             "param_label": {"type": "string", "minLength": 1},
             "series": {
                 "type": "array",
@@ -347,21 +340,22 @@ def validate_config(doc) -> list[str]:
 def _sweep_extra_errors(params: dict) -> list[str]:
     errors: list[str] = []
     kind = params.get("kind")
-    if kind not in _SWEEP_REQUIRED:
+    if kind not in SWEEP_FIELDS:
         return errors
     base = params.get("base")
     param = params.get("param")
     if isinstance(base, dict):
         errors += _scenario_field_errors(base, kind, "$.params.base")
-        for name in _SWEEP_REQUIRED[kind]:
-            if name != param and name not in base:
+        for name in _SCENARIO_FIELDS[kind]:
+            if SWEEP_FIELDS[kind][name.removesuffix("_db")] and name != param and name not in base:
                 errors.append(
                     f"$.params.base.{name}: required for kind {kind!r} unless swept"
                 )
     if isinstance(param, str) and param not in _SCENARIO_FIELDS[kind]:
-        errors.append(
-            f"$.params.param: {param!r} is not a field of kind {kind!r}"
-        )
+        errors.append(f"$.params.param: {param!r} is not a field of kind {kind!r}")
+    elif isinstance(param, str) and param.endswith("_db"):
+        if params.get("unit", PARAM_DEFAULTS["sweep"]["unit"]) != "db":
+            errors.append(f"$.params.unit: sweeping {param!r} needs unit 'db'")
     grid = params.get("grid")
     if isinstance(grid, list) and len(grid) > 1 and all(
         isinstance(g, (int, float)) and not isinstance(g, bool) for g in grid

@@ -79,9 +79,11 @@ class HighwayRunResult:
                 )
 
 
-def _nearest(xs: np.ndarray, ys: np.ndarray, src: int, obu_range: float) -> tuple[int, float]:
-    """Brute-force nearest other node within radio range."""
-    dx = xs - xs[src]
+def _nearest(
+    xs: np.ndarray, ys: np.ndarray, src: int, x_src: float, obu_range: float
+) -> tuple[int, float]:
+    """Brute-force nearest other node within radio range of source src at x_src."""
+    dx = xs - x_src
     dy = ys - ys[src]
     d = np.hypot(dx, dy)
     d[src] = np.inf
@@ -116,7 +118,7 @@ def run_highway_experiment(world: HighwayWorld) -> HighwayRunResult:
         positions[k, :, 0] = xs
         positions[k, :, 1] = ys
         for s in range(world.n_sources):
-            j, d = _nearest(xs, ys, s, world.obu_range)
+            j, d = _nearest(xs, ys, s, xs[s], world.obu_range)
             target_idx[k, s] = j
             dists[k, s] = d
             secr[k, s] = secrecy_bits(link_snr(c, d, world.alpha), snr_eve)
@@ -180,15 +182,13 @@ def run_perturbation_study(
     t_idx = np.empty((n_steps, n_sources), dtype=int)
     d_pert = np.empty((n_steps, n_sources))
     s_pert = np.empty((n_steps, n_sources))
-    dx_base = np.empty((n_steps, n_sources))
+    base_xs = base.positions[:, :, 0]
+    dx_base = np.take_along_axis(base_xs, base.target_idx, axis=1) - base_xs[:, :n_sources]
     for k in range(n_steps):
-        xs = base.positions[k, :, 0]
+        xs = base_xs[k]
         ys = base.positions[k, :, 1]
         for s in range(n_sources):
-            dx_base[k, s] = xs[int(base.target_idx[k, s])] - xs[s]
-            shifted = xs.copy()
-            shifted[s] = xs[s] + delta
-            j, d = _nearest(shifted, ys, s, world.obu_range)
+            j, d = _nearest(xs, ys, s, xs[s] + delta, world.obu_range)
             t_idx[k, s] = j
             d_pert[k, s] = d
             s_pert[k, s] = secrecy_bits(link_snr(c, d, world.alpha), snr_eve)

@@ -174,8 +174,6 @@ def run_intersection_case(
         hp = case.host.position(float(t))
         tp = case.target.position(float(t))
         dists[i] = math.hypot(hp.x - tp.x, hp.y - tp.y)
-    if np.any(dists <= 0.0):
-        raise ValueError("host and target collide under this geometry")
     caps = capacity_bits(link_snr(c, dists, alpha))
     peak = float(np.max(caps))
     near = caps < NEAR_ZERO_FRACTION * peak

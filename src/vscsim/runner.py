@@ -22,20 +22,18 @@ OUT_DIR_ENV = "VSCSIM_OUT"
 
 
 def _convert_db_fields(doc: dict) -> dict:
-    """Replace p_over_n0_db with linear p_over_n0 at the config boundary."""
-    out = dict(doc)
-    if "p_over_n0_db" in out:
-        out["p_over_n0"] = db_to_linear(out.pop("p_over_n0_db"))
-    return out
+    """Replace each *_db field with its linear value at the config boundary."""
+    return {k.removesuffix("_db"): db_to_linear(v) if k.endswith("_db") else v
+            for k, v in doc.items()}
 
 
 def _sweep_table(params: dict) -> TableData:
     spec = SweepSpec(
         kind=params["kind"],
         base=_convert_db_fields(params["base"]),
-        param=params["param"],
+        param=params["param"].removesuffix("_db"),
         grid=tuple(params["grid"]),
-        unit=params.get("unit", "si"),
+        unit=params["unit"],
         param_label=params.get("param_label"),
         series=tuple(
             (entry["label"], _convert_db_fields(entry.get("overrides", {})))

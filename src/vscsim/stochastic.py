@@ -86,8 +86,6 @@ def sample_field(lam: float, region: Rect, seed, ref_area_m2: float = 1000.0) ->
 
 def _eavesdropper_snrs(host: Point2D, field: PppField, params: ChannelParams) -> np.ndarray:
     dists = np.array([distance(host, p) for p in field.points])
-    if np.any(dists <= 0.0):
-        raise ValueError("an eavesdropper coincides with the host position")
     return link_snr(params.p_over_n0, dists, params.alpha)
 
 

@@ -3,6 +3,8 @@ study, producing plain (columns, rows) results for the output layer."""
 
 from __future__ import annotations
 
+import dataclasses
+import typing
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,8 +28,36 @@ from .stochastic import (
 )
 from .units import Point2D, db_to_linear, distance, kmh_to_ms
 
-SWEEP_KINDS = ("highway", "urban_fixed", "urban_moving", "relay")
-GRID_UNITS = ("si", "kmh", "db", "ms")
+SWEEP_SCENARIOS = {
+    "highway": HighwayScenario,
+    "urban_fixed": UrbanScenario,
+    "urban_moving": UrbanScenario,
+    "relay": RelayScenario,
+}
+
+# Grid unit -> conversion of a grid value to the SI / linear value the scenarios take.
+GRID_UNITS = {
+    "si": lambda value: value,
+    "kmh": kmh_to_ms,
+    "db": db_to_linear,
+    "ms": lambda value: value / 1000.0,
+}
+
+
+def _scenario_fields(scenario) -> dict[str, bool]:
+    """Field name -> required (no default) of a scenario dataclass; a ChannelParams
+    field stands for its own fields, and the kind sets the urban eavesdropper mode."""
+    hints = typing.get_type_hints(scenario)
+    fields: dict[str, bool] = {}
+    for f in dataclasses.fields(scenario):
+        if hints[f.name] is ChannelParams:
+            fields.update(_scenario_fields(ChannelParams))
+        elif f.name != "eavesdropper":
+            fields[f.name] = f.default is dataclasses.MISSING
+    return fields
+
+
+SWEEP_FIELDS = {kind: _scenario_fields(scenario) for kind, scenario in SWEEP_SCENARIOS.items()}
 
 
 @dataclass(frozen=True)
@@ -50,59 +80,26 @@ class TableData:
     rows: tuple[tuple, ...]
 
 
-def _convert(value: float, unit: str) -> float:
-    if unit == "si":
-        return value
-    if unit == "kmh":
-        return kmh_to_ms(value)
-    if unit == "db":
-        return db_to_linear(value)
-    if unit == "ms":
-        return value / 1000.0
-    raise ValueError(f"unknown grid unit {unit!r}")
-
-
 def _evaluate(kind: str, kwargs: dict) -> float:
-    if kind == "highway":
-        params = ChannelParams(kwargs["p_over_n0"], kwargs["alpha"])
-        return highway_secrecy(HighwayScenario(params, kwargs["r"], kwargs["v"], kwargs["tau"]))
-    if kind in ("urban_fixed", "urban_moving"):
-        params = ChannelParams(kwargs["p_over_n0"], kwargs["alpha"])
-        s = UrbanScenario(
-            params,
-            kwargs["lane_width_w"],
-            kwargs["v_limit"],
-            kwargs["t"],
-            kwargs["r0"],
-            kind.removeprefix("urban_"),
-        )
-        return urban_secrecy(s)
     if kind == "relay":
-        s = RelayScenario(
-            p_a=kwargs["p_a"],
-            p_r=kwargs["p_r"],
-            h_ab_sq=kwargs["h_ab_sq"],
-            h_rb_sq=kwargs["h_rb_sq"],
-            h_ae_sq=kwargs["h_ae_sq"],
-            h_re_sq=kwargs["h_re_sq"],
-            sigma_b_sq=kwargs.get("sigma_b_sq", 1.0),
-            sigma_e_sq=kwargs.get("sigma_e_sq", 1.0),
-            bandwidth_hz=kwargs.get("bandwidth_hz", 1.0),
-        )
-        return relay_secrecy(s)
-    raise ValueError(f"unknown sweep kind {kind!r}")
+        return relay_secrecy(RelayScenario(**kwargs))
+    params = ChannelParams(kwargs.pop("p_over_n0"), kwargs.pop("alpha"))
+    if kind == "highway":
+        return highway_secrecy(HighwayScenario(params, **kwargs))
+    return urban_secrecy(UrbanScenario(params, **kwargs, eavesdropper=kind.removeprefix("urban_")))
 
 
 def run_sweep(spec: SweepSpec) -> TableData:
     """Evaluate the spec's scenario at every (grid value, series) pair.
 
     The grid must be strictly monotone so downstream trend checks read
-    left to right; the swept value is reported in its grid units.
+    left to right; the swept value is reported in its grid units.  Base,
+    swept parameter and overrides must set exactly the kind's fields.
     """
-    if spec.kind not in SWEEP_KINDS:
-        raise ValueError(f"kind must be one of {SWEEP_KINDS}, got {spec.kind!r}")
+    if spec.kind not in SWEEP_SCENARIOS:
+        raise ValueError(f"kind must be one of {tuple(SWEEP_SCENARIOS)}, got {spec.kind!r}")
     if spec.unit not in GRID_UNITS:
-        raise ValueError(f"unit must be one of {GRID_UNITS}, got {spec.unit!r}")
+        raise ValueError(f"unit must be one of {tuple(GRID_UNITS)}, got {spec.unit!r}")
     if len(spec.grid) == 0:
         raise ValueError("grid must be non-empty")
     diffs = np.diff(np.asarray(spec.grid, dtype=float))
@@ -110,13 +107,22 @@ def run_sweep(spec: SweepSpec) -> TableData:
         raise ValueError("grid must be strictly monotone")
     if not spec.series:
         raise ValueError("at least one series is required")
+    fields = SWEEP_FIELDS[spec.kind]
+    for label, overrides in spec.series:
+        given = {*spec.base, spec.param, *overrides}
+        missing = [name for name, required in fields.items() if required and name not in given]
+        unknown = sorted(given - fields.keys())
+        if missing or unknown:
+            raise ValueError(f"series {label!r} of kind {spec.kind!r}: missing fields {missing}, "
+                             f"unknown fields {unknown}")
+    convert = GRID_UNITS[spec.unit]
     columns = (spec.param_label or spec.param,) + tuple(label for label, _ in spec.series)
     rows = []
     for g in spec.grid:
+        value = convert(float(g))
         row = [float(g)]
         for _, overrides in spec.series:
-            kwargs = {**spec.base, spec.param: _convert(float(g), spec.unit), **overrides}
-            row.append(_evaluate(spec.kind, kwargs))
+            row.append(_evaluate(spec.kind, {**spec.base, spec.param: value, **overrides}))
         rows.append(tuple(row))
     return TableData(columns, tuple(rows))
 

@@ -30,7 +30,6 @@ def test_defaults():
     p = ChannelParams.from_db(DEFAULT_P_OVER_N0_DB, DEFAULT_ALPHA)
     assert p.p_over_n0 == pytest.approx(1e7, rel=1e-12)
     assert p.alpha == 1.4
-    assert p.bandwidth_hz == 1.0
 
 
 def test_shannon_capacity_known_points():
@@ -186,8 +185,6 @@ def test_channel_params_validation():
         ChannelParams(p_over_n0=-1.0, alpha=1.4)
     with pytest.raises(ValueError):
         ChannelParams(p_over_n0=1.0, alpha=0.0)
-    with pytest.raises(ValueError):
-        ChannelParams(p_over_n0=1.0, alpha=1.4, bandwidth_hz=0.0)
     with pytest.raises(ValueError):
         ChannelParams(p_over_n0=math.nan, alpha=1.4)
 

@@ -5,6 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
+
 from vscsim.config import (
     EXPERIMENTS,
     PARAM_DEFAULTS,
@@ -83,6 +85,18 @@ def test_validate_swept_param_not_required_in_base():
     assert validate_config(doc) == []
     del doc["params"]["base"]["tau"]
     assert any("tau" in e for e in validate_config(doc))
+
+
+def test_sweep_over_db_field_runs_in_db():
+    doc = json.loads(json.dumps(SWEEP_DOC))
+    params = doc["params"]
+    params["base"]["v"] = 20.0
+    del params["base"]["p_over_n0_db"]
+    params.update(param="p_over_n0_db", grid=[40.0, 50.0], param_label="p_over_n0_db")
+    assert any("needs unit 'db'" in e for e in validate_config(doc))
+    params["unit"] = "db"
+    for row in build_table(build_config(doc)).rows:
+        assert row[1] == pytest.approx(oracles.highway_secrecy(72.0, 0.2, 1000.0, 1.4, row[0]), rel=1e-11)
 
 
 def test_validate_series_overrides():

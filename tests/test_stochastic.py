@@ -244,3 +244,14 @@ def test_target_too_close_raises_value_error():
             ppp_secrecy(host, target, field, mode, PARAMS)
     with pytest.raises(ValueError, match="distance 1e-200 m"):
         average_secrecy(host, target, field, PARAMS)
+
+
+def test_eavesdropper_too_close_raises_value_error():
+    # d**(-2*alpha) overflows on the array path too: no -inf secrecy
+    field = PppField(lam=6.0, ref_area_m2=1000.0, region=REGION, points=(Point2D(1e-200, 0.0),))
+    host, target = Point2D(0.0, 0.0), Point2D(10.0, 0.0)
+    for mode in (COLLUDING, NON_COLLUDING):
+        with pytest.raises(ValueError, match="distance 1e-200 m"):
+            ppp_secrecy(host, target, field, mode, PARAMS)
+    with pytest.raises(ValueError, match="distance 1e-200 m"):
+        average_secrecy(host, target, field, PARAMS)

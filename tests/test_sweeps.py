@@ -2,7 +2,9 @@ import numpy as np
 import pytest
 
 import oracles
+from vscsim import config
 from vscsim.sweeps import (
+    SWEEP_FIELDS,
     SweepSpec,
     TableData,
     run_ppp_distance_curve,
@@ -11,6 +13,14 @@ from vscsim.sweeps import (
 )
 
 HIGHWAY_BASE = {"r": 1000.0, "v": 0.0, "tau": 0.2, "alpha": 1.4, "p_over_n0": 1e7}
+RELAY_BASE = {
+    "p_a": 100.0,
+    "p_r": 0.0,
+    "h_ab_sq": 0.05,
+    "h_rb_sq": 0.01,
+    "h_ae_sq": 0.05,
+    "h_re_sq": 0.1,
+}
 
 
 def _speed_spec(**kw):
@@ -78,6 +88,38 @@ def test_sweep_rejects_unknown_kind_and_unit():
         run_sweep(_speed_spec(unit="furlongs"))
 
 
+@pytest.mark.parametrize(
+    "spec, match",
+    [
+        (
+            SweepSpec("highway", {}, "v", (1.0,)),
+            r"missing fields \['p_over_n0', 'alpha', 'r', 'tau'\]",
+        ),
+        (
+            SweepSpec("highway", {**HIGHWAY_BASE, "v": 20.0}, "theta", (1.0, 2.0, 3.0)),
+            r"unknown fields \['theta'\]",
+        ),
+        (
+            SweepSpec("highway", HIGHWAY_BASE, "v", (1.0, 2.0), series=(("a", {"alfa": 4.0}),)),
+            r"series 'a' .*unknown fields \['alfa'\]",
+        ),
+        (
+            SweepSpec("relay", {**RELAY_BASE, "sigma": 2.0}, "p_r", (0.0, 1.0)),
+            r"unknown fields \['sigma'\]",
+        ),
+    ],
+    ids=["missing", "unknown-param", "misspelled-override", "stray-base-key"],
+)
+def test_sweep_rejects_missing_or_unknown_fields(spec, match):
+    with pytest.raises(ValueError, match=match):
+        run_sweep(spec)
+
+
+def test_sweep_fields_match_config_fields():
+    for kind, fields in SWEEP_FIELDS.items():
+        assert {n.removesuffix("_db") for n in config._SCENARIO_FIELDS[kind]} == set(fields)
+
+
 def test_urban_sweep():
     spec = SweepSpec(
         kind="urban_fixed",
@@ -94,17 +136,9 @@ def test_urban_sweep():
 
 
 def test_relay_sweep_with_direct_reference_column():
-    base = {
-        "p_a": 100.0,
-        "p_r": 0.0,
-        "h_ab_sq": 0.05,
-        "h_rb_sq": 0.01,
-        "h_ae_sq": 0.05,
-        "h_re_sq": 0.1,
-    }
     spec = SweepSpec(
         kind="relay",
-        base=base,
+        base=dict(RELAY_BASE),
         param="p_r",
         grid=tuple(float(p) for p in range(0, 22, 2)),
         series=(("cs_relay", {}), ("cs_direct", {"p_r": 0.0})),
