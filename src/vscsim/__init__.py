@@ -22,7 +22,6 @@ from .channel import (
 from .cluster import (
     AdjustableHighwayLink,
     ClusterHistory,
-    ClusterRecord,
     ClusterState,
     NegotiationResult,
     RelayOption,
@@ -73,6 +72,7 @@ from .vsc import (
     compute_vsc,
     read_csi_csv,
     security_verdict,
+    window_vscs,
     windowed_stream,
     write_csi_csv,
 )

@@ -56,7 +56,7 @@ def secrecy_bits(snr_b, snr_e):
 
 def link_snr(p_over_n0, d, alpha):
     """Path-loss SNR (P/N0) * d^(-2*alpha) for a float or ndarray distance.
-    A distance so short that d^(-2*alpha) overflows raises ValueError."""
+    A distance so short that the SNR overflows raises ValueError."""
     if isinstance(d, np.ndarray):
         with np.errstate(over="ignore", divide="ignore"):
             snr = p_over_n0 * d ** (-2.0 * alpha)
@@ -64,9 +64,12 @@ def link_snr(p_over_n0, d, alpha):
             raise ValueError(f"distance {float(d.min())!r} m is too short: d**(-2*alpha) overflows")
         return snr
     try:
-        return p_over_n0 * d ** (-2.0 * alpha)
+        snr = p_over_n0 * d ** (-2.0 * alpha)
     except (OverflowError, ZeroDivisionError):
         raise ValueError(f"distance {d!r} m is too short: d**(-2*alpha) overflows") from None
+    if snr == math.inf:
+        raise ValueError(f"distance {d!r} m is too short: the SNR overflows")
+    return snr
 
 
 def shannon_capacity(bandwidth_hz: float, snr: float) -> float:

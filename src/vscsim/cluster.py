@@ -18,18 +18,14 @@ from typing import Iterable, Sequence
 from .channel import path_loss_coeff_sq
 from .scenarios import HighwayScenario, RelayScenario, highway_secrecy, relay_secrecy
 from .units import db_to_linear
-from .vsc import CsiRecord, VscResult, compute_vsc
+from .vsc import CsiRecord, VscResult, window_vscs
 
 _DIGEST_SIZE = hashlib.sha256().digest_size
 
 
-def _hash_once(data: bytes) -> bytes:
-    return hashlib.sha256(data).digest()
-
-
 def _hash_times(data: bytes, times: int) -> bytes:
     for _ in range(times):
-        data = _hash_once(data)
+        data = hashlib.sha256(data).digest()
     return data
 
 
@@ -65,8 +61,6 @@ def make_identity(vehicle_id: str, vin: str, chain_length: int) -> VehicleIdenti
     """Build an identity whose anchor is the VIN hashed chain_length times."""
     if not vin_is_well_formed(vin):
         raise ValueError(f"VIN must be 17 alphanumeric characters, got {vin!r}")
-    if chain_length < 1:
-        raise ValueError(f"chain_length must be >= 1, got {chain_length!r}")
     anchor = _hash_times(vin.encode("ascii"), chain_length)
     return VehicleIdentity(vehicle_id, vin, anchor, chain_length)
 
@@ -133,12 +127,7 @@ def verify_identity_exchange(doc: dict) -> bool:
 
 def sc_select(window: Sequence[CsiRecord]) -> str:
     """Pick the sender whose VSC is highest; ties go to the smallest id."""
-    senders = sorted({r.sender_id for r in window})
-    if not senders:
-        raise ValueError("window must contain at least one record")
-    results = [compute_vsc(window, s) for s in senders]
-    best = min(results, key=lambda res: (-res.vsc, res.target_id))
-    return best.target_id
+    return min(window_vscs(window), key=lambda res: (-res.vsc, res.target_id)).target_id
 
 
 @dataclass(frozen=True)
@@ -330,47 +319,28 @@ def form_cluster(
     return state, frozenset(pseudo)
 
 
-@dataclass(frozen=True)
-class ClusterRecord:
-    ts: float
-    cluster_id: str
-    members: tuple[tuple[str, float], ...]
-    rsc: float
-    secondary_rsc: float
-
-
 class ClusterHistory:
     """Append-only formation log, persisted as one JSON object per line."""
 
-    def __init__(self, records: Iterable[ClusterRecord] = ()):
-        self._records: list[ClusterRecord] = list(records)
+    def __init__(self, records: Iterable[ClusterState] = ()):
+        self._records: list[ClusterState] = list(records)
 
     @property
-    def records(self) -> tuple[ClusterRecord, ...]:
+    def records(self) -> tuple[ClusterState, ...]:
         return tuple(self._records)
 
-    def append(self, record: ClusterRecord) -> None:
-        self._records.append(record)
-
     def append_state(self, state: ClusterState) -> None:
-        self.append(
-            ClusterRecord(
-                state.formed_at, state.cluster_id, state.members, state.rsc, state.secondary_rsc
-            )
-        )
+        self._records.append(state)
 
     def replay(self) -> list[ClusterState]:
-        """Rebuild the cluster state sequence exactly as it was recorded."""
-        return [
-            ClusterState(r.cluster_id, r.members, r.rsc, r.secondary_rsc, r.ts)
-            for r in self._records
-        ]
+        """The cluster state sequence exactly as it was recorded."""
+        return list(self._records)
 
     def save(self, path: str | Path) -> None:
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
             for r in self._records:
                 doc = {
-                    "ts": r.ts,
+                    "ts": r.formed_at,
                     "cluster_id": r.cluster_id,
                     "members": [{"id": mid, "vsc": v} for mid, v in r.members],
                     "rsc": r.rsc,
@@ -380,23 +350,18 @@ class ClusterHistory:
 
     @classmethod
     def load(cls, path: str | Path) -> "ClusterHistory":
-        records = []
         with open(path, encoding="utf-8") as fh:
-            for line in fh:
-                line = line.strip()
-                if not line:
-                    continue
-                doc = json.loads(line)
-                records.append(
-                    ClusterRecord(
-                        float(doc["ts"]),
-                        doc["cluster_id"],
-                        tuple((m["id"], float(m["vsc"])) for m in doc["members"]),
-                        float(doc["rsc"]),
-                        float(doc["secondary_rsc"]),
-                    )
-                )
-        return cls(records)
+            docs = [json.loads(line) for line in fh if line.strip()]
+        return cls(
+            ClusterState(
+                doc["cluster_id"],
+                tuple((m["id"], float(m["vsc"])) for m in doc["members"]),
+                float(doc["rsc"]),
+                float(doc["secondary_rsc"]),
+                float(doc["ts"]),
+            )
+            for doc in docs
+        )
 
 
 def history_fallback(history: ClusterHistory, candidate_ids: Iterable[str]) -> str | None:
@@ -428,6 +393,7 @@ def select_consensus_candidates(
     """
     if tolerance < 0.0:
         raise ValueError(f"tolerance must be >= 0, got {tolerance!r}")
+    host_side = {res.target_id: res.vsc for res in window_vscs(window)} if window else {}
     seen: set[str] = set()
     kept: list[tuple[str, float]] = []
     for vehicle_id, claimed in responses:
@@ -436,10 +402,8 @@ def select_consensus_candidates(
         seen.add(vehicle_id)
         if claimed <= threshold:
             continue
-        if window is not None and any(r.sender_id == vehicle_id for r in window):
-            host_side = compute_vsc(window, vehicle_id).vsc
-            if abs(claimed - host_side) > tolerance:
-                continue
+        if vehicle_id in host_side and abs(claimed - host_side[vehicle_id]) > tolerance:
+            continue
         kept.append((vehicle_id, claimed))
     kept.sort(key=lambda p: (-p[1], p[0]))
     return [vehicle_id for vehicle_id, _ in kept]

@@ -10,6 +10,7 @@ from __future__ import annotations
 import copy
 import inspect
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -307,15 +308,26 @@ def _scenario_field_errors(doc: dict, kind: str, prefix: str) -> list[str]:
     return _schema_errors(doc, schema, prefix)
 
 
+def _non_finite_errors(value, path: str) -> list[str]:
+    """Messages for every NaN or +-Infinity number (json.load accepts them)."""
+    if isinstance(value, float) and not math.isfinite(value):
+        return [f"{path}: must be a finite number"]
+    if isinstance(value, dict):
+        return [e for k, v in value.items() for e in _non_finite_errors(v, f"{path}.{k}")]
+    if isinstance(value, list):
+        return [e for i, v in enumerate(value) for e in _non_finite_errors(v, f"{path}[{i}]")]
+    return []
+
+
 def validate_config(doc) -> list[str]:
     """Return every violation in the document; an empty list means valid."""
     if not isinstance(doc, dict):
         return ["$: config must be a JSON object"]
-    errors = _schema_errors(doc, _TOP_SCHEMA, "$")
+    errors = _schema_errors(doc, _TOP_SCHEMA, "$") + _non_finite_errors(doc, "$")
     experiment = doc.get("experiment")
     params = doc.get("params", {})
     if experiment in EXPERIMENTS and isinstance(params, dict):
-        bad_keys: set = set()
+        bad_keys = {k for k, v in params.items() if _non_finite_errors(v, "")}
         errors += _schema_errors(params, _PARAMS_SCHEMAS[experiment], "$.params", bad_keys)
         # Cross-field checks read only the fields that passed the schema.
         params = {k: v for k, v in params.items() if k not in bad_keys}
@@ -338,37 +350,42 @@ def validate_config(doc) -> list[str]:
 
 
 def _sweep_extra_errors(params: dict) -> list[str]:
+    """Cross-field checks of the sweep params that passed the schema."""
+    kind, param = params.get("kind"), params.get("param")
+    if kind is None:
+        return []
     errors: list[str] = []
-    kind = params.get("kind")
-    if kind not in SWEEP_FIELDS:
-        return errors
-    base = params.get("base")
-    param = params.get("param")
-    if isinstance(base, dict):
+    series = params.get("series", PARAM_DEFAULTS["sweep"]["series"])
+    if "base" in params:
+        base = params["base"]
         errors += _scenario_field_errors(base, kind, "$.params.base")
+        # As in run_sweep, a required field may come from the base, the
+        # swept parameter or each series' overrides.
         for name in _SCENARIO_FIELDS[kind]:
-            if SWEEP_FIELDS[kind][name.removesuffix("_db")] and name != param and name not in base:
-                errors.append(
-                    f"$.params.base.{name}: required for kind {kind!r} unless swept"
-                )
-    if isinstance(param, str) and param not in _SCENARIO_FIELDS[kind]:
+            if not SWEEP_FIELDS[kind][name.removesuffix("_db")] or name == param or name in base:
+                continue
+            lacking = [i for i, entry in enumerate(series) if name not in entry.get("overrides", {})]
+            if len(lacking) == len(series):
+                errors.append(f"$.params.base.{name}: required for kind {kind!r} unless swept")
+                continue
+            errors += [
+                f"$.params.series[{i}].overrides.{name}: required for kind {kind!r} "
+                "unless swept or set in the base"
+                for i in lacking
+            ]
+    if param is not None and param not in _SCENARIO_FIELDS[kind]:
         errors.append(f"$.params.param: {param!r} is not a field of kind {kind!r}")
-    elif isinstance(param, str) and param.endswith("_db"):
+    elif param is not None and param.endswith("_db"):
         if params.get("unit", PARAM_DEFAULTS["sweep"]["unit"]) != "db":
             errors.append(f"$.params.unit: sweeping {param!r} needs unit 'db'")
-    grid = params.get("grid")
-    if isinstance(grid, list) and len(grid) > 1 and all(
-        isinstance(g, (int, float)) and not isinstance(g, bool) for g in grid
-    ):
-        diffs = [b - a for a, b in zip(grid, grid[1:])]
-        if not (all(d > 0 for d in diffs) or all(d < 0 for d in diffs)):
-            errors.append("$.params.grid: must be strictly monotone")
-    for i, entry in enumerate(params.get("series") or []):
-        overrides = entry.get("overrides") if isinstance(entry, dict) else None
-        if isinstance(overrides, dict):
-            errors += _scenario_field_errors(
-                overrides, kind, f"$.params.series[{i}].overrides"
-            )
+    grid = params.get("grid", [])
+    diffs = [b - a for a, b in zip(grid, grid[1:])]
+    if not (all(d > 0 for d in diffs) or all(d < 0 for d in diffs)):
+        errors.append("$.params.grid: must be strictly monotone")
+    for i, entry in enumerate(params.get("series", [])):
+        errors += _scenario_field_errors(
+            entry.get("overrides", {}), kind, f"$.params.series[{i}].overrides"
+        )
     return errors
 
 

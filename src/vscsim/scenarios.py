@@ -19,9 +19,12 @@ def _snr(params: ChannelParams, d: float) -> float:
     differs from it in the last bit for some distances, and the sweep
     artifacts are pinned to this form."""
     try:
-        return params.p_over_n0 / d ** (2.0 * params.alpha)
+        snr = params.p_over_n0 / d ** (2.0 * params.alpha)
     except (ZeroDivisionError, OverflowError):
         raise ValueError(f"distance {d!r} m is out of range: d**(2*alpha) leaves float range") from None
+    if snr == math.inf:
+        raise ValueError(f"distance {d!r} m is too short: the SNR overflows")
+    return snr
 
 
 @dataclass(frozen=True)

@@ -8,6 +8,7 @@ window-wide mean SNR plays the wiretap aggregate.
 from __future__ import annotations
 
 import csv
+import itertools
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -55,28 +56,45 @@ class VscResult:
     window_start: float = 0.0
 
 
+def window_vscs(window: Sequence[CsiRecord], window_start: float = 0.0) -> list[VscResult]:
+    """Every sender's VSC in one window, in sender-id order:
+    log2(1 + SNR_sender) - log2(1 + mean window SNR).
+
+    The mean runs over every record in the window, the sender's included.
+    With several records from a sender its SNR is their mean.
+    """
+    if not window:
+        raise ValueError("window must contain at least one record")
+    snrs: dict[str, list[float]] = {}
+    for r in window:
+        snrs.setdefault(r.sender_id, []).append(r.snr)
+    m = len(window)
+    snr_xor = sum(r.snr for r in window) / m
+    return [
+        VscResult(sender, secrecy_bits(sum(own) / len(own), snr_xor), snr_xor, m, window_start)
+        for sender, own in sorted(snrs.items())
+    ]
+
+
 def compute_vsc(
     window: Sequence[CsiRecord], target_id: str, exclude_target: bool = False
 ) -> VscResult:
-    """log2(1 + SNR_target) - log2(1 + mean window SNR).
+    """The target's VSC in a window (see window_vscs).
 
-    The mean runs over every record in the window, the target's included;
-    exclude_target=True switches to the leave-one-out reading.  With
-    several records from the target its SNR is their mean.
+    exclude_target=True switches to the leave-one-out reading, where the
+    mean runs over the other senders' records only.
     """
     if not window:
         raise ValueError("window must contain at least one record")
     target_snrs = [r.snr for r in window if r.sender_id == target_id]
     if not target_snrs:
         raise KeyError(f"no record from {target_id!r} in window")
-    snr_ab = sum(target_snrs) / len(target_snrs)
-    if exclude_target:
-        rest = [r.snr for r in window if r.sender_id != target_id]
-        if not rest:
-            raise ValueError("exclude_target needs at least one record from another sender")
-        snr_xor = sum(rest) / len(rest)
-    else:
-        snr_xor = sum(r.snr for r in window) / len(window)
+    if not exclude_target:
+        return next(res for res in window_vscs(window) if res.target_id == target_id)
+    rest = [r.snr for r in window if r.sender_id != target_id]
+    if not rest:
+        raise ValueError("exclude_target needs at least one record from another sender")
+    snr_ab, snr_xor = sum(target_snrs) / len(target_snrs), sum(rest) / len(rest)
     return VscResult(target_id, secrecy_bits(snr_ab, snr_xor), snr_xor, len(window))
 
 
@@ -97,16 +115,10 @@ def windowed_stream(
             raise ValueError(
                 f"records out of order at t={cur.timestamp!r} after t={prev.timestamp!r}"
             )
-    buckets: dict[int, list[CsiRecord]] = {}
-    for rec in records:
-        buckets.setdefault(math.floor(rec.timestamp / unit_time), []).append(rec)
     results: list[VscResult] = []
-    for idx in sorted(buckets):
-        window = buckets[idx]
-        start = idx * unit_time
-        for sender in sorted({r.sender_id for r in window}):
-            res = compute_vsc(window, sender)
-            results.append(VscResult(res.target_id, res.vsc, res.snr_xor, res.m, start))
+    by_window = itertools.groupby(records, key=lambda r: math.floor(r.timestamp / unit_time))
+    for idx, window in by_window:
+        results.extend(window_vscs(list(window), idx * unit_time))
     return results
 
 

@@ -17,7 +17,7 @@ import pytest
 from vscsim.channel import ChannelParams
 from vscsim.cluster import (
     ClusterHistory,
-    ClusterRecord,
+    ClusterState,
     SecrecyKnobs,
     VehicleIdentity,
     AdjustableHighwayLink,
@@ -300,7 +300,7 @@ def test_criterion_09_cluster_protocol():
         # history round trip replays to identical states
         hist = ClusterHistory(
             [
-                ClusterRecord(float(k), f"c{k}", (("a", 2.0 + k), ("b", 1.0)), 2.0, 1.0)
+                ClusterState(f"c{k}", (("a", 2.0 + k), ("b", 1.0)), 2.0, 1.0, float(k))
                 for k in range(20)
             ]
         )

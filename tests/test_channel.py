@@ -229,7 +229,8 @@ def test_link_snr_against_oracle():
 
 
 def test_link_snr_names_a_distance_out_of_range():
-    for d in (1e-200, 0.0):
+    # at 1e-109 m, d**(-2*alpha) is finite but the SNR overflows
+    for d in (1e-200, 1e-109, 0.0):
         with pytest.raises(ValueError, match=f"distance {d!r} m"):
             link_snr(1e7, d, 1.4)
     with pytest.raises(ValueError, match="distance"):

@@ -115,6 +115,14 @@ def test_validate_subcommand_wrong_type(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+def test_validate_subcommand_non_finite(tmp_path, capsys):
+    # json.load accepts NaN and Infinity tokens; validation must not
+    cfg = tmp_path / "nan.json"
+    cfg.write_text('{"experiment": "highway_cluster", "params": {"alpha": NaN}}', encoding="utf-8")
+    assert main(["validate", str(cfg)]) == 1
+    assert "error: $.params.alpha: must be a finite number" in capsys.readouterr().err
+
+
 def test_entry_point_installed():
     import shutil
 

@@ -7,7 +7,7 @@ from vscsim.channel import ChannelParams
 from vscsim.cluster import (
     AdjustableHighwayLink,
     ClusterHistory,
-    ClusterRecord,
+    ClusterState,
     NegotiationResult,
     RelayOption,
     SecrecyKnobs,
@@ -238,7 +238,7 @@ def test_history_round_trip(tmp_path):
     hist = ClusterHistory()
     state, _ = form_cluster([_candidate("a", 3.0)], rsc=2.0, secondary_rsc=1.0)
     hist.append_state(state)
-    hist.append(ClusterRecord(5.0, "cluster-1", (("b", 2.5), ("c", 2.1)), 2.0, 1.0))
+    hist.append_state(ClusterState("cluster-1", (("b", 2.5), ("c", 2.1)), 2.0, 1.0, 5.0))
     path = tmp_path / "history.ndjson"
     hist.save(path)
     back = ClusterHistory.load(path)
@@ -252,11 +252,23 @@ def test_history_round_trip(tmp_path):
     assert all(line.startswith("{") for line in lines)
 
 
+def test_history_save_writes_formed_at_as_ts(tmp_path):
+    hist = ClusterHistory()
+    hist.append_state(ClusterState("c-1", (("a", 2.5), ("b", 1.25)), 2.0, 1.0, 3.5))
+    path = tmp_path / "history.ndjson"
+    hist.save(path)
+    assert path.read_bytes() == (
+        b'{"cluster_id": "c-1", "members": [{"id": "a", "vsc": 2.5}, {"id": "b", "vsc": 1.25}], '
+        b'"rsc": 2.0, "secondary_rsc": 1.0, "ts": 3.5}\n'
+    )
+    assert ClusterHistory.load(path).replay() == hist.replay()
+
+
 def test_history_fallback_prefers_recent_then_vsc_then_id():
     hist = ClusterHistory(
         [
-            ClusterRecord(0.0, "c0", (("a", 9.9),), 2.0, 1.0),
-            ClusterRecord(1.0, "c1", (("b", 2.0), ("c", 3.0), ("d", 3.0)), 2.0, 1.0),
+            ClusterState("c0", (("a", 9.9),), 2.0, 1.0, 0.0),
+            ClusterState("c1", (("b", 2.0), ("c", 3.0), ("d", 3.0)), 2.0, 1.0, 1.0),
         ]
     )
     # the later record wins even though the earlier one has a higher VSC
@@ -289,3 +301,10 @@ def test_consensus_cross_checks_claims():
         [("zz", 3.0)], threshold=0.0, window=win, tolerance=0.05
     )
     assert got == ["zz"]
+
+
+def test_consensus_empty_window_checks_nothing():
+    responses = [("a", 3.0), ("b", 2.0), ("c", 0.5)]
+    assert select_consensus_candidates(responses, 1.0, window=[]) == select_consensus_candidates(
+        responses, 1.0, window=None
+    ) == ["a", "b"]

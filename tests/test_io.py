@@ -105,6 +105,42 @@ def test_validate_series_overrides():
     assert any("series[0].overrides.alpha" in e for e in validate_config(doc))
 
 
+def test_required_field_may_come_from_every_series():
+    doc = json.loads(json.dumps(SWEEP_DOC))
+    del doc["params"]["base"]["alpha"]
+    doc["params"]["series"] = [
+        {"label": "a14", "overrides": {"alpha": 1.4}},
+        {"label": "a16", "overrides": {"alpha": 1.6}},
+    ]
+    assert validate_config(doc) == []
+    table = build_table(build_config(doc))
+    assert list(table.columns) == ["v_kmh", "a14", "a16"]
+    assert len(table.rows) == 3
+    del doc["params"]["series"][0]["overrides"]["alpha"]
+    assert validate_config(doc) == [
+        "$.params.series[0].overrides.alpha: "
+        "required for kind 'highway' unless swept or set in the base"
+    ]
+    del doc["params"]["series"][1]["overrides"]["alpha"]
+    assert validate_config(doc) == ["$.params.base.alpha: required for kind 'highway' unless swept"]
+
+
+def _sweep_doc(**params):
+    return {"experiment": "sweep", "params": {**SWEEP_DOC["params"], **params}}
+
+
+@pytest.mark.parametrize(
+    "doc, path",
+    [
+        ({"experiment": "highway_cluster", "params": {"alpha": float("nan")}}, "$.params.alpha"),
+        (_sweep_doc(base={**SWEEP_DOC["params"]["base"], "r": float("inf")}), "$.params.base.r"),
+        (_sweep_doc(grid=[10.0, float("nan"), 30.0]), "$.params.grid[1]"),
+    ],
+)
+def test_validate_rejects_non_finite_numbers(doc, path):
+    assert validate_config(doc) == [f"{path}: must be a finite number"]
+
+
 def test_validate_highway_cluster_source_count():
     doc = {"experiment": "highway_cluster", "params": {"n_nodes": 3, "n_sources": 3}}
     assert any("n_sources" in e for e in validate_config(doc))

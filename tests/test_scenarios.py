@@ -202,6 +202,10 @@ def test_out_of_range_distances_raise_value_error():
     tiny = HighwayScenario(ChannelParams.from_db(70.0, 1.4), 1000.0, 1e-100, 1e-100)
     with pytest.raises(ValueError, match=f"distance {1e-100 * 1e-100!r} m"):
         highway_secrecy(tiny)
+    # d**(2*alpha) is a finite non-zero float, but P/N0 over it overflows
+    close = HighwayScenario(ChannelParams(1e7, 1.4), 1000.0, 1e-109, 1.0)
+    with pytest.raises(ValueError, match="distance 1e-109 m"):
+        highway_secrecy(close)
     far = HighwayScenario(ChannelParams.from_db(70.0, 1.4), 1e300, 20.0, 0.2)
     with pytest.raises(ValueError, match="distance 1e\\+300 m"):
         highway_secrecy(far)

@@ -238,12 +238,14 @@ def test_ergodic_deterministic_per_seed():
 
 def test_target_too_close_raises_value_error():
     field = sample_field(6.0, square_region(Point2D(0.0, 0.0), 1000.0), seed=3)
-    host, target = Point2D(0.0, 0.0), Point2D(1e-200, 0.0)
-    for mode in (COLLUDING, NON_COLLUDING):
-        with pytest.raises(ValueError, match="distance 1e-200 m"):
-            ppp_secrecy(host, target, field, mode, PARAMS)
-    with pytest.raises(ValueError, match="distance 1e-200 m"):
-        average_secrecy(host, target, field, PARAMS)
+    # at 1e-109 m, d**(-2*alpha) is finite but the SNR overflows
+    for d in (1e-200, 1e-109):
+        host, target = Point2D(0.0, 0.0), Point2D(d, 0.0)
+        for mode in (COLLUDING, NON_COLLUDING):
+            with pytest.raises(ValueError, match=f"distance {d!r} m"):
+                ppp_secrecy(host, target, field, mode, PARAMS)
+        with pytest.raises(ValueError, match=f"distance {d!r} m"):
+            average_secrecy(host, target, field, PARAMS)
 
 
 def test_eavesdropper_too_close_raises_value_error():

@@ -3,6 +3,8 @@ import math
 import numpy as np
 import pytest
 
+from vscsim.channel import secrecy_bits
+from vscsim.cluster import sc_select
 from vscsim.vsc import (
     ADEQUATE,
     INADEQUATE,
@@ -11,6 +13,7 @@ from vscsim.vsc import (
     compute_vsc,
     read_csi_csv,
     security_verdict,
+    window_vscs,
     windowed_stream,
     write_csi_csv,
 )
@@ -107,6 +110,44 @@ def test_windowing_unit_time_scaling():
     recs = [CsiRecord(float(t), "a", 2.0) for t in range(6)]
     assert len(windowed_stream(recs, unit_time=10.0)) == 1
     assert len(windowed_stream(recs, unit_time=1.0)) == 6
+
+
+def _seeded_stream(seed=7, n=240, senders=6, windows=4):
+    rng = np.random.default_rng(seed)
+    times = np.sort(rng.uniform(0.0, float(windows), n))
+    ids = rng.integers(0, senders, n)
+    snrs = rng.lognormal(2.0, 1.5, n)
+    return [CsiRecord(float(t), f"s{k}", float(x)) for t, k, x in zip(times, ids, snrs)]
+
+
+def _per_sender_reference(window, start):
+    # one sender at a time, each scanning the whole window, in record order
+    out = []
+    for sender in sorted({r.sender_id for r in window}):
+        own = [r.snr for r in window if r.sender_id == sender]
+        snr_xor = sum(r.snr for r in window) / len(window)
+        vsc = secrecy_bits(sum(own) / len(own), snr_xor)
+        out.append(VscResult(sender, vsc, snr_xor, len(window), start))
+    return out
+
+
+def test_window_pass_matches_per_sender_recomputation():
+    records = _seeded_stream()
+    buckets = {}
+    for rec in records:
+        buckets.setdefault(math.floor(rec.timestamp), []).append(rec)
+    assert all(len(w) > 2 * 6 for w in buckets.values())  # several records per sender
+    expected = [
+        res for idx in sorted(buckets) for res in _per_sender_reference(buckets[idx], idx * 1.0)
+    ]
+    assert repr(windowed_stream(records, 1.0)) == repr(expected)
+    for idx, window in buckets.items():
+        reference = _per_sender_reference(window, 0.0)
+        assert repr(window_vscs(window)) == repr(reference)
+        best = min(reference, key=lambda res: (-res.vsc, res.target_id))
+        assert sc_select(window) == best.target_id
+        for res in reference:
+            assert repr(compute_vsc(window, res.target_id)) == repr(res)
 
 
 def test_verdict_threshold_inclusive():
