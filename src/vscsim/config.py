@@ -284,10 +284,19 @@ class RunConfig:
         }
 
 
+# JSON Schema counts 0.0 as an integer; the models need a Python int.
+_Validator = jsonschema.validators.extend(
+    jsonschema.Draft202012Validator,
+    type_checker=jsonschema.Draft202012Validator.TYPE_CHECKER.redefine(
+        "integer", lambda _, value: isinstance(value, int) and not isinstance(value, bool)
+    ),
+)
+
+
 def _schema_errors(instance, schema, prefix: str, bad_keys: set | None = None) -> list[str]:
     """Messages for every schema violation; the top-level keys they sit
     under are added to bad_keys when given."""
-    validator = jsonschema.Draft202012Validator(schema)
+    validator = _Validator(schema)
     out = []
     for err in sorted(validator.iter_errors(instance), key=lambda e: list(e.absolute_path)):
         path = prefix + "".join(
@@ -337,6 +346,8 @@ def validate_config(doc) -> list[str]:
             merged = {**PARAM_DEFAULTS[experiment], **params}
             if merged["n_sources"] >= merged["n_nodes"]:
                 errors.append("$.params.n_sources: must leave at least one non-source node")
+            if merged["duration_s"] / merged["dt_s"] <= 0.5:  # rounds to zero steps
+                errors.append("$.params.duration_s: duration must cover at least one dt step")
         if experiment == "perturbation":
             delta = {**PARAM_DEFAULTS["perturbation"], **params}["delta_m"]
             if delta == 0:

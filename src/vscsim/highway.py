@@ -5,7 +5,9 @@ the secrecy of that link, plus a position-perturbation study on top.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, fields
+from numbers import Integral, Real
 
 import numpy as np
 
@@ -14,6 +16,11 @@ from .units import db_to_linear, kmh_to_ms
 
 # Source shift, in meters, that the perturbation study is calibrated for.
 CALIBRATED_DELTA = 5.0
+
+# Node-steps the nearest-neighbour search takes at once.  It bounds the
+# search's temporaries (about 1 MB per lane at 1000 nodes and 100
+# sources), which would otherwise raise the peak memory of large runs.
+_SEARCH_NODE_STEPS = 2**15
 
 
 @dataclass(frozen=True)
@@ -41,6 +48,12 @@ class HighwayWorld:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.type == "int" and (isinstance(value, bool) or not isinstance(value, Integral)):
+                raise ValueError(f"{f.name} must be an integer, got {value!r}")
+            if f.type == "float" and not (isinstance(value, Real) and math.isfinite(value)):
+                raise ValueError(f"{f.name} must be a finite number, got {value!r}")
         if self.n_nodes < 2:
             raise ValueError(f"n_nodes must be >= 2, got {self.n_nodes!r}")
         if not 1 <= self.n_sources < self.n_nodes:
@@ -49,6 +62,8 @@ class HighwayWorld:
             raise ValueError("road geometry must be positive")
         if self.duration <= 0.0 or self.dt <= 0.0 or self.speed_redraw_period <= 0.0:
             raise ValueError("duration, dt, and redraw period must be > 0")
+        if self.duration / self.dt <= 0.5:  # rounds to zero steps
+            raise ValueError("duration must cover at least one dt step")
         if self.max_speed_kmh <= 0.0:
             raise ValueError(f"max_speed_kmh must be > 0, got {self.max_speed_kmh!r}")
         if self.alpha <= 0.0 or self.eavesdropper_range <= 0.0 or self.obu_range <= 0.0:
@@ -79,19 +94,94 @@ class HighwayRunResult:
                 )
 
 
-def _nearest(
-    xs: np.ndarray, ys: np.ndarray, src: int, x_src: float, obu_range: float
-) -> tuple[int, float]:
-    """Brute-force nearest other node within radio range of source src at x_src."""
-    dx = xs - x_src
-    dy = ys - ys[src]
-    d = np.hypot(dx, dy)
-    d[src] = np.inf
-    d[d > obu_range] = np.inf
-    j = int(np.argmin(d))
-    if not np.isfinite(d[j]):
-        raise ValueError("no node within radio range of the source")
-    return j, float(d[j])
+def _nearest_links(
+    xs: np.ndarray, ys: np.ndarray, queries: np.ndarray, obu_range: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """Nearest other node within radio range of every source at every step.
+
+    xs is (n_steps, n_nodes), ys is (n_nodes,) and queries (n_steps,
+    n_sources) holds the x each source s (node s) is evaluated at.  Returns
+    (target_idx, distances), both (n_steps, n_sources): the lowest index
+    at the smallest np.hypot(xs[j] - query, ys[j] - ys[s]) with j != s,
+    as a brute-force argmin over every node gives.  Nodes sharing a y form
+    a lane; the search goes lane by lane, keeping one lane's temporaries
+    alive at a time, and keeps the best link.
+    """
+    n_steps, n_nodes = xs.shape
+    n_sources = queries.shape[1]
+    target_idx = np.empty((n_steps, n_sources), dtype=int)
+    dists = np.empty((n_steps, n_sources))
+    lanes = [np.flatnonzero(ys == y) for y in np.unique(ys)]
+    per_chunk = max(1, _SEARCH_NODE_STEPS // n_nodes)
+    for k0 in range(0, n_steps, per_chunk):
+        x, q = xs[k0 : k0 + per_chunk], queries[k0 : k0 + per_chunk]
+        best_d = np.full(q.shape, np.inf)
+        best_j = np.full(q.shape, n_nodes)
+        for members in lanes:
+            lane_d, lane_j = _lane_nearest(x, ys, q, members, obu_range)
+            closer = (lane_d < best_d) | ((lane_d == best_d) & (lane_j < best_j))
+            best_d = np.where(closer, lane_d, best_d)
+            best_j = np.where(closer, lane_j, best_j)
+        if not np.isfinite(best_d).all():
+            raise ValueError("no node within radio range of the source")
+        target_idx[k0 : k0 + len(x)] = best_j
+        dists[k0 : k0 + len(x)] = best_d
+    return target_idx, dists
+
+
+def _lane_nearest(
+    x: np.ndarray, ys: np.ndarray, q: np.ndarray, members: np.ndarray, obu_range: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """Nearest node of one lane to each query, as (distance, index) with
+    inf for none in range and len(ys) for no index.
+
+    Inside a lane the distance grows with |dx|, so the nearest node sits
+    next to the query in the lane's x order.  One stable row-wise sort of
+    the queries merged before the lane's nodes gives both that order
+    (equal x in index order) and each query's insertion point p.  The
+    candidates are the first node of the group of equal x just below p,
+    the node after it, the first node of the group before, and the nodes
+    at p and p + 1: enough to skip the source itself.  Vehicles of one
+    lane at different x whose distances round to the same float
+    (micrometres apart at most) are the one tie a full scan may break
+    differently.
+    """
+    rows, n_sources = q.shape
+    m, n_nodes = members.size, ys.size
+    merged = np.concatenate([q, x[:, members]], axis=1)
+    order = np.argsort(merged, axis=1, kind="stable")
+    is_node = order >= n_sources
+    p = np.empty(q.shape, dtype=int)
+    p[np.nonzero(~is_node)[0], order[~is_node]] = np.cumsum(is_node, axis=1)[~is_node]
+    # One sentinel at x = inf before the sorted lane and two after it: a
+    # candidate past either end lands on one and is never nearest.
+    node_cols = order[is_node].reshape(rows, m) - n_sources
+    ends = ((0, 0), (1, 2))
+    sorted_x = np.pad(
+        np.take_along_axis(merged[:, n_sources:], node_cols, axis=1), ends, constant_values=np.inf
+    )
+    sorted_j = np.pad(members[node_cols], ends, constant_values=n_nodes)
+    starts = np.ones(sorted_x.shape, dtype=bool)
+    starts[:, 1:] = sorted_x[:, 1:] != sorted_x[:, :-1]
+    group_first = np.maximum.accumulate(np.where(starts, np.arange(m + 3), 0), axis=1)
+    below = np.take_along_axis(group_first, p, axis=1)
+    before = np.take_along_axis(group_first, np.maximum(below - 1, 0), axis=1)
+    cand = np.stack([before, below, below + 1, p + 1, p + 2], axis=2).reshape(rows, -1)
+    cx = np.take_along_axis(sorted_x, cand, axis=1).reshape(rows, n_sources, 5)
+    cj = np.take_along_axis(sorted_j, cand, axis=1).reshape(rows, n_sources, 5)
+    d = np.hypot(cx - q[:, :, None], (ys[members[0]] - ys[:n_sources])[:, None])
+    d[(cj == np.arange(n_sources)[:, None]) | (d > obu_range)] = np.inf
+    lane_d = d.min(axis=2)
+    return lane_d, np.where(d == lane_d[:, :, None], cj, n_nodes).min(axis=2)
+
+
+def _link_secrecy(world: HighwayWorld, dists: np.ndarray) -> np.ndarray:
+    """Per-link secrecy against the fixed-range eavesdropper, one scalar
+    secrecy_bits per link (its ndarray path rounds differently)."""
+    c = db_to_linear(world.p_over_n0_db)
+    snr_eve = link_snr(c, world.eavesdropper_range, world.alpha)
+    secrecy = [secrecy_bits(link_snr(c, d, world.alpha), snr_eve) for d in dists.ravel().tolist()]
+    return np.array(secrecy).reshape(dists.shape)
 
 
 def run_highway_experiment(world: HighwayWorld) -> HighwayRunResult:
@@ -103,26 +193,19 @@ def run_highway_experiment(world: HighwayWorld) -> HighwayRunResult:
     ys = (lanes + 0.5) * world.lane_width
     xs = rng.uniform(0.0, world.length, n)
     speeds = np.zeros(n)
-    c = db_to_linear(world.p_over_n0_db)
-    snr_eve = link_snr(c, world.eavesdropper_range, world.alpha)
     redraw_every = max(1, round(world.speed_redraw_period / world.dt))
     n_steps = int(round(world.duration / world.dt))
     times = np.arange(n_steps) * world.dt
     positions = np.empty((n_steps, n, 2))
-    target_idx = np.empty((n_steps, world.n_sources), dtype=int)
-    dists = np.empty((n_steps, world.n_sources))
-    secr = np.empty((n_steps, world.n_sources))
+    positions[:, :, 1] = ys
     for k in range(n_steps):
         if k % redraw_every == 0:
             speeds = kmh_to_ms(1.0) * rng.uniform(0.0, world.max_speed_kmh, n)
         positions[k, :, 0] = xs
-        positions[k, :, 1] = ys
-        for s in range(world.n_sources):
-            j, d = _nearest(xs, ys, s, xs[s], world.obu_range)
-            target_idx[k, s] = j
-            dists[k, s] = d
-            secr[k, s] = secrecy_bits(link_snr(c, d, world.alpha), snr_eve)
         xs = (xs + speeds * world.dt) % world.length
+    all_xs = positions[:, :, 0]
+    target_idx, dists = _nearest_links(all_xs, ys, all_xs[:, : world.n_sources], world.obu_range)
+    secr = _link_secrecy(world, dists)
     return HighwayRunResult(world, node_ids, times, positions, target_idx, dists, secr)
 
 
@@ -175,23 +258,11 @@ def run_perturbation_study(
     if abs(delta) != CALIBRATED_DELTA and not allow_custom_delta:
         raise ValueError("perturbation is calibrated for +/-5 m; pass allow_custom_delta=True to override")
     base = run_highway_experiment(world)
-    n_steps = base.times.size
-    n_sources = world.n_sources
-    c = db_to_linear(world.p_over_n0_db)
-    snr_eve = link_snr(c, world.eavesdropper_range, world.alpha)
-    t_idx = np.empty((n_steps, n_sources), dtype=int)
-    d_pert = np.empty((n_steps, n_sources))
-    s_pert = np.empty((n_steps, n_sources))
     base_xs = base.positions[:, :, 0]
-    dx_base = np.take_along_axis(base_xs, base.target_idx, axis=1) - base_xs[:, :n_sources]
-    for k in range(n_steps):
-        xs = base_xs[k]
-        ys = base.positions[k, :, 1]
-        for s in range(n_sources):
-            j, d = _nearest(xs, ys, s, xs[s] + delta, world.obu_range)
-            t_idx[k, s] = j
-            d_pert[k, s] = d
-            s_pert[k, s] = secrecy_bits(link_snr(c, d, world.alpha), snr_eve)
+    ys = base.positions[0, :, 1]
+    shifted = base_xs[:, : world.n_sources] + delta
+    t_idx, d_pert = _nearest_links(base_xs, ys, shifted, world.obu_range)
+    dx_base = np.take_along_axis(base_xs, base.target_idx, axis=1) - base_xs[:, : world.n_sources]
     return PerturbationResult(
         world=world,
         delta=delta,
@@ -202,6 +273,6 @@ def run_perturbation_study(
         distances_base=base.distances,
         distances_pert=d_pert,
         secrecy_base=base.secrecy,
-        secrecy_pert=s_pert,
+        secrecy_pert=_link_secrecy(world, d_pert),
         dx_base=dx_base,
     )

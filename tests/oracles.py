@@ -1,11 +1,13 @@
-"""Independent high-precision evaluators used to pin expected values.
+"""Independent evaluators used to pin expected values.
 
-These reimplement the closed forms directly in mpmath at 50 digits, on
-purpose sharing no code with the package, so tests compare two routes to
-every number.
+These reimplement the closed forms directly in mpmath at 50 digits, and
+the highway nearest-neighbour search as a brute-force scan, on purpose
+sharing no code with the package, so tests compare two routes to every
+number.
 """
 
 import mpmath as mp
+import numpy as np
 
 mp.mp.dps = 50
 
@@ -61,3 +63,16 @@ def poisson_pmf(n, lam) -> float:
     if lam == 0:
         return 1.0 if n == 0 else 0.0
     return float(lam**n * mp.e**-lam / mp.factorial(n))
+
+
+def nearest_neighbour(xs, ys, src: int, x_src: float, obu_range: float) -> tuple[int, float]:
+    """Brute-force nearest other node within obu_range of source src
+    evaluated at x_src: np.hypot over every node, ties to the lowest index
+    (np.argmin).  Raises ValueError when no node is in range."""
+    d = np.hypot(np.asarray(xs) - x_src, np.asarray(ys) - ys[src])
+    d[src] = np.inf
+    d[d > obu_range] = np.inf
+    j = int(np.argmin(d))
+    if not np.isfinite(d[j]):
+        raise ValueError("no node within radio range of the source")
+    return j, float(d[j])

@@ -123,6 +123,15 @@ def test_validate_subcommand_non_finite(tmp_path, capsys):
     assert "error: $.params.alpha: must be a finite number" in capsys.readouterr().err
 
 
+def test_validate_and_run_agree_on_float_seed(tmp_path, capsys):
+    cfg = _write_cfg(tmp_path, {"experiment": "highway_cluster", "seed": 0.0, "params": {"duration_s": 1.0}})
+    assert main(["validate", str(cfg)]) == 1
+    assert main(["run", "--config", str(cfg), "--out", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.count("error: $.seed: 0.0 is not of type 'integer'") == 2
+    assert "Traceback" not in err
+
+
 def test_entry_point_installed():
     import shutil
 

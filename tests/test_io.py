@@ -148,6 +148,29 @@ def test_validate_highway_cluster_source_count():
     assert validate_config(doc) == []
 
 
+@pytest.mark.parametrize(
+    "doc, path",
+    [
+        ({"experiment": "highway_cluster", "seed": 0.0}, "$.seed"),
+        ({"experiment": "perturbation", "params": {"n_nodes": 1e6}}, "$.params.n_nodes"),
+        ({"experiment": "ppp", "seed": 7.0}, "$.seed"),
+        ({"experiment": "intersection", "params": {"case": 1.0}}, "$.params.case"),
+    ],
+)
+def test_validate_rejects_floats_in_integer_fields(doc, path):
+    assert [e.split(":")[0] for e in validate_config(doc)] == [path]
+    with pytest.raises(ConfigError):
+        build_config(doc)
+
+
+@pytest.mark.parametrize("experiment", ["highway_cluster", "perturbation"])
+def test_validate_rejects_zero_step_runs(experiment):
+    doc = {"experiment": experiment, "params": {"duration_s": 0.01}}
+    assert validate_config(doc) == ["$.params.duration_s: duration must cover at least one dt step"]
+    doc["params"]["dt_s"] = 0.01
+    assert validate_config(doc) == []
+
+
 def test_validate_perturbation_delta():
     doc = {"experiment": "perturbation", "params": {"delta_m": 0.0}}
     assert any("delta_m" in e for e in validate_config(doc))

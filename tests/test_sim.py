@@ -2,10 +2,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
+from vscsim import highway
 from vscsim.highway import (
     HighwayWorld,
+    _nearest_links,
     run_highway_experiment,
     run_perturbation_study,
 )
@@ -236,6 +240,118 @@ def test_highway_world_validation():
         HighwayWorld(dt=0.0)
     with pytest.raises(ValueError):
         HighwayWorld(lanes=0)
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("n_nodes", 25.0),
+        ("n_sources", 2.0),
+        ("lanes", 6.0),
+        ("seed", 0.0),
+        ("n_nodes", True),
+        ("length", math.nan),
+        ("duration", math.inf),
+        ("dt", math.nan),
+        ("alpha", -math.inf),
+        ("obu_range", math.nan),
+        ("p_over_n0_db", math.inf),
+        ("lane_width", "10"),
+    ],
+)
+def test_highway_world_rejects_wrong_types_and_non_finite(field, value):
+    with pytest.raises(ValueError, match=field):
+        HighwayWorld(**{field: value})
+
+
+@pytest.mark.parametrize("duration", [0.01, 0.05])
+def test_highway_world_rejects_zero_step_runs(duration):
+    with pytest.raises(ValueError, match="duration must cover at least one dt step"):
+        HighwayWorld(duration=duration, dt=0.1)
+    assert run_highway_experiment(HighwayWorld(duration=0.06, dt=0.1)).times.size == 1
+
+
+def _oracle_links(xs, ys, queries, obu_range):
+    """(target_idx, distances) from the brute-force oracle, pair by pair."""
+    links = [
+        [oracles.nearest_neighbour(row, ys, s, q, obu_range) for s, q in enumerate(q_row)]
+        for row, q_row in zip(xs, queries)
+    ]
+    return np.array([[j for j, _ in r] for r in links]), np.array([[d for _, d in r] for r in links])
+
+
+def _assert_same_links(xs, ys, queries, obu_range=2500.0):
+    try:
+        want = _oracle_links(xs, ys, queries, obu_range)
+    except ValueError:
+        with pytest.raises(ValueError, match="no node within radio range"):
+            _nearest_links(xs, ys, queries, obu_range)
+        return
+    got = _nearest_links(xs, ys, queries, obu_range)
+    assert np.array_equal(got[0], want[0])
+    assert got[1].tobytes() == want[1].tobytes()
+
+
+@st.composite
+def _grid_worlds(draw):
+    """A few steps of a small world with x on a coarse grid, so that
+    equal x inside a lane and equal distances across lanes both occur."""
+    n = draw(st.integers(2, 40))
+    lanes = draw(st.integers(1, 8))
+    n_steps = draw(st.integers(1, 3))
+    step = draw(st.sampled_from([10.0, 50.0, 500.0]))
+    cells = st.lists(st.integers(0, int(2500.0 // step) - 1), min_size=n, max_size=n)
+    xs = step * np.array(draw(st.lists(cells, min_size=n_steps, max_size=n_steps)), dtype=float)
+    lane_of = np.array(draw(st.lists(st.integers(0, lanes - 1), min_size=n, max_size=n)))
+    n_sources = draw(st.integers(1, n - 1))
+    delta = draw(st.sampled_from([0.0, 5.0, -5.0, 3000.0, -3000.0]))
+    return xs, (lane_of + 0.5) * 10.0, xs[:, :n_sources] + delta
+
+
+@settings(max_examples=400, deadline=None)
+@given(_grid_worlds())
+def test_nearest_links_match_brute_force(world):
+    _assert_same_links(*world)
+
+
+def test_nearest_links_zero_width_lanes_and_range():
+    rng = np.random.default_rng(11)
+    xs = 100.0 * rng.integers(0, 5, (4, 30)).astype(float)
+    ys = np.zeros(30)  # every lane at the same y
+    for delta in (0.0, 5.0, -5.0):
+        _assert_same_links(xs, ys, xs[:, :7] + delta)
+    with pytest.raises(ValueError, match="no node within radio range"):
+        _nearest_links(xs + np.arange(30) * 1000.0, ys, xs[:, :7], 10.0)
+
+
+def test_nearest_links_chunks_agree(monkeypatch):
+    rng = np.random.default_rng(12)
+    xs = rng.uniform(0.0, 2500.0, (23, 50))
+    ys = (rng.integers(0, 6, 50) + 0.5) * 10.0
+    whole = _nearest_links(xs, ys, xs[:, :9] + 5.0, 2500.0)
+    monkeypatch.setattr(highway, "_SEARCH_NODE_STEPS", 4 * 50)
+    chunked = _nearest_links(xs, ys, xs[:, :9] + 5.0, 2500.0)
+    assert np.array_equal(whole[0], chunked[0])
+    assert whole[1].tobytes() == chunked[1].tobytes()
+
+
+@pytest.mark.parametrize("delta", [5.0, -5.0, 3000.0, -3000.0])
+def test_engine_links_match_brute_force(delta):
+    world = HighwayWorld(n_nodes=60, n_sources=12, lanes=4, duration=2.0, seed=5)
+    base = run_highway_experiment(world)
+    xs, ys = base.positions[:, :, 0], base.positions[0, :, 1]
+    want = _oracle_links(xs, ys, xs[:, :12], world.obu_range)
+    assert np.array_equal(base.target_idx, want[0])
+    assert base.distances.tobytes() == want[1].tobytes()
+    try:
+        want = _oracle_links(xs, ys, xs[:, :12] + delta, world.obu_range)
+    except ValueError:
+        with pytest.raises(ValueError, match="no node within radio range"):
+            run_perturbation_study(world, delta, allow_custom_delta=True)
+        return
+    pert = run_perturbation_study(world, delta, allow_custom_delta=True)
+    assert np.array_equal(pert.target_idx_pert, want[0])
+    assert pert.distances_pert.tobytes() == want[1].tobytes()
 
 
 def test_perturbation_delta_guard():
