@@ -16,6 +16,7 @@ from pathlib import Path
 from typing import Iterable, Sequence
 
 from .channel import path_loss_coeff_sq
+from .kinematics import coupled_distance
 from .scenarios import HighwayScenario, RelayScenario, highway_secrecy, relay_secrecy
 from .units import db_to_linear
 from .vsc import CsiRecord, VscResult, window_vscs
@@ -191,7 +192,7 @@ class AdjustableHighwayLink:
             RelayScenario(
                 p_a=s.params.p_over_n0,
                 p_r=self._relay.p_r,
-                h_ab_sq=path_loss_coeff_sq(s.v * s.tau, s.params.alpha),
+                h_ab_sq=path_loss_coeff_sq(coupled_distance(s.v, s.tau), s.params.alpha),
                 h_rb_sq=self._relay.h_rb_sq,
                 h_ae_sq=path_loss_coeff_sq(s.r, s.params.alpha),
                 h_re_sq=self._relay.h_re_sq,

@@ -346,8 +346,11 @@ def validate_config(doc) -> list[str]:
             merged = {**PARAM_DEFAULTS[experiment], **params}
             if merged["n_sources"] >= merged["n_nodes"]:
                 errors.append("$.params.n_sources: must leave at least one non-source node")
-            if merged["duration_s"] / merged["dt_s"] <= 0.5:  # rounds to zero steps
+            steps = merged["duration_s"] / merged["dt_s"]
+            if steps <= 0.5:  # rounds to zero steps
                 errors.append("$.params.duration_s: duration must cover at least one dt step")
+            elif not math.isfinite(steps):
+                errors.append("$.params.duration_s: duration / dt_s overflows: the step count is not finite")
         if experiment == "perturbation":
             delta = {**PARAM_DEFAULTS["perturbation"], **params}["delta_m"]
             if delta == 0:

@@ -64,6 +64,8 @@ class HighwayWorld:
             raise ValueError("duration, dt, and redraw period must be > 0")
         if self.duration / self.dt <= 0.5:  # rounds to zero steps
             raise ValueError("duration must cover at least one dt step")
+        if not math.isfinite(self.duration / self.dt):
+            raise ValueError("duration / dt overflows: the step count is not finite")
         if self.max_speed_kmh <= 0.0:
             raise ValueError(f"max_speed_kmh must be > 0, got {self.max_speed_kmh!r}")
         if self.alpha <= 0.0 or self.eavesdropper_range <= 0.0 or self.obu_range <= 0.0:
@@ -79,19 +81,6 @@ class HighwayRunResult:
     target_idx: np.ndarray       # (n_steps, n_sources) int
     distances: np.ndarray        # (n_steps, n_sources)
     secrecy: np.ndarray          # (n_steps, n_sources)
-
-    def iter_rows(self):
-        """Yield (t, source_id, target_id, distance, secrecy) row tuples."""
-        n_sources = self.world.n_sources
-        for k, t in enumerate(self.times):
-            for s in range(n_sources):
-                yield (
-                    float(t),
-                    self.node_ids[s],
-                    self.node_ids[int(self.target_idx[k, s])],
-                    float(self.distances[k, s]),
-                    float(self.secrecy[k, s]),
-                )
 
 
 def _nearest_links(
@@ -225,22 +214,6 @@ class PerturbationResult:
     secrecy_base: np.ndarray
     secrecy_pert: np.ndarray
     dx_base: np.ndarray               # along-track offset to the baseline target
-
-    def iter_rows(self):
-        n_sources = self.world.n_sources
-        for k, t in enumerate(self.times):
-            for s in range(n_sources):
-                yield (
-                    float(t),
-                    self.node_ids[s],
-                    self.node_ids[int(self.target_idx_base[k, s])],
-                    self.node_ids[int(self.target_idx_pert[k, s])],
-                    float(self.distances_base[k, s]),
-                    float(self.distances_pert[k, s]),
-                    float(self.secrecy_base[k, s]),
-                    float(self.secrecy_pert[k, s]),
-                    float(self.dx_base[k, s]),
-                )
 
 
 def run_perturbation_study(

@@ -5,16 +5,12 @@ from __future__ import annotations
 import os
 from pathlib import Path
 
+import numpy as np
+
 from .config import RunConfig, model_kwargs
 from .highway import HighwayWorld, run_highway_experiment, run_perturbation_study
 from .intersection import run_intersection_case
-from .sweeps import (
-    SweepSpec,
-    TableData,
-    run_ppp_distance_curve,
-    run_ppp_field_dump,
-    run_sweep,
-)
+from .sweeps import SweepSpec, run_ppp_distance_curve, run_ppp_field_dump, run_sweep
 from .tables import ARTIFACT_VERSION, ResultTable, config_hash, emit_plot_data, write_csv
 from .units import db_to_linear
 
@@ -27,7 +23,7 @@ def _convert_db_fields(doc: dict) -> dict:
             for k, v in doc.items()}
 
 
-def _sweep_table(params: dict) -> TableData:
+def _sweep_table(params: dict) -> ResultTable:
     spec = SweepSpec(
         kind=params["kind"],
         base=_convert_db_fields(params["base"]),
@@ -40,47 +36,54 @@ def _sweep_table(params: dict) -> TableData:
             for entry in params["series"]
         ),
     )
-    return run_sweep(spec)
+    data = run_sweep(spec)
+    return ResultTable.from_rows(data.columns, data.rows)
 
 
-def _intersection_table(params: dict) -> TableData:
+def _intersection_table(params: dict) -> ResultTable:
     res = run_intersection_case(**model_kwargs(params))
-    rows = tuple(
-        (float(t), float(d), float(c))
-        for t, d, c in zip(res.times, res.distances, res.capacities)
+    return ResultTable(
+        ["t_s", "distance_m", "capacity"],
+        [res.times.tolist(), res.distances.tolist(), res.capacities.tolist()],
     )
-    return TableData(("t_s", "distance_m", "capacity"), rows)
 
 
-def _highway_table(params: dict, seed: int) -> TableData:
+def _link_table(columns: list[str], res, targets: list, values: list) -> ResultTable:
+    """One row per (step, source) in step-major order: the time, the source
+    id, the node id of each target index array, then each value array."""
+    n_sources = res.world.n_sources
+    ids = np.array(res.node_ids)
+    return ResultTable(
+        columns,
+        [
+            np.repeat(res.times, n_sources).tolist(),
+            np.tile(ids[:n_sources], res.times.size).tolist(),
+            *(ids[idx.ravel()].tolist() for idx in targets),
+            *(arr.ravel().tolist() for arr in values),
+        ],
+    )
+
+
+def _highway_table(params: dict, seed: int) -> ResultTable:
     res = run_highway_experiment(HighwayWorld(seed=seed, **model_kwargs(params)))
-    return TableData(
-        ("t_s", "source_id", "target_id", "distance_m", "secrecy"),
-        tuple(res.iter_rows()),
-    )
+    return _link_table(["t_s", "source_id", "target_id", "distance_m", "secrecy"],
+                       res, [res.target_idx], [res.distances, res.secrecy])
 
 
-def _perturbation_table(params: dict, seed: int) -> TableData:
+def _perturbation_table(params: dict, seed: int) -> ResultTable:
     kwargs = model_kwargs(params)
     delta, allow_custom_delta = kwargs.pop("delta"), kwargs.pop("allow_custom_delta")
     res = run_perturbation_study(HighwayWorld(seed=seed, **kwargs), delta, allow_custom_delta)
-    return TableData(
-        (
-            "t_s",
-            "source_id",
-            "target_base",
-            "target_pert",
-            "distance_base_m",
-            "distance_pert_m",
-            "secrecy_base",
-            "secrecy_pert",
-            "dx_base_m",
-        ),
-        tuple(res.iter_rows()),
+    return _link_table(
+        ["t_s", "source_id", "target_base", "target_pert", "distance_base_m",
+         "distance_pert_m", "secrecy_base", "secrecy_pert", "dx_base_m"],
+        res,
+        [res.target_idx_base, res.target_idx_pert],
+        [res.distances_base, res.distances_pert, res.secrecy_base, res.secrecy_pert, res.dx_base],
     )
 
 
-def _ppp_table(params: dict, seed: int) -> TableData:
+def _ppp_table(params: dict, seed: int) -> ResultTable:
     common = (
         params["lam"],
         params["region_area_m2"],
@@ -89,30 +92,32 @@ def _ppp_table(params: dict, seed: int) -> TableData:
         db_to_linear(params["p_over_n0_db"]),
     )
     if params["mode"] == "distance_curve":
-        return run_ppp_distance_curve(*common, tuple(params["d_fracs"]), seed)
-    return run_ppp_field_dump(*common, params["target_distance_m"], seed)
+        data = run_ppp_distance_curve(*common, tuple(params["d_fracs"]), seed)
+    else:
+        data = run_ppp_field_dump(*common, params["target_distance_m"], seed)
+    return ResultTable.from_rows(data.columns, data.rows)
 
 
 def build_table(config: RunConfig) -> ResultTable:
     """Run the configured experiment and stamp provenance on the result."""
     if config.experiment == "sweep":
-        data = _sweep_table(config.params)
+        table = _sweep_table(config.params)
     elif config.experiment == "intersection":
-        data = _intersection_table(config.params)
+        table = _intersection_table(config.params)
     elif config.experiment == "highway_cluster":
-        data = _highway_table(config.params, config.seed)
+        table = _highway_table(config.params, config.seed)
     elif config.experiment == "perturbation":
-        data = _perturbation_table(config.params, config.seed)
+        table = _perturbation_table(config.params, config.seed)
     elif config.experiment == "ppp":
-        data = _ppp_table(config.params, config.seed)
+        table = _ppp_table(config.params, config.seed)
     else:
         raise ValueError(f"unknown experiment {config.experiment!r}")
-    provenance = {
+    table.provenance = {
         "version": ARTIFACT_VERSION,
         "config": config_hash(config.canonical),
         "seed": str(config.seed),
     }
-    return ResultTable(list(data.columns), list(data.rows), provenance)
+    return table
 
 
 def resolve_out_dir(config: RunConfig, override: str | None = None) -> Path:

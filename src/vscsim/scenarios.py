@@ -12,6 +12,7 @@ import math
 from dataclasses import dataclass
 
 from .channel import ChannelParams, secrecy_bits
+from .kinematics import coupled_distance
 
 
 def _snr(params: ChannelParams, d: float) -> float:
@@ -45,7 +46,7 @@ class HighwayScenario:
 
 def highway_secrecy(s: HighwayScenario) -> float:
     """log2(1 + c/(v*tau)^(2a)) - log2(1 + c/r^(2a)) with c = P/N0."""
-    d = s.v * s.tau
+    d = coupled_distance(s.v, s.tau)
     if d <= 0.0:
         raise ValueError("v*tau must be > 0 (zero headway distance is singular)")
     return secrecy_bits(_snr(s.params, d), _snr(s.params, s.r))

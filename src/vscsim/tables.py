@@ -28,22 +28,35 @@ def config_hash(doc: dict) -> str:
 
 @dataclass
 class ResultTable:
+    """Named columns of equal length; `data` holds one list per column."""
+
     columns: list[str]
-    rows: list[tuple]
+    data: list[list]
     provenance: dict[str, str] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         if not self.columns:
             raise ValueError("table needs at least one column")
-        for row in self.rows:
-            if len(row) != len(self.columns):
-                raise ValueError(
-                    f"row width {len(row)} does not match {len(self.columns)} columns"
-                )
+        if len(self.data) != len(self.columns):
+            raise ValueError(f"{len(self.data)} data columns for {len(self.columns)} names")
+        if len({len(col) for col in self.data}) > 1:
+            raise ValueError("columns differ in length")
+
+    @classmethod
+    def from_rows(cls, columns, rows, provenance: dict[str, str] | None = None) -> ResultTable:
+        """Table from row tuples, each as wide as `columns`."""
+        for row in rows:
+            if len(row) != len(columns):
+                raise ValueError(f"row width {len(row)} does not match {len(columns)} columns")
+        data = [list(col) for col in zip(*rows)] if rows else [[] for _ in columns]
+        return cls(list(columns), data, dict(provenance or {}))
+
+    @property
+    def rows(self) -> list[tuple]:
+        return list(zip(*self.data))
 
     def column(self, name: str) -> list:
-        idx = self.columns.index(name)
-        return [row[idx] for row in self.rows]
+        return list(self.data[self.columns.index(name)])
 
 
 def _provenance_line(prov: dict[str, str]) -> str:
@@ -65,14 +78,23 @@ def _parse_provenance(line: str) -> dict[str, str]:
     return prov
 
 
-def _format_cell(value) -> str:
+_SCALAR_TYPES = {int, float, str}
+
+
+def _scalar(value):
+    """The Python int, float or str that the writers format for a cell."""
     if isinstance(value, (bool, np.bool_)):
         raise TypeError("boolean cells are not part of any table schema")
     if isinstance(value, (int, np.integer)):
-        return str(int(value))
+        return int(value)
     if isinstance(value, (float, np.floating)):
-        return repr(float(value))
+        return float(value)
     return str(value)
+
+
+def _scalars(column: list) -> list:
+    """The column as Python scalars, converted only when it holds anything else."""
+    return column if set(map(type, column)) <= _SCALAR_TYPES else [_scalar(v) for v in column]
 
 
 def _parse_cell(text: str):
@@ -93,8 +115,8 @@ def write_csv(table: ResultTable, path: str | Path) -> None:
         fh.write(_provenance_line(table.provenance) + "\n")
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(table.columns)
-        for row in table.rows:
-            writer.writerow([_format_cell(v) for v in row])
+        # csv writes str() of an int or str and repr() of a float.
+        writer.writerows(zip(*map(_scalars, table.data)))
 
 
 def read_csv(path: str | Path) -> ResultTable:
@@ -108,7 +130,7 @@ def read_csv(path: str | Path) -> ResultTable:
         if not header:
             raise ValueError("missing header row")
         rows = [tuple(_parse_cell(cell) for cell in row) for row in reader if row]
-    return ResultTable(list(header), rows, prov)
+    return ResultTable.from_rows(header, rows, prov)
 
 
 def emit_plot_data(table: ResultTable, path: str | Path) -> None:
@@ -116,16 +138,8 @@ def emit_plot_data(table: ResultTable, path: str | Path) -> None:
     with open(path, "w", newline="\n", encoding="utf-8") as fh:
         fh.write(_provenance_line(table.provenance) + "\n")
         fh.write("# " + " ".join(table.columns) + "\n")
-        for row in table.rows:
-            cells = []
-            for v in row:
-                if isinstance(v, (int, np.integer)) and not isinstance(v, bool):
-                    cells.append(str(int(v)))
-                elif isinstance(v, (float, np.floating)):
-                    cells.append("%.9g" % float(v))
-                else:
-                    cells.append(str(v))
-            fh.write(" ".join(cells) + "\n")
+        columns = [["%.9g" % v if type(v) is float else str(v) for v in _scalars(col)] for col in table.data]
+        fh.writelines(" ".join(cells) + "\n" for cells in zip(*columns))
 
 
 def read_plot_data(path: str | Path) -> ResultTable:
@@ -146,4 +160,4 @@ def read_plot_data(path: str | Path) -> ResultTable:
             rows.append(tuple(_parse_cell(cell) for cell in line.split()))
     if not columns:
         raise ValueError("missing column header comment")
-    return ResultTable(columns, rows, prov)
+    return ResultTable.from_rows(columns, rows, prov)

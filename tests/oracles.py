@@ -1,7 +1,8 @@
 """Independent evaluators used to pin expected values.
 
-These reimplement the closed forms directly in mpmath at 50 digits, and
-the highway nearest-neighbour search as a brute-force scan, on purpose
+These reimplement the closed forms directly in mpmath at 50 digits, the
+highway nearest-neighbour search as a brute-force scan, and the result
+tables and their cells one row and one cell at a time, on purpose
 sharing no code with the package, so tests compare two routes to every
 number.
 """
@@ -76,3 +77,59 @@ def nearest_neighbour(xs, ys, src: int, x_src: float, obu_range: float) -> tuple
     if not np.isfinite(d[j]):
         raise ValueError("no node within radio range of the source")
     return j, float(d[j])
+
+
+def csv_cell(value) -> str:
+    """A CSV cell as the table schema writes it, one cell at a time:
+    str() of an int, repr() of a float, str() of anything else."""
+    if isinstance(value, (bool, np.bool_)):
+        raise TypeError("boolean cells are not part of any table schema")
+    if isinstance(value, (int, np.integer)):
+        return str(int(value))
+    if isinstance(value, (float, np.floating)):
+        return repr(float(value))
+    return str(value)
+
+
+def plot_cell(value) -> str:
+    """A gnuplot data cell: ints as str(), floats to nine significant digits."""
+    if isinstance(value, (int, np.integer)) and not isinstance(value, bool):
+        return str(int(value))
+    if isinstance(value, (float, np.floating)):
+        return "%.9g" % float(value)
+    return str(value)
+
+
+def highway_rows(res) -> list[tuple]:
+    """(t, source_id, target_id, distance, secrecy) per step and source,
+    built one row tuple at a time."""
+    return [
+        (
+            float(t),
+            res.node_ids[s],
+            res.node_ids[int(res.target_idx[k, s])],
+            float(res.distances[k, s]),
+            float(res.secrecy[k, s]),
+        )
+        for k, t in enumerate(res.times)
+        for s in range(res.world.n_sources)
+    ]
+
+
+def perturbation_rows(res) -> list[tuple]:
+    """The perturbation study's nine-column rows, one row tuple at a time."""
+    return [
+        (
+            float(t),
+            res.node_ids[s],
+            res.node_ids[int(res.target_idx_base[k, s])],
+            res.node_ids[int(res.target_idx_pert[k, s])],
+            float(res.distances_base[k, s]),
+            float(res.distances_pert[k, s]),
+            float(res.secrecy_base[k, s]),
+            float(res.secrecy_pert[k, s]),
+            float(res.dx_base[k, s]),
+        )
+        for k, t in enumerate(res.times)
+        for s in range(res.world.n_sources)
+    ]

@@ -1,6 +1,9 @@
+import csv
+import io
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -17,7 +20,7 @@ from vscsim.config import (
     model_kwargs,
     validate_config,
 )
-from vscsim.highway import HighwayWorld
+from vscsim.highway import HighwayWorld, run_highway_experiment, run_perturbation_study
 from vscsim.intersection import run_intersection_case
 from vscsim.presets import PRESETS, get_preset, list_presets
 from vscsim.runner import OUT_DIR_ENV, build_table, resolve_out_dir, run
@@ -171,6 +174,14 @@ def test_validate_rejects_zero_step_runs(experiment):
     assert validate_config(doc) == []
 
 
+@pytest.mark.parametrize("experiment", ["highway_cluster", "perturbation"])
+def test_validate_rejects_overflowing_step_count(experiment):
+    doc = {"experiment": experiment, "params": {"duration_s": 1e300, "dt_s": 1e-10}}
+    assert validate_config(doc) == [
+        "$.params.duration_s: duration / dt_s overflows: the step count is not finite"
+    ]
+
+
 def test_validate_perturbation_delta():
     doc = {"experiment": "perturbation", "params": {"delta_m": 0.0}}
     assert any("delta_m" in e for e in validate_config(doc))
@@ -272,15 +283,93 @@ def test_config_hash_is_order_independent():
 
 def test_result_table_shape_check():
     with pytest.raises(ValueError):
-        ResultTable(["a", "b"], [(1.0,)])
-    t = ResultTable(["a", "b"], [(1.0, 2.0), (3.0, 4.0)])
+        ResultTable.from_rows(["a", "b"], [(1.0,)])
+    t = ResultTable.from_rows(["a", "b"], [(1.0, 2.0), (3.0, 4.0)])
     assert t.column("b") == [2.0, 4.0]
     with pytest.raises(ValueError):
         t.column("zz")
 
 
+def test_result_table_column_checks():
+    with pytest.raises(ValueError, match="2 data columns for 1 names"):
+        ResultTable(["a"], [[1.0], [2.0]])
+    with pytest.raises(ValueError, match="differ in length"):
+        ResultTable(["a", "b"], [[1.0, 2.0], [3.0]])
+    t = ResultTable(["a", "b"], [[1.0, 3.0], ["x", "y"]])
+    assert t.rows == [(1.0, "x"), (3.0, "y")]
+    assert t == ResultTable.from_rows(["a", "b"], t.rows)
+    empty = ResultTable.from_rows(("a", "b"), [])
+    assert empty.columns == ["a", "b"] and empty.data == [[], []] and empty.rows == []
+
+
+# Cells of every type a producer may hand the writers, numpy scalars included.
+_CELL_KINDS = [
+    st.integers(-(2**63), 2**63 - 1),
+    st.integers(-(2**63), 2**63 - 1).map(np.int64),
+    st.floats(),
+    st.floats().map(np.float64),
+    st.floats(width=32).map(np.float32),
+    st.text(alphabet='ab ,"-\n', max_size=4),
+]
+
+
+@st.composite
+def _tables(draw):
+    """Tables whose columns each hold one cell type or a mix of them."""
+    n_cols = draw(st.integers(1, 4))
+    n_rows = draw(st.integers(0, 6))
+    column_cells = st.sampled_from([st.one_of(_CELL_KINDS), *_CELL_KINDS])
+    data = [draw(st.lists(draw(column_cells), min_size=n_rows, max_size=n_rows)) for _ in range(n_cols)]
+    return ResultTable([f"c{i}" for i in range(n_cols)], data, {"config": "abc", "seed": "1"})
+
+
+@settings(max_examples=200, deadline=None)
+@given(table=_tables())
+def test_writers_match_cell_by_cell_reference(table, tmp_path_factory):
+    out = tmp_path_factory.mktemp("writers")
+    head = "# vscsim 0.1.0 config=abc seed=1\n"
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(table.columns)
+    writer.writerows([oracles.csv_cell(v) for v in row] for row in table.rows)
+    write_csv(table, out / "t.csv")
+    assert (out / "t.csv").read_bytes() == (head + buf.getvalue()).encode("utf-8")
+    plot = "".join(" ".join(map(oracles.plot_cell, row)) + "\n" for row in table.rows)
+    emit_plot_data(table, out / "t.dat")
+    want = head + "# " + " ".join(table.columns) + "\n" + plot
+    assert (out / "t.dat").read_bytes() == want.encode("utf-8")
+
+
+@pytest.mark.parametrize("column", [[1, True], [np.bool_(False)], [2.0, "a", True], [np.int64(3), False]])
+def test_csv_rejects_boolean_cells_in_any_column(tmp_path, column):
+    with pytest.raises(TypeError, match="boolean"):
+        write_csv(ResultTable(["a", "flag"], [list(range(len(column))), column]), tmp_path / "x.csv")
+
+
+@pytest.mark.parametrize("experiment", ["highway_cluster", "perturbation"])
+def test_link_tables_match_row_by_row_layout(experiment):
+    doc = {
+        "name": "links",
+        "experiment": experiment,
+        "params": {"n_nodes": 12, "n_sources": 3, "duration_s": 2.0},
+        "seed": 5,
+    }
+    config = build_config(doc)
+    kwargs = model_kwargs(config.params)
+    if experiment == "highway_cluster":
+        want = oracles.highway_rows(run_highway_experiment(HighwayWorld(seed=5, **kwargs)))
+    else:
+        delta, allow = kwargs.pop("delta"), kwargs.pop("allow_custom_delta")
+        res = run_perturbation_study(HighwayWorld(seed=5, **kwargs), delta, allow)
+        want = oracles.perturbation_rows(res)
+    got = build_table(config).rows
+    assert len(got) == 20 * 3
+    assert got == want
+    assert [tuple(map(type, row)) for row in got] == [tuple(map(type, row)) for row in want]
+
+
 def test_csv_round_trip_and_provenance(tmp_path):
-    table = ResultTable(
+    table = ResultTable.from_rows(
         ["v_kmh", "cs"],
         [(10.0, 25.57190763123867), (20.0, 0.1), (30.0, -1.5)],
         {"version": ARTIFACT_VERSION, "config": "abc123def456", "seed": "0"},
@@ -304,13 +393,13 @@ def test_csv_floats_survive_exactly(tmp_path):
     rng = np.random.default_rng(2)
     rows = [(float(x),) for x in rng.uniform(-1e8, 1e8, 200)]
     path = tmp_path / "floats.csv"
-    write_csv(ResultTable(["x"], rows), path)
+    write_csv(ResultTable.from_rows(["x"], rows), path)
     back = read_csv(path)
     assert back.rows == rows
 
 
 def test_csv_mixed_cell_types(tmp_path):
-    table = ResultTable(["t_s", "source_id", "cs"], [(0.1, "n00", 1.5), (0.2, "n01", -0.25)])
+    table = ResultTable.from_rows(["t_s", "source_id", "cs"], [(0.1, "n00", 1.5), (0.2, "n01", -0.25)])
     path = tmp_path / "mixed.csv"
     write_csv(table, path)
     back = read_csv(path)
@@ -320,7 +409,7 @@ def test_csv_mixed_cell_types(tmp_path):
 
 def test_csv_rejects_boolean_cells(tmp_path):
     with pytest.raises(TypeError):
-        write_csv(ResultTable(["flag"], [(True,)]), tmp_path / "x.csv")
+        write_csv(ResultTable.from_rows(["flag"], [(True,)]), tmp_path / "x.csv")
 
 
 def test_csv_missing_provenance_rejected(tmp_path):
@@ -331,7 +420,7 @@ def test_csv_missing_provenance_rejected(tmp_path):
 
 
 def test_plot_data_round_trip(tmp_path):
-    table = ResultTable(
+    table = ResultTable.from_rows(
         ["v_kmh", "cs"],
         [(10.0, 25.571907631), (120.0, 15.525)],
         {"config": "deadbeef0000", "seed": "3"},

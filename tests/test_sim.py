@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 import oracles
 from vscsim import highway
+from vscsim.config import build_config
 from vscsim.highway import (
     HighwayWorld,
     _nearest_links,
@@ -20,6 +21,7 @@ from vscsim.intersection import (
     make_case,
     run_intersection_case,
 )
+from vscsim.runner import build_table
 from vscsim.units import Point2D
 
 V35 = 35.0 / 3.6
@@ -153,6 +155,12 @@ def _small_world(**kw):
     return HighwayWorld(**defaults)
 
 
+def _link_table_rows(experiment, world):
+    """Rows of the runner's table for a world with the default dt and the given duration and seed."""
+    doc = {"experiment": experiment, "params": {"duration_s": world.duration}, "seed": world.seed}
+    return build_table(build_config(doc)).rows
+
+
 def test_highway_shapes_and_ids():
     world = _small_world()
     res = run_highway_experiment(world)
@@ -162,7 +170,7 @@ def test_highway_shapes_and_ids():
     assert res.target_idx.shape == (n_steps, world.n_sources)
     assert res.node_ids[0] == "n00"
     assert len(res.node_ids) == world.n_nodes
-    rows = list(res.iter_rows())
+    rows = _link_table_rows("highway_cluster", world)
     assert len(rows) == n_steps * world.n_sources
     assert rows[0][1] == "n00" and rows[1][1] == "n01"
 
@@ -269,6 +277,11 @@ def test_highway_world_rejects_zero_step_runs(duration):
     with pytest.raises(ValueError, match="duration must cover at least one dt step"):
         HighwayWorld(duration=duration, dt=0.1)
     assert run_highway_experiment(HighwayWorld(duration=0.06, dt=0.1)).times.size == 1
+
+
+def test_highway_world_rejects_overflowing_step_count():
+    with pytest.raises(ValueError, match="duration / dt overflows"):
+        HighwayWorld(duration=1e300, dt=1e-10)
 
 
 def _oracle_links(xs, ys, queries, obu_range):
@@ -414,6 +427,6 @@ def test_perturbation_reselection_never_hurts_distance():
 def test_perturbation_rows_shape():
     world = _small_world(duration=1.0)
     res = run_perturbation_study(world)
-    rows = list(res.iter_rows())
+    rows = _link_table_rows("perturbation", world)
     assert len(rows) == res.times.size * world.n_sources
     assert len(rows[0]) == 9
