@@ -12,6 +12,7 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass, replace
+from functools import cached_property
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -30,9 +31,20 @@ def _hash_times(data: bytes, times: int) -> bytes:
     return data
 
 
+def _check_type(name: str, value: object, kind: type) -> None:
+    # bool is an int subclass, but True is no chain length or position
+    if not isinstance(value, kind) or isinstance(value, bool):
+        raise ValueError(f"{name} must be {kind.__name__}, got {value!r}")
+
+
 def vin_is_well_formed(vin: str) -> bool:
     """17 alphanumeric characters."""
-    return len(vin) == 17 and vin.isalnum()
+    return isinstance(vin, str) and len(vin) == 17 and vin.isalnum()
+
+
+def _check_vin(vin: str) -> None:
+    if not vin_is_well_formed(vin):
+        raise ValueError(f"VIN must be 17 alphanumeric characters, got {vin!r}")
 
 
 @dataclass(frozen=True)
@@ -50,34 +62,48 @@ class VehicleIdentity:
     chain_length: int
 
     def __post_init__(self) -> None:
+        _check_type("vehicle_id", self.vehicle_id, str)
         if not self.vehicle_id:
             raise ValueError("vehicle_id must be non-empty")
+        _check_type("vin", self.vin, str)
+        _check_type("chain_length", self.chain_length, int)
         if self.chain_length < 1:
             raise ValueError(f"chain_length must be >= 1, got {self.chain_length!r}")
+        _check_type("chain_anchor", self.chain_anchor, bytes)
         if len(self.chain_anchor) != _DIGEST_SIZE:
             raise ValueError(f"chain_anchor must be {_DIGEST_SIZE} bytes")
+
+    @cached_property
+    def _registry_verdict(self) -> bool:
+        # The fields are frozen, so the verdict is computed on the first
+        # check and kept in the instance __dict__ for every later one.
+        if not vin_is_well_formed(self.vin):
+            return False
+        return _hash_times(self.vin.encode("ascii"), self.chain_length) == self.chain_anchor
 
 
 def make_identity(vehicle_id: str, vin: str, chain_length: int) -> VehicleIdentity:
     """Build an identity whose anchor is the VIN hashed chain_length times."""
-    if not vin_is_well_formed(vin):
-        raise ValueError(f"VIN must be 17 alphanumeric characters, got {vin!r}")
+    _check_vin(vin)
+    _check_type("chain_length", chain_length, int)
     anchor = _hash_times(vin.encode("ascii"), chain_length)
     return VehicleIdentity(vehicle_id, vin, anchor, chain_length)
 
 
 def chain_element(vin: str, position: int) -> bytes:
     """The chain value a vehicle reveals at a position: VIN hashed position times."""
+    _check_type("position", position, int)
     if position < 0:
         raise ValueError(f"position must be >= 0, got {position!r}")
     return _hash_times(vin.encode("ascii"), position)
 
 
 def identity_is_valid(identity: VehicleIdentity) -> bool:
-    """Registry-side check: VIN well formed and anchor consistent with it."""
-    if not vin_is_well_formed(identity.vin):
-        return False
-    return _hash_times(identity.vin.encode("ascii"), identity.chain_length) == identity.chain_anchor
+    """Registry-side check: VIN well formed and anchor consistent with it.
+
+    The verdict is computed once per identity object, on its first check.
+    """
+    return identity._registry_verdict
 
 
 def validate_identity(claim: VehicleIdentity, revealed_preimage: bytes, position: int) -> bool:
@@ -88,6 +114,7 @@ def validate_identity(claim: VehicleIdentity, revealed_preimage: bytes, position
     """
     if not isinstance(revealed_preimage, (bytes, bytearray)):
         raise TypeError("revealed_preimage must be bytes")
+    _check_type("position", position, int)
     if not 0 <= position < claim.chain_length:
         raise ValueError(
             f"position must be in [0, {claim.chain_length}), got {position!r}"
@@ -96,28 +123,47 @@ def validate_identity(claim: VehicleIdentity, revealed_preimage: bytes, position
 
 
 def make_identity_exchange(vehicle_id: str, vin: str, chain_length: int, position: int) -> dict:
-    """Wire document a vehicle sends to prove itself; the VIN stays local."""
-    ident = make_identity(vehicle_id, vin, chain_length)
-    if not 0 <= position < chain_length:
+    """Wire document a vehicle sends to prove itself; the VIN stays local.
+
+    One walk of chain_length hashes: the VIN to the element at position,
+    then on to the anchor.  The checks run in make_identity's order, VIN,
+    then identity, then the position range.
+    """
+    _check_vin(vin)
+    _check_type("chain_length", chain_length, int)
+    _check_type("position", position, int)
+    in_range = 0 <= position < chain_length
+    # An out-of-range position walks straight to the anchor, so the
+    # identity is checked before the position is refused.
+    split = position if in_range else 0
+    element = _hash_times(vin.encode("ascii"), split)
+    ident = VehicleIdentity(vehicle_id, vin, _hash_times(element, chain_length - split), chain_length)
+    if not in_range:
         raise ValueError(f"position must be in [0, {chain_length}), got {position!r}")
     return {
         "vehicle_id": vehicle_id,
         "anchor_hex": ident.chain_anchor.hex(),
         "chain_length": chain_length,
         "position": position,
-        "preimage_hex": chain_element(vin, position).hex(),
+        "preimage_hex": element.hex(),
     }
 
 
 def verify_identity_exchange(doc: dict) -> bool:
-    """Parse and check a received identity document; malformed hex raises."""
+    """Parse and check a received identity document.
+
+    A missing field, malformed hex, or a chain_length or position that is
+    not an int raises ValueError.
+    """
     try:
         vehicle_id = doc["vehicle_id"]
         anchor = bytes.fromhex(doc["anchor_hex"])
-        chain_length = int(doc["chain_length"])
-        position = int(doc["position"])
+        chain_length = doc["chain_length"]
+        position = doc["position"]
+        _check_type("chain_length", chain_length, int)
+        _check_type("position", position, int)
         preimage = bytes.fromhex(doc["preimage_hex"])
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"malformed identity exchange: {exc}") from exc
     claim = VehicleIdentity(vehicle_id, "", anchor, chain_length)
     return validate_identity(claim, preimage, position)

@@ -1,11 +1,13 @@
 """Independent evaluators used to pin expected values.
 
 These reimplement the closed forms directly in mpmath at 50 digits, the
-highway nearest-neighbour search as a brute-force scan, and the result
-tables and their cells one row and one cell at a time, on purpose
-sharing no code with the package, so tests compare two routes to every
-number.
+highway nearest-neighbour search as a brute-force scan, the result
+tables and their cells one row and one cell at a time, and the identity
+hash chain as uncached walks on hashlib, on purpose sharing no code with
+the package, so tests compare two routes to every number.
 """
+
+import hashlib
 
 import mpmath as mp
 import numpy as np
@@ -133,3 +135,38 @@ def perturbation_rows(res) -> list[tuple]:
         for k, t in enumerate(res.times)
         for s in range(res.world.n_sources)
     ]
+
+
+def _sha256_walk(data: bytes, times: int) -> bytes:
+    for _ in range(times):
+        data = hashlib.sha256(data).digest()
+    return data
+
+
+def identity_exchange(vehicle_id: str, vin: str, chain_length: int, position: int) -> dict:
+    """The identity wire document from two separate walks over the VIN:
+    one to the anchor, one to the element at position."""
+    start = vin.encode("ascii")
+    return {
+        "vehicle_id": vehicle_id,
+        "anchor_hex": _sha256_walk(start, chain_length).hex(),
+        "chain_length": chain_length,
+        "position": position,
+        "preimage_hex": _sha256_walk(start, position).hex(),
+    }
+
+
+def exchange_verdict(doc: dict) -> bool:
+    """Whether a well-typed wire document's element hashes forward,
+    chain_length - position times, onto its anchor."""
+    preimage = bytes.fromhex(doc["preimage_hex"])
+    walked = _sha256_walk(preimage, doc["chain_length"] - doc["position"])
+    return walked == bytes.fromhex(doc["anchor_hex"])
+
+
+def identity_verdict(vin: str, chain_anchor: bytes, chain_length: int) -> bool:
+    """The registry check, recomputed from the VIN on every call: 17
+    letters or digits, hashed chain_length times onto the anchor."""
+    if len(vin) != 17 or not vin.isalnum():
+        return False
+    return _sha256_walk(vin.encode("ascii"), chain_length) == chain_anchor

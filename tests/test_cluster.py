@@ -3,6 +3,7 @@ import hashlib
 import numpy as np
 import pytest
 
+from vscsim import cluster
 from vscsim.channel import ChannelParams
 from vscsim.cluster import (
     AdjustableHighwayLink,
@@ -64,9 +65,65 @@ def test_identity_rejects_bad_vin_or_length():
 
 def test_tampered_anchor_detected():
     ident = make_identity("n01", VIN, 5)
+    assert identity_is_valid(ident)
+    # same vehicle id, other anchor: the verdict belongs to the identity
     flipped = bytes([ident.chain_anchor[0] ^ 1]) + ident.chain_anchor[1:]
     bad = VehicleIdentity("n01", VIN, flipped, 5)
     assert not identity_is_valid(bad)
+    assert identity_is_valid(ident)
+
+
+@pytest.mark.parametrize(
+    "call, field",
+    [
+        pytest.param(lambda: make_identity("n01", VIN, 2.5), "chain_length", id="identity-float-length"),
+        pytest.param(lambda: make_identity("n01", VIN, True), "chain_length", id="identity-bool-length"),
+        pytest.param(lambda: make_identity("n01", 12345, 5), "VIN", id="identity-int-vin"),
+        pytest.param(
+            lambda: VehicleIdentity("n01", VIN, b"x" * 32, 2.5), "chain_length", id="claim-float-length"
+        ),
+        pytest.param(lambda: VehicleIdentity("n01", VIN, "x" * 32, 5), "chain_anchor", id="claim-str-anchor"),
+        pytest.param(
+            lambda: VehicleIdentity("n01", VIN, bytearray(32), 5), "chain_anchor", id="claim-bytearray-anchor"
+        ),
+        pytest.param(lambda: VehicleIdentity(7, VIN, b"x" * 32, 5), "vehicle_id", id="claim-int-id"),
+        pytest.param(lambda: VehicleIdentity("n01", None, b"x" * 32, 5), "vin", id="claim-none-vin"),
+        pytest.param(lambda: chain_element(VIN, 2.0), "position", id="element-float-position"),
+        pytest.param(
+            lambda: make_identity_exchange("n01", VIN, 5, 2.0), "position", id="exchange-float-position"
+        ),
+        pytest.param(
+            lambda: make_identity_exchange("n01", VIN, 5.0, 2), "chain_length", id="exchange-float-length"
+        ),
+        pytest.param(
+            lambda: validate_identity(make_identity("n01", VIN, 5), b"x", 1.5),
+            "position",
+            id="validate-float",
+        ),
+        pytest.param(
+            lambda: validate_identity(make_identity("n01", VIN, 5), b"x", True),
+            "position",
+            id="validate-bool",
+        ),
+    ],
+)
+def test_identity_inputs_of_the_wrong_type_raise_value_error(call, field):
+    with pytest.raises(ValueError, match=field):
+        call()
+
+
+def test_identity_exchange_checks_in_make_identity_order():
+    # VIN shape, then the identity (chain length), then the position range
+    with pytest.raises(ValueError, match="VIN"):
+        make_identity_exchange("n01", "NOTAVIN", 0, 7)
+    with pytest.raises(ValueError, match="chain_length"):
+        make_identity_exchange("n01", VIN, 0, 7)
+    with pytest.raises(ValueError, match="vehicle_id"):
+        make_identity_exchange("", VIN, 5, 7)
+    with pytest.raises(ValueError, match="position"):
+        make_identity_exchange("n01", VIN, 5, 5)
+    with pytest.raises(ValueError, match="position"):
+        make_identity_exchange("n01", VIN, 5, -1)
 
 
 def test_validate_identity_every_position():
@@ -106,6 +163,66 @@ def test_identity_exchange_malformed():
         verify_identity_exchange({k: v for k, v in doc.items() if k != "anchor_hex"})
     with pytest.raises(ValueError):
         verify_identity_exchange(dict(doc, anchor_hex="zz"))
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("chain_length", 5.9),
+        ("chain_length", 5.0),
+        ("chain_length", "5"),
+        ("position", 2.7),
+        ("position", "2"),
+        ("position", True),
+    ],
+)
+def test_identity_exchange_rejects_non_int_wire_fields(field, value):
+    doc = make_identity_exchange("n07", VIN, 5, 2)
+    assert verify_identity_exchange(doc)
+    with pytest.raises(ValueError, match=f"malformed identity exchange: {field}"):
+        verify_identity_exchange(dict(doc, **{field: value}))
+
+
+@pytest.fixture
+def hash_count(monkeypatch):
+    """SHA-256 applications made through the package's one hash loop."""
+    count = [0]
+    real = cluster._hash_times
+
+    def counting(data, times):
+        count[0] += times
+        return real(data, times)
+
+    monkeypatch.setattr(cluster, "_hash_times", counting)
+    return count
+
+
+@pytest.mark.parametrize("length, position", [(1, 0), (5, 0), (5, 4), (16, 9), (1000, 500)])
+def test_identity_exchange_walks_the_chain_once(hash_count, length, position):
+    doc = make_identity_exchange("n07", VIN, length, position)
+    assert hash_count[0] == length
+    # the wire side keeps nothing: each verification walks element to anchor
+    assert verify_identity_exchange(doc)
+    assert verify_identity_exchange(doc)
+    assert hash_count[0] == length + 2 * (length - position)
+
+
+def test_reforming_a_cluster_checks_each_identity_once(hash_count):
+    good = [make_identity(f"g{k}", VIN, length) for k, length in enumerate((3, 8, 13))]
+    tampered = _candidate("t", 3.0, valid=False, length=6)[0]
+    short = VehicleIdentity("s", VIN, make_identity("s", VIN, 6).chain_anchor, 7)
+    malformed = VehicleIdentity("m", "NOTAVIN", b"\0" * 32, 9)
+    candidates = [
+        (ident, VscResult(ident.vehicle_id, 3.0, 1.0, 4))
+        for ident in good + [tampered, short, malformed]
+    ]
+    hash_count[0] = 0
+    for _ in range(4):
+        state, pseudo = form_cluster(candidates, rsc=2.0, secondary_rsc=1.0)
+        assert state.member_ids == {"g0", "g1", "g2"}
+        assert pseudo == frozenset()
+    # every well-formed VIN is hashed once, on its first check; a malformed one never
+    assert hash_count[0] == 3 + 8 + 13 + 6 + 7
 
 
 def test_sc_select_prefers_highest_vsc():
