@@ -38,13 +38,13 @@ def _check_type(name: str, value: object, kind: type) -> None:
 
 
 def vin_is_well_formed(vin: str) -> bool:
-    """17 alphanumeric characters."""
-    return isinstance(vin, str) and len(vin) == 17 and vin.isalnum()
+    """17 ASCII letters or digits."""
+    return isinstance(vin, str) and len(vin) == 17 and vin.isascii() and vin.isalnum()
 
 
 def _check_vin(vin: str) -> None:
     if not vin_is_well_formed(vin):
-        raise ValueError(f"VIN must be 17 alphanumeric characters, got {vin!r}")
+        raise ValueError(f"VIN must be 17 ASCII letters or digits, got {vin!r}")
 
 
 @dataclass(frozen=True)

@@ -12,198 +12,84 @@ import inspect
 import json
 import math
 from dataclasses import dataclass
+from numbers import Real
 from pathlib import Path
 
 import jsonschema
 
 from .channel import DEFAULT_ALPHA, DEFAULT_P_OVER_N0_DB
-from .highway import HighwayWorld, run_perturbation_study
+from .highway import CALIBRATED_DELTA, HighwayWorld, run_perturbation_study
 from .intersection import run_intersection_case
 from .sweeps import GRID_UNITS, SWEEP_FIELDS
 
 EXPERIMENTS = ("sweep", "intersection", "highway_cluster", "perturbation", "ppp")
 
-_EMIT_SCHEMA = {
-    "type": "object",
-    "properties": {
-        "csv": {"type": "boolean"},
-        "plot_data": {"type": "boolean"},
-    },
-    "additionalProperties": False,
-}
+# JSON bounds that many fields share.  A "number" is finite (see _Validator).
+_NUMBER = {"type": "number"}
+_POSITIVE = {"type": "number", "exclusiveMinimum": 0}
+_NON_NEGATIVE = {"type": "number", "minimum": 0}
+_BOOLEAN = {"type": "boolean"}
+_SPAN = {"type": "array", "items": _NUMBER, "minItems": 2, "maxItems": 2}
 
-_TOP_SCHEMA = {
-    "type": "object",
-    "properties": {
+
+def _object_schema(properties: dict, required: list | None = None) -> dict:
+    return {
+        "type": "object",
+        "properties": properties,
+        "required": required or [],
+        "additionalProperties": False,
+    }
+
+
+_TOP_SCHEMA = _object_schema(
+    {
         "name": {"type": "string", "pattern": r"^[A-Za-z0-9_.-]+$"},
         "experiment": {"enum": list(EXPERIMENTS)},
         "params": {"type": "object"},
         "seed": {"type": "integer", "minimum": 0},
         "out_dir": {"type": ["string", "null"]},
-        "emit": _EMIT_SCHEMA,
+        "emit": _object_schema({"csv": _BOOLEAN, "plot_data": _BOOLEAN}),
     },
-    "required": ["experiment"],
-    "additionalProperties": False,
-}
-
-# JSON bounds of the fields a sweep base (or series override) may set;
-# sweeps.SWEEP_FIELDS says which fields a kind takes and requires.  Values
-# are SI / linear except the *_db fields, which are converted on load.
-_SCENARIO_FIELDS = {
-    "highway": {
-        "r": {"type": "number", "exclusiveMinimum": 0},
-        "v": {"type": "number", "minimum": 0},
-        "tau": {"type": "number", "minimum": 0},
-        "alpha": {"type": "number", "exclusiveMinimum": 0},
-        "p_over_n0_db": {"type": "number"},
-    },
-    "urban_fixed": {
-        "lane_width_w": {"type": "number", "exclusiveMinimum": 0},
-        "v_limit": {"type": "number", "minimum": 0},
-        "t": {"type": "number", "minimum": 0},
-        "r0": {"type": "number", "exclusiveMinimum": 0},
-        "alpha": {"type": "number", "exclusiveMinimum": 0},
-        "p_over_n0_db": {"type": "number"},
-    },
-    "relay": {
-        "p_a": {"type": "number", "exclusiveMinimum": 0},
-        "p_r": {"type": "number", "minimum": 0},
-        "h_ab_sq": {"type": "number", "minimum": 0},
-        "h_rb_sq": {"type": "number", "minimum": 0},
-        "h_ae_sq": {"type": "number", "minimum": 0},
-        "h_re_sq": {"type": "number", "minimum": 0},
-        "sigma_b_sq": {"type": "number", "exclusiveMinimum": 0},
-        "sigma_e_sq": {"type": "number", "exclusiveMinimum": 0},
-        "bandwidth_hz": {"type": "number", "exclusiveMinimum": 0},
-    },
-}
-_SCENARIO_FIELDS["urban_moving"] = _SCENARIO_FIELDS["urban_fixed"]
-
-_PARAMS_SCHEMAS = {
-    "sweep": {
-        "type": "object",
-        "properties": {
-            "kind": {"enum": list(SWEEP_FIELDS)},
-            "base": {"type": "object"},
-            "param": {"type": "string", "minLength": 1},
-            "grid": {"type": "array", "minItems": 1, "items": {"type": "number"}},
-            "unit": {"enum": list(GRID_UNITS)},
-            "param_label": {"type": "string", "minLength": 1},
-            "series": {
-                "type": "array",
-                "minItems": 1,
-                "items": {
-                    "type": "object",
-                    "properties": {
-                        "label": {"type": "string", "minLength": 1},
-                        "overrides": {"type": "object"},
-                    },
-                    "required": ["label"],
-                    "additionalProperties": False,
-                },
-            },
-        },
-        "required": ["kind", "base", "param", "grid"],
-        "additionalProperties": False,
-    },
-    "intersection": {
-        "type": "object",
-        "properties": {
-            "case": {"type": "integer", "minimum": 1, "maximum": 6},
-            "dt_s": {"type": "number", "exclusiveMinimum": 0},
-            "speed_kmh": {"type": "number", "exclusiveMinimum": 0},
-            "alpha": {"type": "number", "exclusiveMinimum": 0},
-            "p_over_n0_db": {"type": "number"},
-            "lane_offset_m": {"type": "number", "exclusiveMinimum": 0},
-            "host_span": {
-                "type": "array",
-                "items": {"type": "number"},
-                "minItems": 2,
-                "maxItems": 2,
-            },
-            "target_span": {
-                "type": "array",
-                "items": {"type": "number"},
-                "minItems": 2,
-                "maxItems": 2,
-            },
-        },
-        "required": ["case"],
-        "additionalProperties": False,
-    },
-    "highway_cluster": {
-        "type": "object",
-        "properties": {
-            "n_nodes": {"type": "integer", "minimum": 2},
-            "n_sources": {"type": "integer", "minimum": 1},
-            "lanes": {"type": "integer", "minimum": 1},
-            "lane_width_m": {"type": "number", "exclusiveMinimum": 0},
-            "length_m": {"type": "number", "exclusiveMinimum": 0},
-            "duration_s": {"type": "number", "exclusiveMinimum": 0},
-            "dt_s": {"type": "number", "exclusiveMinimum": 0},
-            "speed_redraw_period_s": {"type": "number", "exclusiveMinimum": 0},
-            "max_speed_kmh": {"type": "number", "exclusiveMinimum": 0},
-            "alpha": {"type": "number", "exclusiveMinimum": 0},
-            "p_over_n0_db": {"type": "number"},
-            "eavesdropper_range_m": {"type": "number", "exclusiveMinimum": 0},
-            "obu_range_m": {"type": "number", "exclusiveMinimum": 0},
-        },
-        "additionalProperties": False,
-    },
-    "ppp": {
-        "type": "object",
-        "properties": {
-            "lam": {"type": "number", "minimum": 0},
-            "region_area_m2": {"type": "number", "exclusiveMinimum": 0},
-            "ref_area_m2": {"type": "number", "exclusiveMinimum": 0},
-            "alpha": {"type": "number", "exclusiveMinimum": 0},
-            "p_over_n0_db": {"type": "number"},
-            "mode": {"enum": ["distance_curve", "field_dump"]},
-            "d_fracs": {
-                "type": "array",
-                "minItems": 1,
-                "items": {"type": "number", "exclusiveMinimum": 0},
-            },
-            "target_distance_m": {"type": "number", "exclusiveMinimum": 0},
-        },
-        "additionalProperties": False,
-    },
-}
-# The perturbation experiment takes every highway_cluster knob plus the
-# shift magnitude.
-_PARAMS_SCHEMAS["perturbation"] = copy.deepcopy(_PARAMS_SCHEMAS["highway_cluster"])
-_PARAMS_SCHEMAS["perturbation"]["properties"].update(
-    {
-        "delta_m": {"type": "number"},
-        "allow_custom_delta": {"type": "boolean"},
-    }
+    ["experiment"],
 )
 
-# Config key -> keyword of the model it sets: a HighwayWorld field or an
-# argument of run_perturbation_study or run_intersection_case.  Defaults
-# are written once, on the models, and PARAM_DEFAULTS reads them there.
-MODEL_KEYWORDS = {
-    "n_nodes": "n_nodes",
-    "n_sources": "n_sources",
-    "lanes": "lanes",
-    "lane_width_m": "lane_width",
-    "length_m": "length",
-    "duration_s": "duration",
-    "dt_s": "dt",
-    "speed_kmh": "speed_kmh",
-    "speed_redraw_period_s": "speed_redraw_period",
-    "max_speed_kmh": "max_speed_kmh",
-    "alpha": "alpha",
-    "p_over_n0_db": "p_over_n0_db",
-    "eavesdropper_range_m": "eavesdropper_range",
-    "obu_range_m": "obu_range",
-    "delta_m": "delta",
-    "allow_custom_delta": "allow_custom_delta",
-    "case": "case_id",
-    "lane_offset_m": "lane_offset",
-    "host_span": "host_span",
-    "target_span": "target_span",
+# Config key -> (keyword of the model it sets, JSON bounds), for the
+# experiments that configure a HighwayWorld, run_perturbation_study or
+# run_intersection_case.  Defaults are written once, on the models.
+_HIGHWAY_KEYS = {
+    "n_nodes": ("n_nodes", {"type": "integer", "minimum": 2}),
+    "n_sources": ("n_sources", {"type": "integer", "minimum": 1}),
+    "lanes": ("lanes", {"type": "integer", "minimum": 1}),
+    "lane_width_m": ("lane_width", _POSITIVE),
+    "length_m": ("length", _POSITIVE),
+    "duration_s": ("duration", _POSITIVE),
+    "dt_s": ("dt", _POSITIVE),
+    "speed_redraw_period_s": ("speed_redraw_period", _POSITIVE),
+    "max_speed_kmh": ("max_speed_kmh", _POSITIVE),
+    "alpha": ("alpha", _POSITIVE),
+    "p_over_n0_db": ("p_over_n0_db", _NUMBER),
+    "eavesdropper_range_m": ("eavesdropper_range", _POSITIVE),
+    "obu_range_m": ("obu_range", _POSITIVE),
 }
+_MODEL_KEYS = {
+    "highway_cluster": _HIGHWAY_KEYS,
+    "perturbation": {
+        **_HIGHWAY_KEYS,
+        "delta_m": ("delta", _NUMBER),
+        "allow_custom_delta": ("allow_custom_delta", _BOOLEAN),
+    },
+    "intersection": {
+        "case": ("case_id", {"type": "integer", "minimum": 1, "maximum": 6}),
+        "dt_s": ("dt", _POSITIVE),
+        "speed_kmh": ("speed_kmh", _POSITIVE),
+        "alpha": ("alpha", _POSITIVE),
+        "p_over_n0_db": ("p_over_n0_db", _NUMBER),
+        "lane_offset_m": ("lane_offset", _POSITIVE),
+        "host_span": ("host_span", _SPAN),
+        "target_span": ("target_span", _SPAN),
+    },
+}
+MODEL_KEYWORDS = {key: kw for keys in _MODEL_KEYS.values() for key, (kw, _) in keys.items()}
 
 
 def model_kwargs(params: dict) -> dict:
@@ -212,22 +98,23 @@ def model_kwargs(params: dict) -> dict:
     return {MODEL_KEYWORDS[key]: value for key, value in params.items()}
 
 
-def _model_defaults(model) -> dict:
-    """The config defaults that a model's keyword defaults stand for,
+def _model_defaults(experiment: str, *models) -> dict:
+    """The config defaults that the models' keyword defaults stand for,
     with tuples as the lists a JSON document holds."""
     defaults = {
         name: list(p.default) if isinstance(p.default, tuple) else p.default
+        for model in models
         for name, p in inspect.signature(model).parameters.items()
         if p.default is not p.empty
     }
-    return {key: defaults[kw] for key, kw in MODEL_KEYWORDS.items() if kw in defaults}
+    return {key: defaults[kw] for key, (kw, _) in _MODEL_KEYS[experiment].items() if kw in defaults}
 
 
 PARAM_DEFAULTS: dict[str, dict] = {
     "sweep": {"unit": "si", "series": [{"label": "cs", "overrides": {}}]},
-    "intersection": _model_defaults(run_intersection_case),
-    "highway_cluster": _model_defaults(HighwayWorld),
-    "perturbation": {**_model_defaults(HighwayWorld), **_model_defaults(run_perturbation_study)},
+    "intersection": _model_defaults("intersection", run_intersection_case),
+    "highway_cluster": _model_defaults("highway_cluster", HighwayWorld),
+    "perturbation": _model_defaults("perturbation", HighwayWorld, run_perturbation_study),
     "ppp": {
         "lam": 6.0,
         "region_area_m2": 1000.0,
@@ -238,6 +125,70 @@ PARAM_DEFAULTS: dict[str, dict] = {
         "d_fracs": [0.1, 0.3, 0.5],
         "target_distance_m": 10.0,
     },
+}
+
+# JSON bounds of every field a sweep base (or series override) may set.
+# Values are SI / linear except p_over_n0_db, which is converted on load.
+_FIELD_BOUNDS = {
+    "p_over_n0_db": _NUMBER,
+    **dict.fromkeys(
+        ["r", "alpha", "lane_width_w", "r0", "p_a", "sigma_b_sq", "sigma_e_sq", "bandwidth_hz"],
+        _POSITIVE,
+    ),
+    **dict.fromkeys(
+        ["v", "tau", "v_limit", "t", "p_r", "h_ab_sq", "h_rb_sq", "h_ae_sq", "h_re_sq"],
+        _NON_NEGATIVE,
+    ),
+}
+# Scenario field -> its config name, where the two differ.
+_CONFIG_NAMES = {"p_over_n0": "p_over_n0_db"}
+# Kind -> config field -> bounds, for the fields sweeps.SWEEP_FIELDS
+# reads off the kind's scenario dataclass.
+_SCENARIO_FIELDS = {
+    kind: {name: _FIELD_BOUNDS[name] for name in (_CONFIG_NAMES.get(f, f) for f in fields)}
+    for kind, fields in SWEEP_FIELDS.items()
+}
+
+_PARAMS_SCHEMAS = {
+    "sweep": _object_schema(
+        {
+            "kind": {"enum": list(SWEEP_FIELDS)},
+            "base": {"type": "object"},
+            "param": {"type": "string", "minLength": 1},
+            "grid": {"type": "array", "minItems": 1, "items": _NUMBER},
+            "unit": {"enum": list(GRID_UNITS)},
+            "param_label": {"type": "string", "minLength": 1},
+            "series": {
+                "type": "array",
+                "minItems": 1,
+                "items": _object_schema(
+                    {"label": {"type": "string", "minLength": 1}, "overrides": {"type": "object"}},
+                    ["label"],
+                ),
+            },
+        },
+        ["kind", "base", "param", "grid"],
+    ),
+    # A key is required when its model keyword has no default.
+    **{
+        experiment: _object_schema(
+            {key: bounds for key, (_, bounds) in keys.items()},
+            [key for key in keys if key not in PARAM_DEFAULTS[experiment]],
+        )
+        for experiment, keys in _MODEL_KEYS.items()
+    },
+    "ppp": _object_schema(
+        {
+            "lam": _NON_NEGATIVE,
+            "region_area_m2": _POSITIVE,
+            "ref_area_m2": _POSITIVE,
+            "alpha": _POSITIVE,
+            "p_over_n0_db": _NUMBER,
+            "mode": {"enum": ["distance_curve", "field_dump"]},
+            "d_fracs": {"type": "array", "minItems": 1, "items": _POSITIVE},
+            "target_distance_m": _POSITIVE,
+        }
+    ),
 }
 
 TOP_DEFAULTS = {
@@ -284,11 +235,27 @@ class RunConfig:
         }
 
 
+def _is_number(value) -> bool:
+    return isinstance(value, Real) and not isinstance(value, bool)
+
+
+def _is_finite(value) -> bool:
+    try:
+        return math.isfinite(value)
+    except OverflowError:  # an int past the float range
+        return False
+
+
 # JSON Schema counts 0.0 as an integer; the models need a Python int.
+# json.load also accepts NaN, +-Infinity and ints of any size; a real
+# field takes only values that are finite as a float.
 _Validator = jsonschema.validators.extend(
     jsonschema.Draft202012Validator,
-    type_checker=jsonschema.Draft202012Validator.TYPE_CHECKER.redefine(
-        "integer", lambda _, value: isinstance(value, int) and not isinstance(value, bool)
+    type_checker=jsonschema.Draft202012Validator.TYPE_CHECKER.redefine_many(
+        {
+            "integer": lambda _, value: isinstance(value, int) and not isinstance(value, bool),
+            "number": lambda _, value: _is_number(value) and _is_finite(value),
+        }
     ),
 )
 
@@ -302,48 +269,31 @@ def _schema_errors(instance, schema, prefix: str, bad_keys: set | None = None) -
         path = prefix + "".join(
             f"[{p}]" if isinstance(p, int) else f".{p}" for p in err.absolute_path
         )
-        out.append(f"{path}: {err.message}")
+        message = err.message
+        if err.validator == "type" and _is_number(err.instance) and not _is_finite(err.instance):
+            message = "must be a finite number"
+        out.append(f"{path}: {message}")
         if bad_keys is not None and err.absolute_path:
             bad_keys.add(err.absolute_path[0])
     return out
-
-
-def _scenario_field_errors(doc: dict, kind: str, prefix: str) -> list[str]:
-    schema = {
-        "type": "object",
-        "properties": _SCENARIO_FIELDS[kind],
-        "additionalProperties": False,
-    }
-    return _schema_errors(doc, schema, prefix)
-
-
-def _non_finite_errors(value, path: str) -> list[str]:
-    """Messages for every NaN or +-Infinity number (json.load accepts them)."""
-    if isinstance(value, float) and not math.isfinite(value):
-        return [f"{path}: must be a finite number"]
-    if isinstance(value, dict):
-        return [e for k, v in value.items() for e in _non_finite_errors(v, f"{path}.{k}")]
-    if isinstance(value, list):
-        return [e for i, v in enumerate(value) for e in _non_finite_errors(v, f"{path}[{i}]")]
-    return []
 
 
 def validate_config(doc) -> list[str]:
     """Return every violation in the document; an empty list means valid."""
     if not isinstance(doc, dict):
         return ["$: config must be a JSON object"]
-    errors = _schema_errors(doc, _TOP_SCHEMA, "$") + _non_finite_errors(doc, "$")
+    errors = _schema_errors(doc, _TOP_SCHEMA, "$")
     experiment = doc.get("experiment")
     params = doc.get("params", {})
     if experiment in EXPERIMENTS and isinstance(params, dict):
-        bad_keys = {k for k, v in params.items() if _non_finite_errors(v, "")}
+        bad_keys: set = set()
         errors += _schema_errors(params, _PARAMS_SCHEMAS[experiment], "$.params", bad_keys)
         # Cross-field checks read only the fields that passed the schema.
         params = {k: v for k, v in params.items() if k not in bad_keys}
+        merged = {**PARAM_DEFAULTS[experiment], **params}
         if experiment == "sweep":
-            errors += _sweep_extra_errors(params)
+            errors += _sweep_extra_errors(merged)
         if experiment in ("highway_cluster", "perturbation"):
-            merged = {**PARAM_DEFAULTS[experiment], **params}
             if merged["n_sources"] >= merged["n_nodes"]:
                 errors.append("$.params.n_sources: must leave at least one non-source node")
             steps = merged["duration_s"] / merged["dt_s"]
@@ -352,31 +302,36 @@ def validate_config(doc) -> list[str]:
             elif not math.isfinite(steps):
                 errors.append("$.params.duration_s: duration / dt_s overflows: the step count is not finite")
         if experiment == "perturbation":
-            delta = {**PARAM_DEFAULTS["perturbation"], **params}["delta_m"]
-            if delta == 0:
+            if merged["delta_m"] == 0:
                 errors.append("$.params.delta_m: must be non-zero")
+            elif abs(merged["delta_m"]) != CALIBRATED_DELTA and not merged["allow_custom_delta"]:
+                errors.append(
+                    f"$.params.delta_m: perturbation is calibrated for +/-{CALIBRATED_DELTA:g} m; "
+                    "set allow_custom_delta to override"
+                )
         if experiment == "intersection":
             for span_key in ("host_span", "target_span"):
                 span = params.get(span_key)
-                if isinstance(span, list) and len(span) == 2 and span[1] <= span[0]:
+                if span is not None and span[1] <= span[0]:
                     errors.append(f"$.params.{span_key}: must be strictly increasing")
     return errors
 
 
 def _sweep_extra_errors(params: dict) -> list[str]:
-    """Cross-field checks of the sweep params that passed the schema."""
-    kind, param = params.get("kind"), params.get("param")
+    """Cross-field checks of the defaulted sweep params that passed the schema."""
+    kind, param, series = params.get("kind"), params.get("param"), params["series"]
     if kind is None:
         return []
     errors: list[str] = []
-    series = params.get("series", PARAM_DEFAULTS["sweep"]["series"])
+    fields = _object_schema(_SCENARIO_FIELDS[kind])
     if "base" in params:
         base = params["base"]
-        errors += _scenario_field_errors(base, kind, "$.params.base")
+        errors += _schema_errors(base, fields, "$.params.base")
         # As in run_sweep, a required field may come from the base, the
         # swept parameter or each series' overrides.
-        for name in _SCENARIO_FIELDS[kind]:
-            if not SWEEP_FIELDS[kind][name.removesuffix("_db")] or name == param or name in base:
+        for field, required in SWEEP_FIELDS[kind].items():
+            name = _CONFIG_NAMES.get(field, field)
+            if not required or name == param or name in base:
                 continue
             lacking = [i for i, entry in enumerate(series) if name not in entry.get("overrides", {})]
             if len(lacking) == len(series):
@@ -390,16 +345,15 @@ def _sweep_extra_errors(params: dict) -> list[str]:
     if param is not None and param not in _SCENARIO_FIELDS[kind]:
         errors.append(f"$.params.param: {param!r} is not a field of kind {kind!r}")
     elif param is not None and param.endswith("_db"):
-        if params.get("unit", PARAM_DEFAULTS["sweep"]["unit"]) != "db":
+        if params["unit"] != "db":
             errors.append(f"$.params.unit: sweeping {param!r} needs unit 'db'")
     grid = params.get("grid", [])
     diffs = [b - a for a, b in zip(grid, grid[1:])]
     if not (all(d > 0 for d in diffs) or all(d < 0 for d in diffs)):
         errors.append("$.params.grid: must be strictly monotone")
-    for i, entry in enumerate(params.get("series", [])):
-        errors += _scenario_field_errors(
-            entry.get("overrides", {}), kind, f"$.params.series[{i}].overrides"
-        )
+    for i, entry in enumerate(series):
+        overrides = entry.get("overrides", {})
+        errors += _schema_errors(overrides, fields, f"$.params.series[{i}].overrides")
     return errors
 
 

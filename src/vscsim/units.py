@@ -24,7 +24,10 @@ def db_to_linear(value_db: float) -> float:
     """Convert a decibel power ratio to a linear ratio, 10^(dB/10)."""
     if not math.isfinite(value_db):
         raise ValueError(f"decibel value must be finite, got {value_db!r}")
-    return 10.0 ** (value_db / 10.0)
+    try:
+        return 10.0 ** (value_db / 10.0)
+    except OverflowError:
+        raise ValueError(f"decibel value {value_db!r} overflows as a linear ratio") from None
 
 
 def linear_to_db(ratio: float) -> float:

@@ -166,7 +166,7 @@ def exchange_verdict(doc: dict) -> bool:
 
 def identity_verdict(vin: str, chain_anchor: bytes, chain_length: int) -> bool:
     """The registry check, recomputed from the VIN on every call: 17
-    letters or digits, hashed chain_length times onto the anchor."""
-    if len(vin) != 17 or not vin.isalnum():
+    ASCII letters or digits, hashed chain_length times onto the anchor."""
+    if len(vin) != 17 or not (vin.isascii() and vin.isalnum()):
         return False
     return _sha256_walk(vin.encode("ascii"), chain_length) == chain_anchor

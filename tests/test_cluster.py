@@ -39,6 +39,14 @@ def test_vin_shape():
     assert not vin_is_well_formed(VIN + "0")
 
 
+def test_non_ascii_vin_is_rejected_not_raised():
+    vin = "\u00e9" * 17  # 17 letters, none of them ASCII
+    assert not vin_is_well_formed(vin)
+    assert not identity_is_valid(VehicleIdentity("a", vin, b"x" * 32, 5))
+    with pytest.raises(ValueError, match="ASCII"):
+        make_identity("a", vin, 5)
+
+
 def test_chain_element_matches_published_sha256_vector():
     # one chain step is a single SHA-256; cross-check against the
     # published digest of b"abc" so the hash route is independently pinned

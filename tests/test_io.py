@@ -5,7 +5,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
@@ -185,6 +185,19 @@ def test_validate_rejects_overflowing_step_count(experiment):
 def test_validate_perturbation_delta():
     doc = {"experiment": "perturbation", "params": {"delta_m": 0.0}}
     assert any("delta_m" in e for e in validate_config(doc))
+
+
+def test_validate_and_run_agree_on_uncalibrated_delta(tmp_path):
+    short = {"n_nodes": 6, "duration_s": 1.0}
+    doc = {"experiment": "perturbation", "params": {**short, "delta_m": 3.0}}
+    assert validate_config(doc) == [
+        "$.params.delta_m: perturbation is calibrated for +/-5 m; set allow_custom_delta to override"
+    ]
+    doc["params"]["allow_custom_delta"] = True
+    assert validate_config(doc) == []
+    assert [p.name for p in run(build_config(doc), str(tmp_path))] == ["perturbation.csv"]
+    for delta in (5.0, -5.0):
+        assert validate_config({"experiment": "perturbation", "params": {"delta_m": delta}}) == []
 
 
 def test_validate_intersection_spans():
@@ -518,8 +531,14 @@ def test_preset_copies_are_independent():
         get_preset("fig999")
 
 
+# Python's json parses NaN, +-Infinity and ints of any size.
 _JSON_VALUES = st.recursive(
-    st.none() | st.booleans() | st.integers(-3, 30) | st.floats(allow_nan=False) | st.text(max_size=4),
+    st.none()
+    | st.booleans()
+    | st.integers(-3, 30)
+    | st.sampled_from([10**400, -(10**400), 2**1024])
+    | st.floats()
+    | st.text(max_size=4),
     lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner, max_size=3),
     max_leaves=6,
 )
@@ -530,6 +549,9 @@ _PARAM_KEYS = sorted(
 
 
 @settings(max_examples=300, deadline=None)
+@example(experiment="highway_cluster", params={"duration_s": 10**400})
+@example(experiment="highway_cluster", params={"dt_s": 10**400})
+@example(experiment="sweep", params={"kind": "highway", "param": "v", "grid": [10**400, 2.0]})
 @given(
     experiment=st.sampled_from(EXPERIMENTS),
     params=st.dictionaries(st.sampled_from(_PARAM_KEYS), _JSON_VALUES, max_size=5),

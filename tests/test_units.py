@@ -14,6 +14,12 @@ def test_db_reference_points():
     assert db_to_linear(3.0) == pytest.approx(1.9952623149688795, rel=1e-15)
 
 
+def test_db_to_linear_names_a_value_that_overflows():
+    assert db_to_linear(3000.0) == pytest.approx(1e300, rel=1e-12)
+    with pytest.raises(ValueError, match="4000.0"):
+        db_to_linear(4000.0)
+
+
 def test_db_round_trip():
     rng = np.random.default_rng(11)
     for _ in range(200):

@@ -187,6 +187,13 @@ def test_csi_csv_stores_db(tmp_path):
     assert text[1].split(",")[2] == "20.0"
 
 
+def test_csi_csv_rejects_an_snr_that_overflows(tmp_path):
+    path = tmp_path / "loud.csv"
+    path.write_text("timestamp_s,sender_id,snr_db,chain_element_hex\n0.0,a,4000,\n", encoding="utf-8")
+    with pytest.raises(ValueError, match="4000.0"):
+        read_csi_csv(path)
+
+
 def test_csi_csv_rejects_wrong_header(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("time,who,snr\n", encoding="utf-8")
