@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .units import db_to_linear
+from .units import db_to_linear, require_non_negative, require_positive
 
 # Defaults used by the simulation harness when a config does not pin them.
 DEFAULT_ALPHA = 1.4
@@ -30,10 +30,7 @@ class ChannelParams:
     alpha: float
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.p_over_n0) and self.p_over_n0 > 0.0):
-            raise ValueError(f"p_over_n0 must be finite and > 0, got {self.p_over_n0!r}")
-        if not (math.isfinite(self.alpha) and self.alpha > 0.0):
-            raise ValueError(f"alpha must be finite and > 0, got {self.alpha!r}")
+        require_positive(p_over_n0=self.p_over_n0, alpha=self.alpha)
 
     @classmethod
     def from_db(cls, p_over_n0_db: float, alpha: float) -> "ChannelParams":
@@ -74,10 +71,8 @@ def link_snr(p_over_n0, d, alpha):
 
 def shannon_capacity(bandwidth_hz: float, snr: float) -> float:
     """Channel capacity W * log2(1 + SNR) in bits/s."""
-    if bandwidth_hz <= 0.0:
-        raise ValueError(f"bandwidth must be > 0, got {bandwidth_hz!r}")
-    if snr < 0.0:
-        raise ValueError(f"snr must be >= 0, got {snr!r}")
+    require_positive(bandwidth_hz=bandwidth_hz)
+    require_non_negative(snr=snr)
     return bandwidth_hz * capacity_bits(snr)
 
 
@@ -87,19 +82,13 @@ def gaussian_wiretap_secrecy(power: float, noise_main: float, noise_wiretap: flo
     (1/2) log2(1 + P/Nm) - (1/2) log2(1 + P/Nw), positive when the main
     channel is less noisy than the wiretap channel.
     """
-    if power <= 0.0:
-        raise ValueError(f"power must be > 0, got {power!r}")
-    if noise_main <= 0.0 or noise_wiretap <= 0.0:
-        raise ValueError("noise levels must be > 0")
+    require_positive(power=power, noise_main=noise_main, noise_wiretap=noise_wiretap)
     return 0.5 * secrecy_bits(power / noise_main, power / noise_wiretap)
 
 
 def path_loss_coeff_sq(distance_m: float, alpha: float) -> float:
     """Distance-decay power gain |h|^2 = d^(-2*alpha)."""
-    if distance_m <= 0.0:
-        raise ValueError(f"distance must be > 0, got {distance_m!r}")
-    if alpha <= 0.0:
-        raise ValueError(f"alpha must be > 0, got {alpha!r}")
+    require_positive(distance_m=distance_m, alpha=alpha)
     return link_snr(1.0, distance_m, alpha)
 
 
@@ -108,8 +97,7 @@ def fading_secrecy_pair(params: ChannelParams, h_ab_sq: float, h_ae_sq: float) -
 
     log2(1 + (P/N0) |h_ab|^2) - log2(1 + (P/N0) |h_ae|^2), unit bandwidth.
     """
-    if h_ab_sq < 0.0 or h_ae_sq < 0.0:
-        raise ValueError("squared channel gains must be >= 0")
+    require_non_negative(h_ab_sq=h_ab_sq, h_ae_sq=h_ae_sq)
     c = params.p_over_n0
     return secrecy_bits(c * h_ab_sq, c * h_ae_sq)
 
@@ -134,10 +122,10 @@ class FadingModel:
     def __post_init__(self) -> None:
         if self.kind not in ("path_loss_only", "rayleigh", "rician", "nakagami"):
             raise ValueError(f"unknown fading model kind {self.kind!r}")
-        if self.kind == "rician" and self.k < 0.0:
-            raise ValueError(f"Rician K-factor must be >= 0, got {self.k!r}")
-        if self.kind == "nakagami" and self.m < 0.5:
-            raise ValueError(f"Nakagami shape must be >= 0.5, got {self.m!r}")
+        if self.kind == "rician":
+            require_non_negative(k=self.k)
+        if self.kind == "nakagami" and not 0.5 <= self.m < math.inf:
+            raise ValueError(f"m must be finite and >= 0.5, got {self.m!r}")
 
     @classmethod
     def path_loss_only(cls) -> "FadingModel":

@@ -87,8 +87,8 @@ def main(argv: list[str] | None = None) -> int:
         for err in exc.errors:
             print(f"error: {err}", file=sys.stderr)
         return 1
-    except (ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (ValueError, OSError, MemoryError) as exc:
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 1
     raise AssertionError("unreachable")
 

@@ -19,7 +19,7 @@ from typing import Iterable, Sequence
 from .channel import path_loss_coeff_sq
 from .kinematics import coupled_distance
 from .scenarios import HighwayScenario, RelayScenario, highway_secrecy, relay_secrecy
-from .units import db_to_linear
+from .units import db_to_linear, require_finite, require_non_negative, require_positive
 from .vsc import CsiRecord, VscResult, window_vscs
 
 _DIGEST_SIZE = hashlib.sha256().digest_size
@@ -188,10 +188,7 @@ class SecrecyKnobs:
     max_iterations: int = 8
 
     def __post_init__(self) -> None:
-        if self.speed_step <= 0.0:
-            raise ValueError(f"speed_step must be > 0, got {self.speed_step!r}")
-        if self.power_step_db <= 0.0:
-            raise ValueError(f"power_step_db must be > 0, got {self.power_step_db!r}")
+        require_positive(speed_step=self.speed_step, power_step_db=self.power_step_db)
         if self.max_iterations < 1:
             raise ValueError(f"max_iterations must be >= 1, got {self.max_iterations!r}")
 
@@ -206,10 +203,7 @@ class RelayOption:
     h_re_sq: float
 
     def __post_init__(self) -> None:
-        if self.p_r < 0.0:
-            raise ValueError(f"p_r must be >= 0, got {self.p_r!r}")
-        if self.h_rb_sq < 0.0 or self.h_re_sq < 0.0:
-            raise ValueError("relay gains must be >= 0")
+        require_non_negative(p_r=self.p_r, h_rb_sq=self.h_rb_sq, h_re_sq=self.h_re_sq)
 
 
 class AdjustableHighwayLink:
@@ -288,6 +282,7 @@ def rsc_negotiate(
     knobs that cannot act (speed already minimal, relay absent or on).
     Failure after max_iterations is an ordinary outcome, not an error.
     """
+    require_finite(rsc=rsc)
     target = sc_select(window)
     cycle = ("speed", "power", "relay")
     pointer = 0
@@ -345,6 +340,7 @@ def form_cluster(
     inclusively on the left).  Everyone else is excluded.  Pseudo members
     are promoted only by re-running formation with fresh measurements.
     """
+    require_finite(rsc=rsc, secondary_rsc=secondary_rsc)
     if secondary_rsc > rsc:
         raise ValueError("secondary_rsc must not exceed rsc")
     seen: set[str] = set()
@@ -438,8 +434,8 @@ def select_consensus_candidates(
     against the host-side VSC and dropped on a mismatch beyond the
     tolerance.  Ties order by vehicle id.
     """
-    if tolerance < 0.0:
-        raise ValueError(f"tolerance must be >= 0, got {tolerance!r}")
+    require_finite(threshold=threshold)
+    require_non_negative(tolerance=tolerance)
     host_side = {res.target_id: res.vsc for res in window_vscs(window)} if window else {}
     seen: set[str] = set()
     kept: list[tuple[str, float]] = []

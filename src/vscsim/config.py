@@ -21,11 +21,13 @@ from .channel import DEFAULT_ALPHA, DEFAULT_P_OVER_N0_DB
 from .highway import CALIBRATED_DELTA, HighwayWorld, run_perturbation_study
 from .intersection import run_intersection_case
 from .sweeps import GRID_UNITS, SWEEP_FIELDS
+from .units import db_to_linear
 
 EXPERIMENTS = ("sweep", "intersection", "highway_cluster", "perturbation", "ppp")
 
-# JSON bounds that many fields share.  A "number" is finite (see _Validator).
+# JSON bounds that many fields share.  A "number" is finite, a "decibel" one db_to_linear takes.
 _NUMBER = {"type": "number"}
+_DECIBEL = {"type": "decibel"}
 _POSITIVE = {"type": "number", "exclusiveMinimum": 0}
 _NON_NEGATIVE = {"type": "number", "minimum": 0}
 _BOOLEAN = {"type": "boolean"}
@@ -67,7 +69,7 @@ _HIGHWAY_KEYS = {
     "speed_redraw_period_s": ("speed_redraw_period", _POSITIVE),
     "max_speed_kmh": ("max_speed_kmh", _POSITIVE),
     "alpha": ("alpha", _POSITIVE),
-    "p_over_n0_db": ("p_over_n0_db", _NUMBER),
+    "p_over_n0_db": ("p_over_n0_db", _DECIBEL),
     "eavesdropper_range_m": ("eavesdropper_range", _POSITIVE),
     "obu_range_m": ("obu_range", _POSITIVE),
 }
@@ -83,7 +85,7 @@ _MODEL_KEYS = {
         "dt_s": ("dt", _POSITIVE),
         "speed_kmh": ("speed_kmh", _POSITIVE),
         "alpha": ("alpha", _POSITIVE),
-        "p_over_n0_db": ("p_over_n0_db", _NUMBER),
+        "p_over_n0_db": ("p_over_n0_db", _DECIBEL),
         "lane_offset_m": ("lane_offset", _POSITIVE),
         "host_span": ("host_span", _SPAN),
         "target_span": ("target_span", _SPAN),
@@ -130,7 +132,7 @@ PARAM_DEFAULTS: dict[str, dict] = {
 # JSON bounds of every field a sweep base (or series override) may set.
 # Values are SI / linear except p_over_n0_db, which is converted on load.
 _FIELD_BOUNDS = {
-    "p_over_n0_db": _NUMBER,
+    "p_over_n0_db": _DECIBEL,
     **dict.fromkeys(
         ["r", "alpha", "lane_width_w", "r0", "p_a", "sigma_b_sq", "sigma_e_sq", "bandwidth_hz"],
         _POSITIVE,
@@ -183,7 +185,7 @@ _PARAMS_SCHEMAS = {
             "region_area_m2": _POSITIVE,
             "ref_area_m2": _POSITIVE,
             "alpha": _POSITIVE,
-            "p_over_n0_db": _NUMBER,
+            "p_over_n0_db": _DECIBEL,
             "mode": {"enum": ["distance_curve", "field_dump"]},
             "d_fracs": {"type": "array", "minItems": 1, "items": _POSITIVE},
             "target_distance_m": _POSITIVE,
@@ -246,6 +248,15 @@ def _is_finite(value) -> bool:
         return False
 
 
+def _decibel_error(value) -> str | None:
+    """db_to_linear's message for a value it refuses, else None."""
+    try:
+        db_to_linear(value)
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
 # JSON Schema counts 0.0 as an integer; the models need a Python int.
 # json.load also accepts NaN, +-Infinity and ints of any size; a real
 # field takes only values that are finite as a float.
@@ -255,6 +266,7 @@ _Validator = jsonschema.validators.extend(
         {
             "integer": lambda _, value: isinstance(value, int) and not isinstance(value, bool),
             "number": lambda _, value: _is_number(value) and _is_finite(value),
+            "decibel": lambda _, value: _is_number(value) and _decibel_error(value) is None,
         }
     ),
 )
@@ -272,6 +284,8 @@ def _schema_errors(instance, schema, prefix: str, bad_keys: set | None = None) -
         message = err.message
         if err.validator == "type" and _is_number(err.instance) and not _is_finite(err.instance):
             message = "must be a finite number"
+        elif err.validator == "type" and err.validator_value == "decibel" and _is_number(err.instance):
+            message = _decibel_error(err.instance)
         out.append(f"{path}: {message}")
         if bad_keys is not None and err.absolute_path:
             bad_keys.add(err.absolute_path[0])
@@ -348,6 +362,8 @@ def _sweep_extra_errors(params: dict) -> list[str]:
         if params["unit"] != "db":
             errors.append(f"$.params.unit: sweeping {param!r} needs unit 'db'")
     grid = params.get("grid", [])
+    if params["unit"] == "db":
+        errors += _schema_errors(grid, {"items": _DECIBEL}, "$.params.grid")
     diffs = [b - a for a, b in zip(grid, grid[1:])]
     if not (all(d > 0 for d in diffs) or all(d < 0 for d in diffs)):
         errors.append("$.params.grid: must be strictly monotone")

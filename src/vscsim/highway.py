@@ -12,7 +12,7 @@ from numbers import Integral, Real
 import numpy as np
 
 from .channel import DEFAULT_ALPHA, DEFAULT_P_OVER_N0_DB, link_snr, secrecy_bits
-from .units import db_to_linear, kmh_to_ms
+from .units import db_to_linear, kmh_to_ms, require_finite, require_positive
 
 # Source shift, in meters, that the perturbation study is calibrated for.
 CALIBRATED_DELTA = 5.0
@@ -52,24 +52,21 @@ class HighwayWorld:
             value = getattr(self, f.name)
             if f.type == "int" and (isinstance(value, bool) or not isinstance(value, Integral)):
                 raise ValueError(f"{f.name} must be an integer, got {value!r}")
-            if f.type == "float" and not (isinstance(value, Real) and math.isfinite(value)):
-                raise ValueError(f"{f.name} must be a finite number, got {value!r}")
+            if f.type == "float" and not isinstance(value, Real):
+                raise ValueError(f"{f.name} must be a number, got {value!r}")
         if self.n_nodes < 2:
             raise ValueError(f"n_nodes must be >= 2, got {self.n_nodes!r}")
         if not 1 <= self.n_sources < self.n_nodes:
             raise ValueError("n_sources must be >= 1 and leave at least one target")
-        if self.lanes < 1 or self.lane_width <= 0.0 or self.length <= 0.0:
-            raise ValueError("road geometry must be positive")
-        if self.duration <= 0.0 or self.dt <= 0.0 or self.speed_redraw_period <= 0.0:
-            raise ValueError("duration, dt, and redraw period must be > 0")
+        require_positive(lanes=self.lanes, lane_width=self.lane_width, length=self.length,
+                         duration=self.duration, dt=self.dt, speed_redraw_period=self.speed_redraw_period,
+                         max_speed_kmh=self.max_speed_kmh, alpha=self.alpha,
+                         eavesdropper_range=self.eavesdropper_range, obu_range=self.obu_range)
+        require_finite(p_over_n0_db=self.p_over_n0_db)
         if self.duration / self.dt <= 0.5:  # rounds to zero steps
             raise ValueError("duration must cover at least one dt step")
         if not math.isfinite(self.duration / self.dt):
             raise ValueError("duration / dt overflows: the step count is not finite")
-        if self.max_speed_kmh <= 0.0:
-            raise ValueError(f"max_speed_kmh must be > 0, got {self.max_speed_kmh!r}")
-        if self.alpha <= 0.0 or self.eavesdropper_range <= 0.0 or self.obu_range <= 0.0:
-            raise ValueError("alpha, eavesdropper_range, and obu_range must be > 0")
 
 
 @dataclass
@@ -177,7 +174,6 @@ def run_highway_experiment(world: HighwayWorld) -> HighwayRunResult:
     """Step the world and log each source's nearest-neighbor link."""
     rng = np.random.default_rng(world.seed)
     n = world.n_nodes
-    node_ids = [f"n{i:02d}" for i in range(n)]
     lanes = rng.integers(0, world.lanes, n)
     ys = (lanes + 0.5) * world.lane_width
     xs = rng.uniform(0.0, world.length, n)
@@ -195,6 +191,8 @@ def run_highway_experiment(world: HighwayWorld) -> HighwayRunResult:
     all_xs = positions[:, :, 0]
     target_idx, dists = _nearest_links(all_xs, ys, all_xs[:, : world.n_sources], world.obu_range)
     secr = _link_secrecy(world, dists)
+    # After the arrays, which numpy refuses at once for an impossible n_nodes.
+    node_ids = [f"n{i:02d}" for i in range(n)]
     return HighwayRunResult(world, node_ids, times, positions, target_idx, dists, secr)
 
 

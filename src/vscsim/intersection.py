@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import DEFAULT_ALPHA, DEFAULT_P_OVER_N0_DB, capacity_bits, link_snr
-from .units import Point2D, db_to_linear, kmh_to_ms
+from .units import Point2D, db_to_linear, kmh_to_ms, require_finite, require_non_negative, require_positive
 
 # A capacity sample counts as "nearly zero" below this fraction of the
 # run's peak capacity.
@@ -41,8 +41,7 @@ class Trajectory:
     def __post_init__(self) -> None:
         if len(self.waypoints) < 1:
             raise ValueError("trajectory needs at least one waypoint")
-        if self.speed < 0.0:
-            raise ValueError(f"speed must be >= 0, got {self.speed!r}")
+        require_non_negative(speed=self.speed)
         if self.speed > self.speed_limit:
             raise ValueError(
                 f"speed {self.speed!r} exceeds speed limit {self.speed_limit!r}"
@@ -56,8 +55,8 @@ class Trajectory:
         )
 
     def position(self, t: float) -> Point2D:
-        if t < 0.0:
-            raise ValueError(f"t must be >= 0, got {t!r}")
+        if not 0.0 <= t < math.inf:
+            raise ValueError(f"t must be finite and >= 0, got {t!r}")
         s = min(self.speed * t, self.path_length)
         pts = self.waypoints
         for a, b in zip(pts, pts[1:]):
@@ -162,12 +161,12 @@ def run_intersection_case(
     lane_offset: float = LANE_OFFSET,
 ) -> IntersectionResult:
     """Sample distance and link capacity at dt steps over the host's run."""
-    if dt <= 0.0:
-        raise ValueError(f"dt must be > 0, got {dt!r}")
+    require_positive(dt=dt, speed_kmh=speed_kmh, alpha=alpha)
     case = make_case(case_id, speed_kmh, host_span, target_span, lane_offset)
     c = db_to_linear(p_over_n0_db)
-    duration = case.host.path_length / case.host.speed
-    n_steps = int(math.floor(duration / dt + 1e-9))
+    steps = case.host.path_length / case.host.speed / dt
+    require_finite(step_count=steps)
+    n_steps = int(math.floor(steps + 1e-9))
     times = np.arange(n_steps + 1) * dt
     dists = np.empty(times.shape)
     for i, t in enumerate(times):
@@ -176,6 +175,13 @@ def run_intersection_case(
         dists[i] = math.hypot(hp.x - tp.x, hp.y - tp.y)
     caps = capacity_bits(link_snr(c, dists, alpha))
     peak = float(np.max(caps))
+    try:
+        cutoff = _cutoff_distance(c, alpha, peak)
+    except ZeroDivisionError:
+        raise ValueError(f"p_over_n0_db {p_over_n0_db!r} is too low: the near-zero threshold "
+                         f"of the peak capacity {peak!r} rounds to 0") from None
+    except OverflowError:  # the cutoff lies past the float range
+        cutoff = math.inf
     near = caps < NEAR_ZERO_FRACTION * peak
     return IntersectionResult(
         case_id=case_id,
@@ -187,5 +193,5 @@ def run_intersection_case(
         capacities=caps,
         near_zero=near,
         peak_capacity=peak,
-        cutoff_distance=_cutoff_distance(c, alpha, peak),
+        cutoff_distance=cutoff,
     )

@@ -6,7 +6,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .units import Point2D
+from .units import Point2D, require_finite, require_non_negative, require_positive
 
 
 def braking_distance(v0: float, t_react: float, t_system: float, t_rise: float, a_max: float) -> float:
@@ -15,10 +15,8 @@ def braking_distance(v0: float, t_react: float, t_system: float, t_rise: float, 
     v0*(t_react + t_system + t_rise/2) + v0^2 / (2*a_max).  The rise
     interval counts at half weight because deceleration ramps up over it.
     """
-    if v0 < 0.0 or t_react < 0.0 or t_system < 0.0 or t_rise < 0.0:
-        raise ValueError("speed and delay terms must be >= 0")
-    if a_max <= 0.0:
-        raise ValueError(f"a_max must be > 0, got {a_max!r}")
+    require_non_negative(v0=v0, t_react=t_react, t_system=t_system, t_rise=t_rise)
+    require_positive(a_max=a_max)
     return v0 * (t_react + t_system + 0.5 * t_rise) + v0 * v0 / (2.0 * a_max)
 
 
@@ -28,17 +26,14 @@ def safety_distance(v1: float, v2: float, a1: float, a2: float, tau: float) -> f
     v1*tau + v1^2/(2*a1) - v2^2/(2*a2).  The value is a signed margin and
     may be negative when the lead vehicle out-brakes the follower.
     """
-    if v1 < 0.0 or v2 < 0.0 or tau < 0.0:
-        raise ValueError("speeds and tau must be >= 0")
-    if a1 <= 0.0 or a2 <= 0.0:
-        raise ValueError("decelerations must be > 0")
+    require_non_negative(v1=v1, v2=v2, tau=tau)
+    require_positive(a1=a1, a2=a2)
     return v1 * tau + v1 * v1 / (2.0 * a1) - v2 * v2 / (2.0 * a2)
 
 
 def coupled_distance(v: float, tau: float) -> float:
     """Legitimate-link distance implied by speed and headway time, d = v*tau."""
-    if v < 0.0 or tau < 0.0:
-        raise ValueError("v and tau must be >= 0")
+    require_non_negative(v=v, tau=tau)
     return v * tau
 
 
@@ -52,9 +47,7 @@ class VehicleState:
     vin: str = ""
 
     def __post_init__(self) -> None:
-        vx, vy = self.velocity
-        if not (math.isfinite(vx) and math.isfinite(vy)):
-            raise ValueError(f"velocity must be finite, got {self.velocity!r}")
+        require_finite(vx=self.velocity[0], vy=self.velocity[1])
 
     @property
     def speed(self) -> float:

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 from .channel import ChannelParams, secrecy_bits
 from .kinematics import coupled_distance
+from .units import require_non_negative, require_positive
 
 
 def _snr(params: ChannelParams, d: float) -> float:
@@ -38,10 +39,8 @@ class HighwayScenario:
     tau: float
 
     def __post_init__(self) -> None:
-        if self.r <= 0.0:
-            raise ValueError(f"eavesdropper range r must be > 0, got {self.r!r}")
-        if self.v < 0.0 or self.tau < 0.0:
-            raise ValueError("v and tau must be >= 0")
+        require_positive(r=self.r)
+        require_non_negative(v=self.v, tau=self.tau)
 
 
 def highway_secrecy(s: HighwayScenario) -> float:
@@ -70,12 +69,8 @@ class UrbanScenario:
     eavesdropper: str = "fixed"
 
     def __post_init__(self) -> None:
-        if self.lane_width_w <= 0.0:
-            raise ValueError(f"lane width must be > 0, got {self.lane_width_w!r}")
-        if self.v_limit < 0.0 or self.t < 0.0:
-            raise ValueError("v_limit and t must be >= 0")
-        if self.r0 <= 0.0:
-            raise ValueError(f"r0 must be > 0, got {self.r0!r}")
+        require_positive(lane_width_w=self.lane_width_w, r0=self.r0)
+        require_non_negative(v_limit=self.v_limit, t=self.t)
         if self.eavesdropper not in ("fixed", "moving"):
             raise ValueError(f"eavesdropper must be 'fixed' or 'moving', got {self.eavesdropper!r}")
 
@@ -130,17 +125,10 @@ class RelayScenario:
     bandwidth_hz: float = 1.0
 
     def __post_init__(self) -> None:
-        if self.p_a <= 0.0:
-            raise ValueError(f"source power must be > 0, got {self.p_a!r}")
-        if self.p_r < 0.0:
-            raise ValueError(f"relay power must be >= 0, got {self.p_r!r}")
-        for name in ("h_ab_sq", "h_rb_sq", "h_ae_sq", "h_re_sq"):
-            if getattr(self, name) < 0.0:
-                raise ValueError(f"{name} must be >= 0")
-        if self.sigma_b_sq <= 0.0 or self.sigma_e_sq <= 0.0:
-            raise ValueError("noise powers must be > 0")
-        if self.bandwidth_hz <= 0.0:
-            raise ValueError(f"bandwidth must be > 0, got {self.bandwidth_hz!r}")
+        require_positive(p_a=self.p_a, sigma_b_sq=self.sigma_b_sq, sigma_e_sq=self.sigma_e_sq,
+                         bandwidth_hz=self.bandwidth_hz)
+        require_non_negative(p_r=self.p_r, h_ab_sq=self.h_ab_sq, h_rb_sq=self.h_rb_sq,
+                             h_ae_sq=self.h_ae_sq, h_re_sq=self.h_re_sq)
 
 
 def relay_secrecy(s: RelayScenario) -> float:

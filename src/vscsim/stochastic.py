@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import ChannelParams, FadingModel, link_snr, sample_fading, secrecy_bits
-from .units import Point2D, distance
+from .units import Point2D, distance, require_non_negative, require_positive
 
 COLLUDING = "colluding"
 NON_COLLUDING = "non-colluding"
@@ -23,8 +23,7 @@ def poisson_pmf(n: int, lam: float) -> float:
     """P[N = n] for N ~ Poisson(lam)."""
     if n < 0 or n != int(n):
         raise ValueError(f"n must be a non-negative integer, got {n!r}")
-    if lam < 0.0:
-        raise ValueError(f"lam must be >= 0, got {lam!r}")
+    require_non_negative(lam=lam)
     if lam == 0.0:
         return 1.0 if n == 0 else 0.0
     # exp-log form avoids overflow in lam**n / n! for large n
@@ -41,8 +40,7 @@ class Rect:
     y_max: float
 
     def __post_init__(self) -> None:
-        if self.x_max <= self.x_min or self.y_max <= self.y_min:
-            raise ValueError("rectangle must have positive extent on both axes")
+        require_positive(width=self.x_max - self.x_min, height=self.y_max - self.y_min)
 
     @property
     def area(self) -> float:
@@ -51,8 +49,7 @@ class Rect:
 
 def square_region(center: Point2D, area_m2: float) -> Rect:
     """Square of the given area centered on a point, the default field region."""
-    if area_m2 <= 0.0:
-        raise ValueError(f"area must be > 0, got {area_m2!r}")
+    require_positive(area_m2=area_m2)
     half = 0.5 * math.sqrt(area_m2)
     return Rect(center.x - half, center.y - half, center.x + half, center.y + half)
 
@@ -72,10 +69,8 @@ class PppField:
 
 def sample_field(lam: float, region: Rect, seed, ref_area_m2: float = 1000.0) -> PppField:
     """Draw a field: count ~ Poisson(lam * area / ref_area), positions uniform."""
-    if lam < 0.0:
-        raise ValueError(f"lam must be >= 0, got {lam!r}")
-    if ref_area_m2 <= 0.0:
-        raise ValueError(f"ref_area_m2 must be > 0, got {ref_area_m2!r}")
+    require_non_negative(lam=lam)
+    require_positive(ref_area_m2=ref_area_m2)
     rng = np.random.default_rng(seed)
     n = int(rng.poisson(lam * region.area / ref_area_m2))
     xs = rng.uniform(region.x_min, region.x_max, n)
@@ -140,10 +135,8 @@ class ErgodicConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.mean_power_budget <= 0.0:
-            raise ValueError("mean_power_budget must be > 0")
-        if self.sigma_b_sq <= 0.0 or self.sigma_e_sq <= 0.0:
-            raise ValueError("noise powers must be > 0")
+        require_positive(mean_power_budget=self.mean_power_budget, sigma_b_sq=self.sigma_b_sq,
+                         sigma_e_sq=self.sigma_e_sq)
         if self.sample_count < 1:
             raise ValueError("sample_count must be >= 1")
 

@@ -26,7 +26,7 @@ from .stochastic import (
     sample_field,
     square_region,
 )
-from .units import Point2D, db_to_linear, distance, kmh_to_ms
+from .units import Point2D, db_to_linear, distance, kmh_to_ms, require_positive
 
 SWEEP_SCENARIOS = {
     "highway": HighwayScenario,
@@ -146,8 +146,7 @@ def run_ppp_distance_curve(
     r_min = min(distance(host, p) for p in field.points)
     rows = []
     for frac in d_fracs:
-        if not 0.0 < frac:
-            raise ValueError(f"distance fractions must be > 0, got {frac!r}")
+        require_positive(d_frac=frac)
         d = frac * r_min
         target = Point2D(d, 0.0)
         rows.append(
@@ -175,8 +174,7 @@ def run_ppp_field_dump(
     seed,
 ) -> TableData:
     """Per-eavesdropper positions and pair secrecy for one sampled field."""
-    if target_distance_m <= 0.0:
-        raise ValueError(f"target distance must be > 0, got {target_distance_m!r}")
+    require_positive(target_distance_m=target_distance_m)
     host = Point2D(0.0, 0.0)
     field = sample_field(lam, square_region(host, region_area_m2), seed, ref_area_m2)
     params = ChannelParams(p_over_n0, alpha)

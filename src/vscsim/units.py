@@ -8,6 +8,7 @@ so the converters here are the single place those units are handled.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 __all__ = [
@@ -20,14 +21,39 @@ __all__ = [
 ]
 
 
+_FLOAT_MAX = sys.float_info.max  # an int past it is not finite either
+
+
+def require_positive(**values: float) -> None:
+    """Raise ValueError naming the first value that is not finite and > 0."""
+    for name, value in values.items():
+        if not 0.0 < value <= _FLOAT_MAX:
+            raise ValueError(f"{name} must be finite and > 0, got {value!r}")
+
+
+def require_non_negative(**values: float) -> None:
+    """Raise ValueError naming the first value that is not finite and >= 0."""
+    for name, value in values.items():
+        if not 0.0 <= value <= _FLOAT_MAX:
+            raise ValueError(f"{name} must be finite and >= 0, got {value!r}")
+
+
+def require_finite(**values: float) -> None:
+    """Raise ValueError naming the first value that is not finite; any sign."""
+    for name, value in values.items():
+        if not -_FLOAT_MAX <= value <= _FLOAT_MAX:
+            raise ValueError(f"{name} must be finite, got {value!r}")
+
+
 def db_to_linear(value_db: float) -> float:
-    """Convert a decibel power ratio to a linear ratio, 10^(dB/10)."""
-    if not math.isfinite(value_db):
-        raise ValueError(f"decibel value must be finite, got {value_db!r}")
+    """Convert a decibel power ratio to a linear ratio, 10^(dB/10), which must be finite and > 0."""
     try:
-        return 10.0 ** (value_db / 10.0)
+        ratio = 10.0 ** (value_db / 10.0)
     except OverflowError:
-        raise ValueError(f"decibel value {value_db!r} overflows as a linear ratio") from None
+        ratio = math.inf
+    if not 0.0 < ratio < math.inf:
+        raise ValueError(f"decibel value {value_db!r} gives no finite linear ratio > 0")
+    return ratio
 
 
 def linear_to_db(ratio: float) -> float:
@@ -39,15 +65,13 @@ def linear_to_db(ratio: float) -> float:
 
 def kmh_to_ms(speed_kmh: float) -> float:
     """Convert km/h to m/s."""
-    if not math.isfinite(speed_kmh) or speed_kmh < 0.0:
-        raise ValueError(f"speed must be finite and >= 0, got {speed_kmh!r}")
+    require_non_negative(speed_kmh=speed_kmh)
     return speed_kmh / 3.6
 
 
 def ms_to_kmh(speed_ms: float) -> float:
     """Convert m/s to km/h."""
-    if not math.isfinite(speed_ms) or speed_ms < 0.0:
-        raise ValueError(f"speed must be finite and >= 0, got {speed_ms!r}")
+    require_non_negative(speed_ms=speed_ms)
     return speed_ms * 3.6
 
 

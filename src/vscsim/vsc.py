@@ -15,7 +15,7 @@ from pathlib import Path
 from typing import Iterable, Sequence
 
 from .channel import secrecy_bits
-from .units import db_to_linear, linear_to_db
+from .units import db_to_linear, linear_to_db, require_positive
 
 ADEQUATE = "adequate"
 INADEQUATE = "inadequate"
@@ -108,8 +108,7 @@ def windowed_stream(
     nothing.  Out-of-order timestamps are rejected rather than silently
     re-sorted.
     """
-    if unit_time <= 0.0:
-        raise ValueError(f"unit_time must be > 0, got {unit_time!r}")
+    require_positive(unit_time=unit_time)
     for prev, cur in zip(records, records[1:]):
         if cur.timestamp < prev.timestamp:
             raise ValueError(

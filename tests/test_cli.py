@@ -1,7 +1,9 @@
+import copy
 import json
 
 import pytest
 
+from vscsim import cli
 from vscsim.cli import main
 from vscsim.presets import list_presets
 from vscsim.tables import read_csv
@@ -130,6 +132,65 @@ def test_validate_and_run_agree_on_float_seed(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.count("error: $.seed: 0.0 is not of type 'integer'") == 2
     assert "Traceback" not in err
+
+
+# One config per experiment that reads a dB value, with the path where
+# validation reports it.
+DB_CASES = {
+    "intersection": ({"experiment": "intersection", "params": {"case": 1}}, "$.params.p_over_n0_db"),
+    "highway_cluster": (
+        {"experiment": "highway_cluster", "params": {"n_nodes": 6, "duration_s": 1.0}},
+        "$.params.p_over_n0_db",
+    ),
+    "ppp": ({"experiment": "ppp", "params": {}}, "$.params.p_over_n0_db"),
+    "sweep": (GOOD_DOC, "$.params.base.p_over_n0_db"),
+    "sweep-grid": (
+        {
+            "experiment": "sweep",
+            "params": {"kind": "highway", "base": {"r": 1000.0, "v": 20.0, "tau": 0.2, "alpha": 1.4},
+                       "param": "p_over_n0_db", "grid": [], "unit": "db"},
+        },
+        "$.params.grid[0]",
+    ),
+}
+
+
+@pytest.mark.parametrize("db", [3000.0, 4000.0, -4000.0])
+@pytest.mark.parametrize("case", DB_CASES)
+def test_validate_and_run_agree_on_the_db_range(tmp_path, capsys, case, db):
+    doc, path = copy.deepcopy(DB_CASES[case])
+    if case == "sweep-grid":
+        doc["params"]["grid"] = [db]
+    elif case == "sweep":
+        doc["params"]["base"]["p_over_n0_db"] = db
+    else:
+        doc["params"]["p_over_n0_db"] = db
+    cfg = _write_cfg(tmp_path, doc)
+    codes = main(["validate", str(cfg)]), main(["run", "--config", str(cfg), "--out", str(tmp_path)])
+    err = capsys.readouterr().err
+    if db == 3000.0:
+        assert codes == (0, 0)
+        assert err == ""
+    else:
+        # 10**(+-400) leaves the float range: reported by both, never raised
+        assert codes == (1, 1)
+        assert err.count(f"error: {path}: decibel value {db!r} gives no finite linear ratio > 0") == 2
+
+
+def test_run_reports_an_impossible_fleet_size(tmp_path, capsys):
+    cfg = _write_cfg(tmp_path, {"experiment": "highway_cluster", "params": {"n_nodes": 10**400}})
+    assert main(["run", "--config", str(cfg), "--out", str(tmp_path)]) == 1
+    assert capsys.readouterr().err == "error: Maximum allowed dimension exceeded\n"
+
+
+@pytest.mark.parametrize("exc, line", [(MemoryError(), "MemoryError"), (MemoryError("no room"), "no room")])
+def test_run_reports_memory_error(tmp_path, capsys, monkeypatch, exc, line):
+    def out_of_memory(config, out_dir=None):
+        raise exc
+
+    monkeypatch.setattr(cli, "run", out_of_memory)
+    assert main(["preset", "fig5", "--out", str(tmp_path)]) == 1
+    assert capsys.readouterr().err == f"error: {line}\n"
 
 
 def test_entry_point_installed():

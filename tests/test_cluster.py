@@ -1,4 +1,5 @@
 import hashlib
+import math
 
 import numpy as np
 import pytest
@@ -357,6 +358,46 @@ def test_form_cluster_errors():
         form_cluster([], rsc=1.0, secondary_rsc=2.0)
     with pytest.raises(ValueError):
         form_cluster([_candidate("a", 1.0), _candidate("a", 2.0)], 1.0, 0.5)
+
+
+@pytest.mark.parametrize(
+    "rsc, secondary_rsc, field",
+    [
+        (math.nan, 1.0, "rsc"),
+        (math.inf, 1.0, "rsc"),
+        (2.0, math.nan, "secondary_rsc"),
+        (2.0, -math.inf, "secondary_rsc"),
+    ],
+)
+def test_form_cluster_rejects_non_finite_thresholds(rsc, secondary_rsc, field):
+    # a NaN rsc would put every candidate that clears the secondary
+    # threshold in the pseudo set and save a bare NaN to the history
+    with pytest.raises(ValueError, match=f"^{field} must be finite"):
+        form_cluster([_candidate("a", 1.5)], rsc=rsc, secondary_rsc=secondary_rsc)
+
+
+@pytest.mark.parametrize("rsc", [math.nan, math.inf, -math.inf])
+def test_negotiate_rejects_non_finite_rsc(rsc):
+    link = _link()
+    with pytest.raises(ValueError, match="^rsc must be finite"):
+        rsc_negotiate(WINDOW, rsc, KNOBS, link)
+    assert link.scenario.v == pytest.approx(80.0 / 3.6)
+
+
+@pytest.mark.parametrize("threshold", [math.nan, math.inf, -math.inf])
+def test_consensus_rejects_non_finite_threshold(threshold):
+    with pytest.raises(ValueError, match="^threshold must be finite"):
+        select_consensus_candidates([("a", 3.0)], threshold)
+
+
+def test_thresholds_may_be_negative():
+    state, pseudo = form_cluster(
+        [_candidate("a", -0.5), _candidate("b", -1.5), _candidate("c", -3.0)], rsc=-1.0, secondary_rsc=-2.0
+    )
+    assert state.member_ids == {"a"}
+    assert pseudo == {"b"}
+    assert select_consensus_candidates([("a", -0.5), ("b", -1.5)], -1.0) == ["a"]
+    assert rsc_negotiate(WINDOW, -1e3, KNOBS, _link()).connected
 
 
 def test_history_round_trip(tmp_path):

@@ -7,18 +7,33 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from vscsim.channel import ChannelParams, fading_secrecy_pair
+from vscsim.channel import (
+    ChannelParams,
+    FadingModel,
+    fading_secrecy_pair,
+    gaussian_wiretap_secrecy,
+    path_loss_coeff_sq,
+    shannon_capacity,
+)
 from vscsim.cluster import (
+    RelayOption,
+    SecrecyKnobs,
     VehicleIdentity,
     chain_element,
     identity_is_valid,
     make_identity,
     make_identity_exchange,
+    select_consensus_candidates,
     validate_identity,
     verify_identity_exchange,
 )
+from vscsim.intersection import run_intersection_case
+from vscsim.kinematics import braking_distance, coupled_distance, safety_distance
+from vscsim.scenarios import HighwayScenario, RelayScenario, UrbanScenario
+from vscsim.stochastic import ErgodicConfig, Rect, poisson_pmf
+from vscsim.sweeps import run_ppp_field_dump
 from vscsim.units import db_to_linear, kmh_to_ms, linear_to_db, ms_to_kmh
-from vscsim.vsc import CsiRecord, compute_vsc
+from vscsim.vsc import CsiRecord, compute_vsc, windowed_stream
 
 finite_db = st.floats(min_value=-200.0, max_value=200.0, allow_nan=False)
 speeds = st.floats(min_value=0.0, max_value=500.0, allow_nan=False)
@@ -101,3 +116,80 @@ def test_identity_paths_match_the_two_walk_oracle(vin, bad_vin, length, data):
             assert identity_is_valid(ident) == want
     with pytest.raises(ValueError, match="VIN"):
         make_identity_exchange("n00", bad_vin, length, position)
+
+
+P = ChannelParams(1e7, 1.4)
+NAN, INF = math.nan, math.inf
+RECORDS = [CsiRecord(0.0, "a", 2.0), CsiRecord(0.5, "b", 3.0)]
+GAINS = {"h_rb_sq": 0.1, "h_ae_sq": 0.1, "h_re_sq": 0.1}
+
+
+def _relay(**overrides):
+    return RelayScenario(**{"p_a": 100.0, "p_r": 1.0, "h_ab_sq": 0.1, **GAINS, **overrides})
+
+
+def _field_dump(target_distance_m):
+    return run_ppp_field_dump(6.0, 1000.0, 1000.0, 1.4, 1e7, target_distance_m, seed=0)
+
+
+def _consensus(tolerance):
+    return select_consensus_candidates([("a", 3.0)], 1.0, RECORDS, tolerance=tolerance)
+
+
+# (field the message must name, call).  A NaN, infinite or zero input
+# must not come back as a number, be stored, or raise another exception;
+# the finite out-of-bound rows are the plain bounds.
+RANGE_PROBES = [
+    pytest.param("r", lambda: HighwayScenario(P, NAN, 10.0, 0.2), id="HighwayScenario(r=nan)"),
+    pytest.param("r", lambda: HighwayScenario(P, INF, 10.0, 0.2), id="HighwayScenario(r=inf)"),
+    pytest.param("r", lambda: HighwayScenario(P, -1.0, 10.0, 0.2), id="HighwayScenario(r=-1)"),
+    pytest.param("v", lambda: HighwayScenario(P, 1000.0, NAN, 0.2), id="HighwayScenario(v=nan)"),
+    pytest.param("t", lambda: UrbanScenario(P, 3.0, 10.0, NAN, 20.0), id="UrbanScenario(t=nan)"),
+    pytest.param("p_r", lambda: _relay(p_r=NAN), id="RelayScenario(p_r=nan)"),
+    pytest.param("h_ab_sq", lambda: _relay(h_ab_sq=INF), id="RelayScenario(h_ab_sq=inf)"),
+    pytest.param("v0", lambda: braking_distance(NAN, 1, 1, 1, 1), id="braking_distance(v0=nan)"),
+    pytest.param("v1", lambda: safety_distance(NAN, 1.0, 1.0, 1.0, 1.0),
+                 id="safety_distance(v1=nan)"),
+    pytest.param("a1", lambda: safety_distance(10.0, 10.0, 0.0, 1.0, 1.0),
+                 id="safety_distance(a1=0)"),
+    pytest.param("v", lambda: coupled_distance(NAN, 1.0), id="coupled_distance(v=nan)"),
+    pytest.param("mean_power_budget", lambda: ErgodicConfig(NAN), id="ErgodicConfig(budget=nan)"),
+    pytest.param("sigma_b_sq", lambda: ErgodicConfig(1.0, sigma_b_sq=0.0),
+                 id="ErgodicConfig(sigma_b_sq=0)"),
+    pytest.param("k", lambda: FadingModel.rician(NAN), id="rician(k=nan)"),
+    pytest.param("m", lambda: FadingModel.nakagami(NAN), id="nakagami(m=nan)"),
+    pytest.param("bandwidth_hz", lambda: shannon_capacity(NAN, 1.0), id="shannon_capacity(nan)"),
+    pytest.param("power", lambda: gaussian_wiretap_secrecy(NAN, 1, 1),
+                 id="gaussian_wiretap_secrecy(nan)"),
+    pytest.param("distance_m", lambda: path_loss_coeff_sq(NAN, 1.4), id="path_loss_coeff_sq(nan)"),
+    pytest.param("h_ab_sq", lambda: fading_secrecy_pair(P, NAN, 1.0),
+                 id="fading_secrecy_pair(nan)"),
+    pytest.param("width", lambda: Rect(NAN, 0, 10, 10), id="Rect(x_min=nan)"),
+    pytest.param("height", lambda: Rect(0, 10, 10, 0), id="Rect(flipped y)"),
+    pytest.param("lam", lambda: poisson_pmf(2, NAN), id="poisson_pmf(lam=nan)"),
+    pytest.param("lam", lambda: poisson_pmf(2, -1.0), id="poisson_pmf(lam=-1)"),
+    pytest.param("alpha", lambda: run_intersection_case(1, alpha=NAN),
+                 id="intersection(alpha=nan)"),
+    pytest.param("speed_kmh", lambda: run_intersection_case(1, speed_kmh=0.0),
+                 id="intersection(speed_kmh=0)"),
+    pytest.param("dt", lambda: run_intersection_case(1, dt=-0.1), id="intersection(dt=-0.1)"),
+    pytest.param("target_distance_m", lambda: _field_dump(NAN), id="ppp_field_dump(target=nan)"),
+    pytest.param("target_distance_m", lambda: _field_dump(-1.0), id="ppp_field_dump(target=-1)"),
+    pytest.param("speed_step", lambda: SecrecyKnobs(NAN, 1.0), id="SecrecyKnobs(speed_step=nan)"),
+    pytest.param("power_step_db", lambda: SecrecyKnobs(1.0, -3.0),
+                 id="SecrecyKnobs(power_step_db=-3)"),
+    pytest.param("p_r", lambda: RelayOption(NAN, 1, 1), id="RelayOption(p_r=nan)"),
+    pytest.param("h_rb_sq", lambda: RelayOption(1.0, -0.5, 1.0), id="RelayOption(h_rb_sq=-0.5)"),
+    pytest.param("tolerance", lambda: _consensus(NAN), id="consensus(tolerance=nan)"),
+    pytest.param("tolerance", lambda: _consensus(-0.1), id="consensus(tolerance=-0.1)"),
+    pytest.param("unit_time", lambda: windowed_stream(RECORDS, unit_time=NAN),
+                 id="windowed_stream(unit_time=nan)"),
+    pytest.param("unit_time", lambda: windowed_stream(RECORDS, unit_time=0.0),
+                 id="windowed_stream(unit_time=0)"),
+]
+
+
+@pytest.mark.parametrize("field, call", RANGE_PROBES)
+def test_out_of_range_inputs_raise_value_error_naming_the_field(field, call):
+    with pytest.raises(ValueError, match=rf"^{field} must be finite"):
+        call()

@@ -149,6 +149,26 @@ def test_intersection_rejects_bad_dt():
         run_intersection_case(1, dt=0.0)
 
 
+def test_intersection_rejects_overflowing_step_count():
+    # the host path is 2e308 m long: an infinite step count
+    with pytest.raises(ValueError, match="^step_count must be finite"):
+        run_intersection_case(1, host_span=(-1e308, 1e308))
+
+
+@pytest.mark.parametrize("p_over_n0_db", [-400.0, -100.0])
+def test_intersection_rejects_power_too_low_for_a_cutoff(p_over_n0_db):
+    # At -400 dB every capacity rounds to 0.  At -100 dB the peak is about
+    # 3e-14 bits, and its near-zero threshold still rounds to an SNR of 0.
+    with pytest.raises(ValueError, match="^p_over_n0_db"):
+        run_intersection_case(1, p_over_n0_db=p_over_n0_db)
+
+
+def test_intersection_cutoff_past_the_float_range_is_inf():
+    res = run_intersection_case(1, alpha=1e-3)
+    assert res.cutoff_distance == math.inf
+    assert not np.any(res.near_zero)
+
+
 def _small_world(**kw):
     defaults = dict(duration=5.0, seed=3)
     defaults.update(kw)
@@ -265,6 +285,7 @@ def test_highway_world_validation():
         ("obu_range", math.nan),
         ("p_over_n0_db", math.inf),
         ("lane_width", "10"),
+        ("length", 10**400),
     ],
 )
 def test_highway_world_rejects_wrong_types_and_non_finite(field, value):
@@ -277,6 +298,12 @@ def test_highway_world_rejects_zero_step_runs(duration):
     with pytest.raises(ValueError, match="duration must cover at least one dt step"):
         HighwayWorld(duration=duration, dt=0.1)
     assert run_highway_experiment(HighwayWorld(duration=0.06, dt=0.1)).times.size == 1
+
+
+def test_highway_refuses_an_impossible_fleet_at_once():
+    # numpy refuses the position arrays before any per-node Python work
+    with pytest.raises(ValueError, match="Maximum allowed dimension exceeded"):
+        run_highway_experiment(HighwayWorld(n_nodes=10**400))
 
 
 def test_highway_world_rejects_overflowing_step_count():
