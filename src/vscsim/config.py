@@ -21,7 +21,7 @@ from .channel import DEFAULT_ALPHA, DEFAULT_P_OVER_N0_DB
 from .highway import CALIBRATED_DELTA, HighwayWorld, run_perturbation_study
 from .intersection import run_intersection_case
 from .sweeps import GRID_UNITS, SWEEP_FIELDS
-from .units import db_to_linear
+from .units import db_to_linear, is_finite
 
 EXPERIMENTS = ("sweep", "intersection", "highway_cluster", "perturbation", "ppp")
 
@@ -241,13 +241,6 @@ def _is_number(value) -> bool:
     return isinstance(value, Real) and not isinstance(value, bool)
 
 
-def _is_finite(value) -> bool:
-    try:
-        return math.isfinite(value)
-    except OverflowError:  # an int past the float range
-        return False
-
-
 def _decibel_error(value) -> str | None:
     """db_to_linear's message for a value it refuses, else None."""
     try:
@@ -265,7 +258,7 @@ _Validator = jsonschema.validators.extend(
     type_checker=jsonschema.Draft202012Validator.TYPE_CHECKER.redefine_many(
         {
             "integer": lambda _, value: isinstance(value, int) and not isinstance(value, bool),
-            "number": lambda _, value: _is_number(value) and _is_finite(value),
+            "number": lambda _, value: _is_number(value) and is_finite(value),
             "decibel": lambda _, value: _is_number(value) and _decibel_error(value) is None,
         }
     ),
@@ -282,7 +275,7 @@ def _schema_errors(instance, schema, prefix: str, bad_keys: set | None = None) -
             f"[{p}]" if isinstance(p, int) else f".{p}" for p in err.absolute_path
         )
         message = err.message
-        if err.validator == "type" and _is_number(err.instance) and not _is_finite(err.instance):
+        if err.validator == "type" and _is_number(err.instance) and not is_finite(err.instance):
             message = "must be a finite number"
         elif err.validator == "type" and err.validator_value == "decibel" and _is_number(err.instance):
             message = _decibel_error(err.instance)

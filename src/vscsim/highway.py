@@ -12,7 +12,7 @@ from numbers import Integral, Real
 import numpy as np
 
 from .channel import DEFAULT_ALPHA, DEFAULT_P_OVER_N0_DB, link_snr, secrecy_bits
-from .units import db_to_linear, kmh_to_ms, require_finite, require_positive
+from .units import db_to_linear, kmh_to_ms, require_positive
 
 # Source shift, in meters, that the perturbation study is calibrated for.
 CALIBRATED_DELTA = 5.0
@@ -58,11 +58,9 @@ class HighwayWorld:
             raise ValueError(f"n_nodes must be >= 2, got {self.n_nodes!r}")
         if not 1 <= self.n_sources < self.n_nodes:
             raise ValueError("n_sources must be >= 1 and leave at least one target")
-        require_positive(lanes=self.lanes, lane_width=self.lane_width, length=self.length,
-                         duration=self.duration, dt=self.dt, speed_redraw_period=self.speed_redraw_period,
-                         max_speed_kmh=self.max_speed_kmh, alpha=self.alpha,
-                         eavesdropper_range=self.eavesdropper_range, obu_range=self.obu_range)
-        require_finite(p_over_n0_db=self.p_over_n0_db)
+        floats = {f.name: getattr(self, f.name) for f in fields(self) if f.type == "float"}
+        db_to_linear(floats.pop("p_over_n0_db"), "p_over_n0_db")
+        require_positive(lanes=self.lanes, **floats)
         if self.duration / self.dt <= 0.5:  # rounds to zero steps
             raise ValueError("duration must cover at least one dt step")
         if not math.isfinite(self.duration / self.dt):

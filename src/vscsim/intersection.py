@@ -161,8 +161,9 @@ def run_intersection_case(
     lane_offset: float = LANE_OFFSET,
 ) -> IntersectionResult:
     """Sample distance and link capacity at dt steps over the host's run."""
-    require_positive(dt=dt, speed_kmh=speed_kmh, alpha=alpha)
+    require_positive(dt=dt, alpha=alpha)
     case = make_case(case_id, speed_kmh, host_span, target_span, lane_offset)
+    require_positive(speed=case.host.speed)  # in m/s, which a tiny speed_kmh rounds to 0
     c = db_to_linear(p_over_n0_db)
     steps = case.host.path_length / case.host.speed / dt
     require_finite(step_count=steps)

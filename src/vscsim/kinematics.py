@@ -47,7 +47,8 @@ class VehicleState:
     vin: str = ""
 
     def __post_init__(self) -> None:
-        require_finite(vx=self.velocity[0], vy=self.velocity[1])
+        vx, vy = self.velocity
+        require_finite(vx=vx, vy=vy)
 
     @property
     def speed(self) -> float:

@@ -38,21 +38,26 @@ def require_non_negative(**values: float) -> None:
             raise ValueError(f"{name} must be finite and >= 0, got {value!r}")
 
 
+def is_finite(value: float) -> bool:
+    """math.isfinite that answers False, not OverflowError, for an int past the float range."""
+    return -_FLOAT_MAX <= value <= _FLOAT_MAX
+
+
 def require_finite(**values: float) -> None:
     """Raise ValueError naming the first value that is not finite; any sign."""
     for name, value in values.items():
-        if not -_FLOAT_MAX <= value <= _FLOAT_MAX:
+        if not is_finite(value):
             raise ValueError(f"{name} must be finite, got {value!r}")
 
 
-def db_to_linear(value_db: float) -> float:
-    """Convert a decibel power ratio to a linear ratio, 10^(dB/10), which must be finite and > 0."""
+def db_to_linear(value_db: float, name: str = "decibel value") -> float:
+    """Decibel power ratio to linear, 10^(dB/10), finite and > 0; `name` labels it in errors."""
     try:
         ratio = 10.0 ** (value_db / 10.0)
     except OverflowError:
         ratio = math.inf
     if not 0.0 < ratio < math.inf:
-        raise ValueError(f"decibel value {value_db!r} gives no finite linear ratio > 0")
+        raise ValueError(f"{name} {value_db!r} gives no finite linear ratio > 0")
     return ratio
 
 
@@ -65,13 +70,15 @@ def linear_to_db(ratio: float) -> float:
 
 def kmh_to_ms(speed_kmh: float) -> float:
     """Convert km/h to m/s."""
-    require_non_negative(speed_kmh=speed_kmh)
+    if not math.isfinite(speed_kmh) or speed_kmh < 0.0:
+        raise ValueError(f"speed must be finite and >= 0, got {speed_kmh!r}")
     return speed_kmh / 3.6
 
 
 def ms_to_kmh(speed_ms: float) -> float:
     """Convert m/s to km/h."""
-    require_non_negative(speed_ms=speed_ms)
+    if not math.isfinite(speed_ms) or speed_ms < 0.0:
+        raise ValueError(f"speed must be finite and >= 0, got {speed_ms!r}")
     return speed_ms * 3.6
 
 

@@ -61,3 +61,14 @@ def test_vehicle_state():
     assert s.vin == ""
     idle = VehicleState("n02", Point2D(0.0, 0.0))
     assert idle.speed == 0.0
+
+
+@pytest.mark.parametrize("velocity, match", [
+    ((float("nan"), 0.0), "vx must be finite"),
+    ((0.0, float("inf")), "vy must be finite"),
+    ((1.0, 2.0, 3.0), "too many values"),
+    ((1.0,), "not enough values"),
+])
+def test_vehicle_state_takes_a_finite_planar_velocity(velocity, match):
+    with pytest.raises(ValueError, match=match):
+        VehicleState("n01", Point2D(0.0, 0.0), velocity=velocity)

@@ -170,8 +170,10 @@ RANGE_PROBES = [
     pytest.param("lam", lambda: poisson_pmf(2, -1.0), id="poisson_pmf(lam=-1)"),
     pytest.param("alpha", lambda: run_intersection_case(1, alpha=NAN),
                  id="intersection(alpha=nan)"),
-    pytest.param("speed_kmh", lambda: run_intersection_case(1, speed_kmh=0.0),
+    pytest.param("speed", lambda: run_intersection_case(1, speed_kmh=0.0),
                  id="intersection(speed_kmh=0)"),
+    pytest.param("speed", lambda: run_intersection_case(1, speed_kmh=5e-324),
+                 id="intersection(speed_kmh=5e-324)"),
     pytest.param("dt", lambda: run_intersection_case(1, dt=-0.1), id="intersection(dt=-0.1)"),
     pytest.param("target_distance_m", lambda: _field_dump(NAN), id="ppp_field_dump(target=nan)"),
     pytest.param("target_distance_m", lambda: _field_dump(-1.0), id="ppp_field_dump(target=-1)"),

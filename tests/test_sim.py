@@ -284,6 +284,8 @@ def test_highway_world_validation():
         ("alpha", -math.inf),
         ("obu_range", math.nan),
         ("p_over_n0_db", math.inf),
+        ("p_over_n0_db", 4000),
+        ("p_over_n0_db", -4000.0),
         ("lane_width", "10"),
         ("length", 10**400),
     ],
