@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .units import db_to_linear, require_non_negative, require_positive
+from .units import db_to_linear, is_finite, require_integer, require_non_negative, require_positive
 
 # Defaults used by the simulation harness when a config does not pin them.
 DEFAULT_ALPHA = 1.4
@@ -124,7 +124,7 @@ class FadingModel:
             raise ValueError(f"unknown fading model kind {self.kind!r}")
         if self.kind == "rician":
             require_non_negative(k=self.k)
-        if self.kind == "nakagami" and not 0.5 <= self.m < math.inf:
+        if self.kind == "nakagami" and not (is_finite(self.m) and self.m >= 0.5):
             raise ValueError(f"m must be finite and >= 0.5, got {self.m!r}")
 
     @classmethod
@@ -150,10 +150,9 @@ def sample_fading(model: FadingModel, seed, size: int | None = None):
     seed may be an int or a numpy Generator; a float is returned for
     size=None, otherwise an ndarray of the requested length.
     """
+    n = 1 if size is None else size
+    require_integer(1, size=n)
     rng = np.random.default_rng(seed)
-    n = 1 if size is None else int(size)
-    if n < 1:
-        raise ValueError(f"size must be >= 1, got {size!r}")
     if model.kind == "path_loss_only":
         out = np.ones(n)
     elif model.kind == "rayleigh":

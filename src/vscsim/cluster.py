@@ -19,7 +19,7 @@ from typing import Iterable, Sequence
 from .channel import path_loss_coeff_sq
 from .kinematics import coupled_distance
 from .scenarios import HighwayScenario, RelayScenario, highway_secrecy, relay_secrecy
-from .units import db_to_linear, require_finite, require_non_negative, require_positive
+from .units import db_to_linear, require_finite, require_integer, require_non_negative, require_positive
 from .vsc import CsiRecord, VscResult, window_vscs
 
 _DIGEST_SIZE = hashlib.sha256().digest_size
@@ -32,7 +32,7 @@ def _hash_times(data: bytes, times: int) -> bytes:
 
 
 def _check_type(name: str, value: object, kind: type) -> None:
-    # bool is an int subclass, but True is no chain length or position
+    # bool is an int subclass, but True is no chain position
     if not isinstance(value, kind) or isinstance(value, bool):
         raise ValueError(f"{name} must be {kind.__name__}, got {value!r}")
 
@@ -66,9 +66,7 @@ class VehicleIdentity:
         if not self.vehicle_id:
             raise ValueError("vehicle_id must be non-empty")
         _check_type("vin", self.vin, str)
-        _check_type("chain_length", self.chain_length, int)
-        if self.chain_length < 1:
-            raise ValueError(f"chain_length must be >= 1, got {self.chain_length!r}")
+        require_integer(1, chain_length=self.chain_length)
         _check_type("chain_anchor", self.chain_anchor, bytes)
         if len(self.chain_anchor) != _DIGEST_SIZE:
             raise ValueError(f"chain_anchor must be {_DIGEST_SIZE} bytes")
@@ -85,16 +83,15 @@ class VehicleIdentity:
 def make_identity(vehicle_id: str, vin: str, chain_length: int) -> VehicleIdentity:
     """Build an identity whose anchor is the VIN hashed chain_length times."""
     _check_vin(vin)
-    _check_type("chain_length", chain_length, int)
+    require_integer(1, chain_length=chain_length)
     anchor = _hash_times(vin.encode("ascii"), chain_length)
     return VehicleIdentity(vehicle_id, vin, anchor, chain_length)
 
 
 def chain_element(vin: str, position: int) -> bytes:
     """The chain value a vehicle reveals at a position: VIN hashed position times."""
-    _check_type("position", position, int)
-    if position < 0:
-        raise ValueError(f"position must be >= 0, got {position!r}")
+    _check_type("vin", vin, str)
+    require_integer(0, position=position)
     return _hash_times(vin.encode("ascii"), position)
 
 
@@ -113,7 +110,7 @@ def validate_identity(claim: VehicleIdentity, revealed_preimage: bytes, position
     exactly on the claimed anchor.
     """
     if not isinstance(revealed_preimage, (bytes, bytearray)):
-        raise TypeError("revealed_preimage must be bytes")
+        raise ValueError(f"revealed_preimage must be bytes, got {revealed_preimage!r}")
     _check_type("position", position, int)
     if not 0 <= position < claim.chain_length:
         raise ValueError(
@@ -130,7 +127,7 @@ def make_identity_exchange(vehicle_id: str, vin: str, chain_length: int, positio
     then identity, then the position range.
     """
     _check_vin(vin)
-    _check_type("chain_length", chain_length, int)
+    require_integer(1, chain_length=chain_length)
     _check_type("position", position, int)
     in_range = 0 <= position < chain_length
     # An out-of-range position walks straight to the anchor, so the
@@ -160,7 +157,7 @@ def verify_identity_exchange(doc: dict) -> bool:
         anchor = bytes.fromhex(doc["anchor_hex"])
         chain_length = doc["chain_length"]
         position = doc["position"]
-        _check_type("chain_length", chain_length, int)
+        require_integer(1, chain_length=chain_length)
         _check_type("position", position, int)
         preimage = bytes.fromhex(doc["preimage_hex"])
     except (KeyError, TypeError, ValueError) as exc:
@@ -189,8 +186,7 @@ class SecrecyKnobs:
 
     def __post_init__(self) -> None:
         require_positive(speed_step=self.speed_step, power_step_db=self.power_step_db)
-        if self.max_iterations < 1:
-            raise ValueError(f"max_iterations must be >= 1, got {self.max_iterations!r}")
+        require_integer(1, max_iterations=self.max_iterations)
 
 
 @dataclass(frozen=True)

@@ -10,7 +10,6 @@ from __future__ import annotations
 import copy
 import inspect
 import json
-import math
 from dataclasses import dataclass
 from numbers import Real
 from pathlib import Path
@@ -306,7 +305,7 @@ def validate_config(doc) -> list[str]:
             steps = merged["duration_s"] / merged["dt_s"]
             if steps <= 0.5:  # rounds to zero steps
                 errors.append("$.params.duration_s: duration must cover at least one dt step")
-            elif not math.isfinite(steps):
+            elif not is_finite(steps):
                 errors.append("$.params.duration_s: duration / dt_s overflows: the step count is not finite")
         if experiment == "perturbation":
             if merged["delta_m"] == 0:
@@ -355,8 +354,13 @@ def _sweep_extra_errors(params: dict) -> list[str]:
         if params["unit"] != "db":
             errors.append(f"$.params.unit: sweeping {param!r} needs unit 'db'")
     grid = params.get("grid", [])
-    if params["unit"] == "db":
-        errors += _schema_errors(grid, {"items": _DECIBEL}, "$.params.grid")
+    unit = params["unit"]
+    bounds = _DECIBEL if unit == "db" else _SCENARIO_FIELDS[kind].get(param)
+    if bounds is not None:
+        # The run reads a value of any other unit in SI units, where a tiny one rounds
+        # to 0; one <= 0 is checked as written (the factor keeps its sign).
+        values = grid if unit == "db" else [GRID_UNITS[unit](g) if g > 0 else g for g in grid]
+        errors += _schema_errors(values, {"items": bounds}, "$.params.grid")
     diffs = [b - a for a, b in zip(grid, grid[1:])]
     if not (all(d > 0 for d in diffs) or all(d < 0 for d in diffs)):
         errors.append("$.params.grid: must be strictly monotone")

@@ -5,14 +5,12 @@ the secrecy of that link, plus a position-perturbation study on top.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, fields
-from numbers import Integral, Real
 
 import numpy as np
 
 from .channel import DEFAULT_ALPHA, DEFAULT_P_OVER_N0_DB, link_snr, secrecy_bits
-from .units import db_to_linear, kmh_to_ms, require_positive
+from .units import db_to_linear, is_finite, kmh_to_ms, require_integer, require_positive
 
 # Source shift, in meters, that the perturbation study is calibrated for.
 CALIBRATED_DELTA = 5.0
@@ -48,22 +46,17 @@ class HighwayWorld:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if f.type == "int" and (isinstance(value, bool) or not isinstance(value, Integral)):
-                raise ValueError(f"{f.name} must be an integer, got {value!r}")
-            if f.type == "float" and not isinstance(value, Real):
-                raise ValueError(f"{f.name} must be a number, got {value!r}")
-        if self.n_nodes < 2:
-            raise ValueError(f"n_nodes must be >= 2, got {self.n_nodes!r}")
-        if not 1 <= self.n_sources < self.n_nodes:
-            raise ValueError("n_sources must be >= 1 and leave at least one target")
+        require_integer(2, n_nodes=self.n_nodes)
+        require_integer(1, n_sources=self.n_sources, lanes=self.lanes)
+        require_integer(0, seed=self.seed)
+        if self.n_sources >= self.n_nodes:
+            raise ValueError("n_sources must leave at least one target")
         floats = {f.name: getattr(self, f.name) for f in fields(self) if f.type == "float"}
         db_to_linear(floats.pop("p_over_n0_db"), "p_over_n0_db")
-        require_positive(lanes=self.lanes, **floats)
+        require_positive(**floats)
         if self.duration / self.dt <= 0.5:  # rounds to zero steps
             raise ValueError("duration must cover at least one dt step")
-        if not math.isfinite(self.duration / self.dt):
+        if not is_finite(self.duration / self.dt):
             raise ValueError("duration / dt overflows: the step count is not finite")
 
 

@@ -14,7 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import DEFAULT_ALPHA, DEFAULT_P_OVER_N0_DB, capacity_bits, link_snr
-from .units import Point2D, db_to_linear, kmh_to_ms, require_finite, require_non_negative, require_positive
+from .units import (Point2D, db_to_linear, is_finite, kmh_to_ms, require_finite, require_integer,
+                    require_non_negative, require_positive)
 
 # A capacity sample counts as "nearly zero" below this fraction of the
 # run's peak capacity.
@@ -55,7 +56,7 @@ class Trajectory:
         )
 
     def position(self, t: float) -> Point2D:
-        if not 0.0 <= t < math.inf:
+        if not (is_finite(t) and t >= 0.0):
             raise ValueError(f"t must be finite and >= 0, got {t!r}")
         s = min(self.speed * t, self.path_length)
         pts = self.waypoints
@@ -93,6 +94,7 @@ def make_case(
     the same lane (host follows at a constant gap), 6 oncoming ahead on
     the adjacent lane.
     """
+    require_integer(1, case_id=case_id)
     if case_id not in CASE_IDS:
         raise ValueError(f"case_id must be one of {CASE_IDS}, got {case_id!r}")
     if host_span[1] <= host_span[0]:

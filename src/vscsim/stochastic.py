@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import ChannelParams, FadingModel, link_snr, sample_fading, secrecy_bits
-from .units import Point2D, distance, require_non_negative, require_positive
+from .units import Point2D, distance, require_finite, require_integer, require_non_negative, require_positive
 
 COLLUDING = "colluding"
 NON_COLLUDING = "non-colluding"
@@ -21,8 +21,8 @@ NON_COLLUDING = "non-colluding"
 
 def poisson_pmf(n: int, lam: float) -> float:
     """P[N = n] for N ~ Poisson(lam)."""
-    if n < 0 or n != int(n):
-        raise ValueError(f"n must be a non-negative integer, got {n!r}")
+    require_integer(0, n=n)
+    require_finite(n=n)
     require_non_negative(lam=lam)
     if lam == 0.0:
         return 1.0 if n == 0 else 0.0
@@ -40,6 +40,7 @@ class Rect:
     y_max: float
 
     def __post_init__(self) -> None:
+        require_finite(x_min=self.x_min, y_min=self.y_min, x_max=self.x_max, y_max=self.y_max)
         require_positive(width=self.x_max - self.x_min, height=self.y_max - self.y_min)
 
     @property
@@ -137,8 +138,8 @@ class ErgodicConfig:
     def __post_init__(self) -> None:
         require_positive(mean_power_budget=self.mean_power_budget, sigma_b_sq=self.sigma_b_sq,
                          sigma_e_sq=self.sigma_e_sq)
-        if self.sample_count < 1:
-            raise ValueError("sample_count must be >= 1")
+        require_integer(1, sample_count=self.sample_count)
+        require_integer(0, seed=self.seed)
 
 
 @dataclass(frozen=True)

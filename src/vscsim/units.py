@@ -8,8 +8,8 @@ so the converters here are the single place those units are handled.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
+from numbers import Integral
 
 __all__ = [
     "db_to_linear",
@@ -21,26 +21,26 @@ __all__ = [
 ]
 
 
-_FLOAT_MAX = sys.float_info.max  # an int past it is not finite either
+def is_finite(value: float) -> bool:
+    """math.isfinite that answers False, never raises, for an int past the float range or a non-number."""
+    try:
+        return math.isfinite(value)
+    except (OverflowError, TypeError):
+        return False
 
 
 def require_positive(**values: float) -> None:
     """Raise ValueError naming the first value that is not finite and > 0."""
     for name, value in values.items():
-        if not 0.0 < value <= _FLOAT_MAX:
+        if not (is_finite(value) and value > 0.0):
             raise ValueError(f"{name} must be finite and > 0, got {value!r}")
 
 
 def require_non_negative(**values: float) -> None:
     """Raise ValueError naming the first value that is not finite and >= 0."""
     for name, value in values.items():
-        if not 0.0 <= value <= _FLOAT_MAX:
+        if not (is_finite(value) and value >= 0.0):
             raise ValueError(f"{name} must be finite and >= 0, got {value!r}")
-
-
-def is_finite(value: float) -> bool:
-    """math.isfinite that answers False, not OverflowError, for an int past the float range."""
-    return -_FLOAT_MAX <= value <= _FLOAT_MAX
 
 
 def require_finite(**values: float) -> None:
@@ -50,11 +50,18 @@ def require_finite(**values: float) -> None:
             raise ValueError(f"{name} must be finite, got {value!r}")
 
 
+def require_integer(minimum: int, /, **values: int) -> None:
+    """Raise ValueError naming the first value that is not an integer >= minimum; bool is not one."""
+    for name, value in values.items():
+        if isinstance(value, bool) or not isinstance(value, Integral) or value < minimum:
+            raise ValueError(f"{name} must be an integer >= {minimum}, got {value!r}")
+
+
 def db_to_linear(value_db: float, name: str = "decibel value") -> float:
     """Decibel power ratio to linear, 10^(dB/10), finite and > 0; `name` labels it in errors."""
     try:
         ratio = 10.0 ** (value_db / 10.0)
-    except OverflowError:
+    except (OverflowError, TypeError):  # past the float range, or not a number
         ratio = math.inf
     if not 0.0 < ratio < math.inf:
         raise ValueError(f"{name} {value_db!r} gives no finite linear ratio > 0")
@@ -63,22 +70,20 @@ def db_to_linear(value_db: float, name: str = "decibel value") -> float:
 
 def linear_to_db(ratio: float) -> float:
     """Inverse of db_to_linear; requires a strictly positive ratio."""
-    if not math.isfinite(ratio) or ratio <= 0.0:
+    if not (is_finite(ratio) and ratio > 0.0):
         raise ValueError(f"linear ratio must be finite and > 0, got {ratio!r}")
     return 10.0 * math.log10(ratio)
 
 
 def kmh_to_ms(speed_kmh: float) -> float:
     """Convert km/h to m/s."""
-    if not math.isfinite(speed_kmh) or speed_kmh < 0.0:
-        raise ValueError(f"speed must be finite and >= 0, got {speed_kmh!r}")
+    require_non_negative(speed=speed_kmh)
     return speed_kmh / 3.6
 
 
 def ms_to_kmh(speed_ms: float) -> float:
     """Convert m/s to km/h."""
-    if not math.isfinite(speed_ms) or speed_ms < 0.0:
-        raise ValueError(f"speed must be finite and >= 0, got {speed_ms!r}")
+    require_non_negative(speed=speed_ms)
     return speed_ms * 3.6
 
 
@@ -90,7 +95,7 @@ class Point2D:
     y: float
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.x) and math.isfinite(self.y)):
+        if not (is_finite(self.x) and is_finite(self.y)):
             raise ValueError(f"coordinates must be finite, got ({self.x!r}, {self.y!r})")
 
 

@@ -15,7 +15,7 @@ from pathlib import Path
 from typing import Iterable, Sequence
 
 from .channel import secrecy_bits
-from .units import db_to_linear, linear_to_db, require_positive
+from .units import db_to_linear, is_finite, linear_to_db, require_finite, require_positive
 
 ADEQUATE = "adequate"
 INADEQUATE = "inadequate"
@@ -37,11 +37,11 @@ class CsiRecord:
     chain_element: str | None = None
 
     def __post_init__(self) -> None:
-        if not math.isfinite(self.timestamp):
+        if not is_finite(self.timestamp):
             raise ValueError(f"timestamp must be finite, got {self.timestamp!r}")
         if not self.sender_id:
             raise ValueError("sender_id must be non-empty")
-        if not (math.isfinite(self.snr) and self.snr > 0.0):
+        if not (is_finite(self.snr) and self.snr > 0.0):
             raise ValueError(f"snr must be finite and > 0, got {self.snr!r}")
 
 
@@ -70,6 +70,9 @@ def window_vscs(window: Sequence[CsiRecord], window_start: float = 0.0) -> list[
         snrs.setdefault(r.sender_id, []).append(r.snr)
     m = len(window)
     snr_xor = sum(r.snr for r in window) / m
+    # Every SNR is > 0, so a finite window sum bounds each sender's sum.
+    if not is_finite(snr_xor):
+        raise ValueError(f"SNR sum of the window starting at {window_start!r} s overflows")
     return [
         VscResult(sender, secrecy_bits(sum(own) / len(own), snr_xor), snr_xor, m, window_start)
         for sender, own in sorted(snrs.items())
@@ -114,6 +117,8 @@ def windowed_stream(
             raise ValueError(
                 f"records out of order at t={cur.timestamp!r} after t={prev.timestamp!r}"
             )
+    if records:  # time-ordered, so the first or the last has the largest |timestamp|
+        require_finite(window_index=max(abs(records[0].timestamp), abs(records[-1].timestamp)) / unit_time)
     results: list[VscResult] = []
     by_window = itertools.groupby(records, key=lambda r: math.floor(r.timestamp / unit_time))
     for idx, window in by_window:

@@ -177,6 +177,33 @@ def test_validate_and_run_agree_on_the_db_range(tmp_path, capsys, case, db):
         assert err.count(f"error: {path}: decibel value {db!r} gives no finite linear ratio > 0") == 2
 
 
+@pytest.mark.parametrize(
+    "param, unit, grid, message",
+    [
+        pytest.param("r", "si", [-1.0, 1.0], "-1.0 is less than or equal to the minimum of 0", id="r"),
+        pytest.param("v", "kmh", [-10.0, 10.0], "-10.0 is less than the minimum of 0", id="v-kmh"),
+        # read in SI units, as the run reads it: 5e-324 ms rounds to 0 m
+        pytest.param("r", "ms", [5e-324, 1.0], "0.0 is less than or equal to the minimum of 0", id="r-ms-rounds-to-0"),
+        pytest.param("r", "db", [10.0, 20.0], None, id="r-db"),
+    ],
+)
+def test_validate_and_run_agree_on_a_sweep_grid(tmp_path, capsys, param, unit, grid, message):
+    base = {"r": 1000.0, "v": 20.0, "tau": 0.2, "alpha": 1.4, "p_over_n0_db": 70.0}
+    del base[param]
+    doc = {"experiment": "sweep", "params": {"kind": "highway", "base": base, "param": param,
+                                             "grid": grid, "unit": unit}}
+    cfg = _write_cfg(tmp_path, doc)
+    codes = main(["validate", str(cfg)]), main(["run", "--config", str(cfg), "--out", str(tmp_path)])
+    err = capsys.readouterr().err
+    if message is None:
+        assert codes == (0, 0)
+        assert err == ""
+    else:
+        # checked against the swept field's own bound in every unit
+        assert codes == (1, 1)
+        assert err.count(f"error: $.params.grid[0]: {message}") == 2
+
+
 def test_run_reports_an_impossible_fleet_size(tmp_path, capsys):
     cfg = _write_cfg(tmp_path, {"experiment": "highway_cluster", "params": {"n_nodes": 10**400}})
     assert main(["run", "--config", str(cfg), "--out", str(tmp_path)]) == 1

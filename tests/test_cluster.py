@@ -148,7 +148,7 @@ def test_validate_identity_every_position():
 
 def test_validate_identity_argument_errors():
     ident = make_identity("n01", VIN, 5)
-    with pytest.raises(TypeError):
+    with pytest.raises(ValueError, match="^revealed_preimage must be bytes"):
         validate_identity(ident, "deadbeef", 2)
     with pytest.raises(ValueError):
         validate_identity(ident, b"x", 5)

@@ -90,6 +90,18 @@ def test_validate_swept_param_not_required_in_base():
     assert any("tau" in e for e in validate_config(doc))
 
 
+@pytest.mark.parametrize(
+    "grid, bad",
+    [([-3.0, -2.0, -1.0], [0, 1, 2]), ([1.0, -1.0, 2.0], [1]), ([-1.0, 2.0, 1.0], [0]), ([0.5, 2.0], [])],
+)
+def test_sweep_grid_reports_every_value_out_of_the_field_bound(grid, bad):
+    doc = json.loads(json.dumps(SWEEP_DOC))
+    doc["params"].update(param="r", unit="si", grid=grid)
+    del doc["params"]["base"]["r"]
+    errors = [e.split(":")[0] for e in validate_config(doc) if e.startswith("$.params.grid[")]
+    assert errors == [f"$.params.grid[{i}]" for i in bad]
+
+
 def test_sweep_over_db_field_runs_in_db():
     doc = json.loads(json.dumps(SWEEP_DOC))
     params = doc["params"]

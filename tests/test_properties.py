@@ -13,9 +13,11 @@ from vscsim.channel import (
     fading_secrecy_pair,
     gaussian_wiretap_secrecy,
     path_loss_coeff_sq,
+    sample_fading,
     shannon_capacity,
 )
 from vscsim.cluster import (
+    AdjustableHighwayLink,
     RelayOption,
     SecrecyKnobs,
     VehicleIdentity,
@@ -23,16 +25,18 @@ from vscsim.cluster import (
     identity_is_valid,
     make_identity,
     make_identity_exchange,
+    rsc_negotiate,
     select_consensus_candidates,
     validate_identity,
     verify_identity_exchange,
 )
-from vscsim.intersection import run_intersection_case
+from vscsim.highway import HighwayWorld
+from vscsim.intersection import make_case, run_intersection_case
 from vscsim.kinematics import braking_distance, coupled_distance, safety_distance
 from vscsim.scenarios import HighwayScenario, RelayScenario, UrbanScenario
-from vscsim.stochastic import ErgodicConfig, Rect, poisson_pmf
+from vscsim.stochastic import ErgodicConfig, Rect, ergodic_secrecy_mc, poisson_pmf
 from vscsim.sweeps import run_ppp_field_dump
-from vscsim.units import db_to_linear, kmh_to_ms, linear_to_db, ms_to_kmh
+from vscsim.units import Point2D, db_to_linear, kmh_to_ms, linear_to_db, ms_to_kmh
 from vscsim.vsc import CsiRecord, compute_vsc, windowed_stream
 
 finite_db = st.floats(min_value=-200.0, max_value=200.0, allow_nan=False)
@@ -164,7 +168,7 @@ RANGE_PROBES = [
     pytest.param("distance_m", lambda: path_loss_coeff_sq(NAN, 1.4), id="path_loss_coeff_sq(nan)"),
     pytest.param("h_ab_sq", lambda: fading_secrecy_pair(P, NAN, 1.0),
                  id="fading_secrecy_pair(nan)"),
-    pytest.param("width", lambda: Rect(NAN, 0, 10, 10), id="Rect(x_min=nan)"),
+    pytest.param("x_min", lambda: Rect(NAN, 0, 10, 10), id="Rect(x_min=nan)"),
     pytest.param("height", lambda: Rect(0, 10, 10, 0), id="Rect(flipped y)"),
     pytest.param("lam", lambda: poisson_pmf(2, NAN), id="poisson_pmf(lam=nan)"),
     pytest.param("lam", lambda: poisson_pmf(2, -1.0), id="poisson_pmf(lam=-1)"),
@@ -194,4 +198,69 @@ RANGE_PROBES = [
 @pytest.mark.parametrize("field, call", RANGE_PROBES)
 def test_out_of_range_inputs_raise_value_error_naming_the_field(field, call):
     with pytest.raises(ValueError, match=rf"^{field} must be finite"):
+        call()
+
+
+R = FadingModel.rayleigh()
+HUGE = 10**400  # an int past the float range
+
+
+def _negotiate(max_iterations):
+    link = AdjustableHighwayLink(HighwayScenario(P, 1000.0, 10.0, 0.2))
+    return rsc_negotiate(RECORDS, 1.0, SecrecyKnobs(1.0, 1.0, max_iterations=max_iterations), link)
+
+
+# (what the message must start with, call).  An input of the wrong type,
+# an int past the float range or a non-integral count must end in a
+# ValueError that names it, never in TypeError, OverflowError or
+# AttributeError, and never be accepted.
+TYPE_PROBES = [
+    pytest.param("speed", lambda: kmh_to_ms(HUGE), id="kmh_to_ms(huge)"),
+    pytest.param("speed", lambda: ms_to_kmh(HUGE), id="ms_to_kmh(huge)"),
+    pytest.param("linear ratio", lambda: linear_to_db(HUGE), id="linear_to_db(huge)"),
+    pytest.param("coordinates", lambda: Point2D(HUGE, 0.0), id="Point2D(huge)"),
+    pytest.param("timestamp", lambda: CsiRecord(HUGE, "a", 1.0), id="CsiRecord(timestamp=huge)"),
+    pytest.param("snr", lambda: CsiRecord(0.0, "a", HUGE), id="CsiRecord(snr=huge)"),
+    pytest.param("t", lambda: make_case(1).host.position(HUGE), id="Trajectory.position(huge)"),
+    pytest.param("n", lambda: poisson_pmf(HUGE, 1.0), id="poisson_pmf(n=huge)"),
+    pytest.param("window_index", lambda: windowed_stream([CsiRecord(1.0, "a", 2.0)], unit_time=5e-324),
+                 id="windowed_stream(unit_time=5e-324)"),
+    pytest.param("p_over_n0", lambda: ChannelParams("1", 1.4), id="ChannelParams(str)"),
+    pytest.param("r", lambda: HighwayScenario(P, None, 1.0, 1.0), id="HighwayScenario(r=None)"),
+    pytest.param("v0", lambda: braking_distance(None, 1, 1, 1, 1), id="braking_distance(None)"),
+    pytest.param("mean_power_budget", lambda: ErgodicConfig("x"), id="ErgodicConfig(budget=str)"),
+    pytest.param("sample_count", lambda: ErgodicConfig(1.0, sample_count="5"),
+                 id="ErgodicConfig(sample_count=str)"),
+    pytest.param("seed", lambda: ergodic_secrecy_mc(ErgodicConfig(1.0, sample_count=10, seed=1.5), R, R),
+                 id="ErgodicConfig(seed=1.5)"),
+    pytest.param("max_iterations", lambda: SecrecyKnobs(1.0, 1.0, max_iterations=None),
+                 id="SecrecyKnobs(max_iterations=None)"),
+    pytest.param("max_iterations", lambda: _negotiate(2.5), id="rsc_negotiate(max_iterations=2.5)"),
+    pytest.param("x_min", lambda: Rect("a", 0, 1, 1), id="Rect(str)"),
+    pytest.param("decibel value", lambda: db_to_linear("3"), id="db_to_linear(str)"),
+    pytest.param("speed", lambda: kmh_to_ms("3"), id="kmh_to_ms(str)"),
+    pytest.param("coordinates", lambda: Point2D("a", 0), id="Point2D(str)"),
+    pytest.param("timestamp", lambda: CsiRecord("a", "s", 1.0), id="CsiRecord(timestamp=str)"),
+    pytest.param("dt", lambda: run_intersection_case(1, dt="0.1"), id="intersection(dt=str)"),
+    pytest.param("n", lambda: poisson_pmf("2", 1.0), id="poisson_pmf(n=str)"),
+    pytest.param("k", lambda: FadingModel.rician("1"), id="rician(k=str)"),
+    pytest.param("unit_time", lambda: windowed_stream(RECORDS, "1"), id="windowed_stream(unit_time=str)"),
+    pytest.param("vin", lambda: chain_element(123, 2), id="chain_element(vin=int)"),
+    pytest.param("sample_count", lambda: ErgodicConfig(1.0, sample_count=2.5),
+                 id="ErgodicConfig(sample_count=2.5)"),
+    pytest.param("size", lambda: sample_fading(R, 0, 2.5), id="sample_fading(size=2.5)"),
+    pytest.param("case_id", lambda: make_case(1.0), id="make_case(1.0)"),
+    pytest.param("case_id", lambda: make_case(True), id="make_case(True)"),
+    pytest.param("n", lambda: poisson_pmf(2.0, 1.0), id="poisson_pmf(n=2.0)"),
+    pytest.param("m", lambda: FadingModel.nakagami(HUGE), id="nakagami(m=huge)"),
+    pytest.param("seed", lambda: HighwayWorld(seed=-1), id="HighwayWorld(seed=-1)"),
+    pytest.param("n_nodes", lambda: HighwayWorld(n_nodes=True), id="HighwayWorld(n_nodes=True)"),
+    pytest.param("max_iterations", lambda: SecrecyKnobs(1.0, 1.0, max_iterations=True),
+                 id="SecrecyKnobs(max_iterations=True)"),
+]
+
+
+@pytest.mark.parametrize("name, call", TYPE_PROBES)
+def test_inputs_of_any_type_raise_value_error_naming_the_input(name, call):
+    with pytest.raises(ValueError, match=rf"^{name}\b"):
         call()

@@ -106,6 +106,21 @@ def test_windowing_rejects_out_of_order():
         windowed_stream(recs)
 
 
+@pytest.mark.parametrize("first, last", [(0.0, 1e10), (-1e10, 0.0)])
+def test_windowing_rejects_a_window_index_past_the_float_range(first, last):
+    recs = [CsiRecord(first, "a", 2.0), CsiRecord(last, "b", 2.0)]
+    with pytest.raises(ValueError, match="^window_index must be finite"):
+        windowed_stream(recs, unit_time=1e-300)
+
+
+def test_window_whose_snr_sum_overflows_raises():
+    with pytest.raises(ValueError, match="window starting at 0.0 s overflows"):
+        window_vscs(_window([1e308, 1e308]))
+    with pytest.raises(ValueError, match="window starting at 2.0 s overflows"):
+        windowed_stream(_window([1e308, 1e308], t=2.5))
+    assert [r.snr_xor for r in window_vscs(_window([8e307, 8e307]))] == [8e307, 8e307]
+
+
 def test_windowing_unit_time_scaling():
     recs = [CsiRecord(float(t), "a", 2.0) for t in range(6)]
     assert len(windowed_stream(recs, unit_time=10.0)) == 1
