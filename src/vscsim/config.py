@@ -1,7 +1,7 @@
 """Run configuration: JSON documents validated against a strict schema.
 
-Validation is exhaustive: every violation in the document is reported in
-one error, with its JSON path, rather than stopping at the first.
+Validation is exhaustive: every schema violation is reported at once, with
+its JSON path, then the first refusal of each model input the run builds.
 Unknown keys are rejected everywhere.
 """
 
@@ -17,8 +17,8 @@ from pathlib import Path
 import jsonschema
 
 from .channel import DEFAULT_ALPHA, DEFAULT_P_OVER_N0_DB
-from .highway import CALIBRATED_DELTA, HighwayWorld, run_perturbation_study
-from .intersection import run_intersection_case
+from .highway import HighwayWorld, check_delta, run_perturbation_study
+from .intersection import make_case, run_intersection_case
 from .sweeps import GRID_UNITS, SWEEP_FIELDS
 from .units import db_to_linear, is_finite
 
@@ -240,10 +240,10 @@ def _is_number(value) -> bool:
     return isinstance(value, Real) and not isinstance(value, bool)
 
 
-def _decibel_error(value) -> str | None:
-    """db_to_linear's message for a value it refuses, else None."""
+def _refusal(check, *args, **kwargs) -> str | None:
+    """The message of the ValueError a model check raises, else None."""
     try:
-        db_to_linear(value)
+        check(*args, **kwargs)
     except ValueError as exc:
         return str(exc)
     return None
@@ -258,7 +258,7 @@ _Validator = jsonschema.validators.extend(
         {
             "integer": lambda _, value: isinstance(value, int) and not isinstance(value, bool),
             "number": lambda _, value: _is_number(value) and is_finite(value),
-            "decibel": lambda _, value: _is_number(value) and _decibel_error(value) is None,
+            "decibel": lambda _, value: _is_number(value) and _refusal(db_to_linear, value) is None,
         }
     ),
 )
@@ -277,7 +277,7 @@ def _schema_errors(instance, schema, prefix: str, bad_keys: set | None = None) -
         if err.validator == "type" and _is_number(err.instance) and not is_finite(err.instance):
             message = "must be a finite number"
         elif err.validator == "type" and err.validator_value == "decibel" and _is_number(err.instance):
-            message = _decibel_error(err.instance)
+            message = _refusal(db_to_linear, err.instance)
         out.append(f"{path}: {message}")
         if bad_keys is not None and err.absolute_path:
             bad_keys.add(err.absolute_path[0])
@@ -294,32 +294,22 @@ def validate_config(doc) -> list[str]:
     if experiment in EXPERIMENTS and isinstance(params, dict):
         bad_keys: set = set()
         errors += _schema_errors(params, _PARAMS_SCHEMAS[experiment], "$.params", bad_keys)
-        # Cross-field checks read only the fields that passed the schema.
+        # Cross-field checks and the run's models read only the fields that passed the schema.
         params = {k: v for k, v in params.items() if k not in bad_keys}
         merged = {**PARAM_DEFAULTS[experiment], **params}
         if experiment == "sweep":
             errors += _sweep_extra_errors(merged)
+        kwargs = model_kwargs({k: v for k, v in merged.items() if k in _MODEL_KEYS.get(experiment, ())})
+        refusals = {}
         if experiment in ("highway_cluster", "perturbation"):
-            if merged["n_sources"] >= merged["n_nodes"]:
-                errors.append("$.params.n_sources: must leave at least one non-source node")
-            steps = merged["duration_s"] / merged["dt_s"]
-            if steps <= 0.5:  # rounds to zero steps
-                errors.append("$.params.duration_s: duration must cover at least one dt step")
-            elif not is_finite(steps):
-                errors.append("$.params.duration_s: duration / dt_s overflows: the step count is not finite")
-        if experiment == "perturbation":
-            if merged["delta_m"] == 0:
-                errors.append("$.params.delta_m: must be non-zero")
-            elif abs(merged["delta_m"]) != CALIBRATED_DELTA and not merged["allow_custom_delta"]:
-                errors.append(
-                    f"$.params.delta_m: perturbation is calibrated for +/-{CALIBRATED_DELTA:g} m; "
-                    "set allow_custom_delta to override"
-                )
-        if experiment == "intersection":
-            for span_key in ("host_span", "target_span"):
-                span = params.get(span_key)
-                if span is not None and span[1] <= span[0]:
-                    errors.append(f"$.params.{span_key}: must be strictly increasing")
+            shift = {k: kwargs.pop(k) for k in ("delta", "allow_custom_delta") if k in kwargs}
+            refusals["$.params"] = _refusal(HighwayWorld, **kwargs)
+            if shift:
+                refusals["$.params.delta_m"] = _refusal(check_delta, **shift)
+        if experiment == "intersection" and "case_id" in kwargs:  # a missing case is a schema error
+            case = {k: v for k, v in kwargs.items() if k not in ("dt", "alpha", "p_over_n0_db")}
+            refusals["$.params"] = _refusal(lambda: make_case(**case).host.steps(kwargs["dt"]))
+        errors += [f"{path}: {message}" for path, message in refusals.items() if message]
     return errors
 
 

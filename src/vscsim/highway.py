@@ -58,6 +58,9 @@ class HighwayWorld:
             raise ValueError("duration must cover at least one dt step")
         if not is_finite(self.duration / self.dt):
             raise ValueError("duration / dt overflows: the step count is not finite")
+        redraw_steps = self.speed_redraw_period / self.dt
+        if not is_finite(redraw_steps):
+            raise ValueError(f"speed_redraw_period must be finite in dt steps, got {redraw_steps!r}")
 
 
 @dataclass
@@ -205,20 +208,25 @@ class PerturbationResult:
     dx_base: np.ndarray               # along-track offset to the baseline target
 
 
+def check_delta(delta: float, allow_custom_delta: bool = False) -> None:
+    """Raise ValueError for a zero source shift, or an uncalibrated one not allowed."""
+    if delta == 0.0:
+        raise ValueError("delta must be non-zero")
+    if abs(delta) != CALIBRATED_DELTA and not allow_custom_delta:
+        raise ValueError(f"perturbation is calibrated for +/-{CALIBRATED_DELTA:g} m; "
+                         "set allow_custom_delta to override")
+
+
 def run_perturbation_study(
     world: HighwayWorld, delta: float = CALIBRATED_DELTA, allow_custom_delta: bool = False
 ) -> PerturbationResult:
     """Re-evaluate every source link with the source shifted by delta meters.
 
     The shifted copy does not wrap at the road end, so each step's
-    comparison is pure plane geometry against identical neighbors.  The
-    study is calibrated for +/-5 m; other magnitudes need the explicit
-    opt-in flag.
+    comparison is pure plane geometry against identical neighbors.
+    check_delta says which delta the study is calibrated for.
     """
-    if delta == 0.0:
-        raise ValueError("delta must be non-zero")
-    if abs(delta) != CALIBRATED_DELTA and not allow_custom_delta:
-        raise ValueError("perturbation is calibrated for +/-5 m; pass allow_custom_delta=True to override")
+    check_delta(delta, allow_custom_delta)
     base = run_highway_experiment(world)
     base_xs = base.positions[:, :, 0]
     ys = base.positions[0, :, 1]

@@ -55,6 +55,13 @@ class Trajectory:
             math.hypot(b.x - a.x, b.y - a.y) for a, b in zip(pts, pts[1:])
         )
 
+    def steps(self, dt: float) -> int:
+        """Whole dt steps the path takes at the trajectory's speed."""
+        require_positive(dt=dt, speed=self.speed)  # in m/s, which a tiny km/h speed rounds to 0
+        steps = self.path_length / self.speed / dt
+        require_finite(step_count=steps)
+        return int(math.floor(steps + 1e-9))
+
     def position(self, t: float) -> Point2D:
         if not (is_finite(t) and t >= 0.0):
             raise ValueError(f"t must be finite and >= 0, got {t!r}")
@@ -163,13 +170,10 @@ def run_intersection_case(
     lane_offset: float = LANE_OFFSET,
 ) -> IntersectionResult:
     """Sample distance and link capacity at dt steps over the host's run."""
-    require_positive(dt=dt, alpha=alpha)
+    require_positive(alpha=alpha)
     case = make_case(case_id, speed_kmh, host_span, target_span, lane_offset)
-    require_positive(speed=case.host.speed)  # in m/s, which a tiny speed_kmh rounds to 0
+    n_steps = case.host.steps(dt)
     c = db_to_linear(p_over_n0_db)
-    steps = case.host.path_length / case.host.speed / dt
-    require_finite(step_count=steps)
-    n_steps = int(math.floor(steps + 1e-9))
     times = np.arange(n_steps + 1) * dt
     dists = np.empty(times.shape)
     for i, t in enumerate(times):

@@ -8,6 +8,7 @@ can speak in per-sector densities.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,15 +20,45 @@ COLLUDING = "colluding"
 NON_COLLUDING = "non-colluding"
 
 
+def _stirling_error(n: int) -> float:
+    """log(n!) - log(sqrt(2 pi n) (n / e)**n) for an integer n >= 1; past
+    n = 15 as the series of C. Loader (2000), which never overflows."""
+    if n <= 15:
+        return math.lgamma(n + 1) - (n + 0.5) * math.log(n) + n - 0.5 * math.log(2.0 * math.pi)
+    nn = float(n) * n
+    return (1 / 12 - (1 / 360 - (1 / 1260 - (1 / 1680 - 1 / 1188 / nn) / nn) / nn) / nn) / n
+
+
+def _deviance(x: float, m: float) -> float:
+    """x log(x / m) + m - x, summed as a series near x = m (Loader's bd0),
+    where the closed form cancels; halved sums keep x + m in range."""
+    half_sum = 0.5 * x + 0.5 * m
+    if abs(x - m) < 0.2 * half_sum:
+        v = 0.5 * (x - m) / half_sum
+        s, term = (x - m) * v, 2.0 * (x * v)
+        for j in range(1, 1000):
+            term *= v * v
+            s, previous = s + term / (2 * j + 1), s
+            if s == previous:
+                return s
+    return x * math.log(x / m) + m - x
+
+
 def poisson_pmf(n: int, lam: float) -> float:
-    """P[N = n] for N ~ Poisson(lam)."""
+    """P[N = n] for N ~ Poisson(lam), in the saddle-point form of C. Loader,
+    "Fast and Accurate Computation of Binomial Probabilities" (2000): no
+    terms of size n log(lam) cancel, so it stays accurate for any n and lam."""
     require_integer(0, n=n)
     require_finite(n=n)
     require_non_negative(lam=lam)
     if lam == 0.0:
         return 1.0 if n == 0 else 0.0
-    # exp-log form avoids overflow in lam**n / n! for large n
-    return math.exp(n * math.log(lam) - lam - math.lgamma(n + 1))
+    if n == 0:
+        return math.exp(-lam)
+    if lam < n * sys.float_info.min:  # n / lam nears overflow; for n >= 2 the mass is below 1e-600
+        return lam * math.exp(-lam) if n == 1 else 0.0
+    exponent = -_stirling_error(n) - _deviance(float(n), lam)
+    return math.exp(exponent) / (math.sqrt(2.0 * math.pi) * math.sqrt(n))
 
 
 @dataclass(frozen=True)

@@ -56,6 +56,14 @@ class VscResult:
     window_start: float = 0.0
 
 
+def _mean_snr(snrs: list[float], window_start: float = 0.0) -> float:
+    """Mean of a window's SNRs, or ValueError where their sum overflows."""
+    mean = sum(snrs) / len(snrs)
+    if not is_finite(mean):
+        raise ValueError(f"SNR sum of the window starting at {window_start!r} s overflows")
+    return mean
+
+
 def window_vscs(window: Sequence[CsiRecord], window_start: float = 0.0) -> list[VscResult]:
     """Every sender's VSC in one window, in sender-id order:
     log2(1 + SNR_sender) - log2(1 + mean window SNR).
@@ -69,10 +77,8 @@ def window_vscs(window: Sequence[CsiRecord], window_start: float = 0.0) -> list[
     for r in window:
         snrs.setdefault(r.sender_id, []).append(r.snr)
     m = len(window)
-    snr_xor = sum(r.snr for r in window) / m
+    snr_xor = _mean_snr([r.snr for r in window], window_start)
     # Every SNR is > 0, so a finite window sum bounds each sender's sum.
-    if not is_finite(snr_xor):
-        raise ValueError(f"SNR sum of the window starting at {window_start!r} s overflows")
     return [
         VscResult(sender, secrecy_bits(sum(own) / len(own), snr_xor), snr_xor, m, window_start)
         for sender, own in sorted(snrs.items())
@@ -97,7 +103,7 @@ def compute_vsc(
     rest = [r.snr for r in window if r.sender_id != target_id]
     if not rest:
         raise ValueError("exclude_target needs at least one record from another sender")
-    snr_ab, snr_xor = sum(target_snrs) / len(target_snrs), sum(rest) / len(rest)
+    snr_ab, snr_xor = _mean_snr(target_snrs), _mean_snr(rest)
     return VscResult(target_id, secrecy_bits(snr_ab, snr_xor), snr_xor, len(window))
 
 

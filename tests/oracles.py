@@ -1,6 +1,7 @@
 """Independent evaluators used to pin expected values.
 
-These reimplement the closed forms directly in mpmath at 50 digits, the
+These reimplement the closed forms directly in mpmath at 50 digits (the
+Poisson mass at 400), the Rayleigh fading average of the secrecy, the
 highway nearest-neighbour search as a brute-force scan, the result
 tables and their cells one row and one cell at a time, and the identity
 hash chain as uncached walks on hashlib, on purpose sharing no code with
@@ -62,10 +63,26 @@ def relay_secrecy(p_a, p_r, h_ab, h_rb, h_ae, h_re, sb=1, se=1, w=1) -> float:
 
 
 def poisson_pmf(n, lam) -> float:
-    lam = mp.mpf(lam)
-    if lam == 0:
-        return 1.0 if n == 0 else 0.0
-    return float(lam**n * mp.e**-lam / mp.factorial(n))
+    """At 400 digits, which n log(lam) - lam - log(n!) needs for n and lam up to 1e306."""
+    with mp.workdps(400):
+        lam = mp.mpf(lam)
+        if lam == 0:
+            return 1.0 if n == 0 else 0.0
+        return float(mp.exp(n * mp.log(lam) - lam - mp.loggamma(n + 1)))
+
+
+def _mean_log_rayleigh(g):
+    """E[ln(1 + g X)] for X ~ Exp(1): e^(1/g) E1(1/g)."""
+    return mp.exp(1 / g) * mp.e1(1 / g)
+
+
+def ergodic_secrecy_rayleigh(power, sigma_b_sq, sigma_e_sq, on_off: bool) -> float:
+    """Fading average of the pair secrecy in bits, both links Rayleigh, in
+    closed form: always on, f(g_B) - f(g_E) for f = _mean_log_rayleigh; on/off,
+    f(g_B) - f(g_BE) with 1/g_BE = 1/g_B + 1/g_E."""
+    g_b, g_e = mp.mpf(power) / sigma_b_sq, mp.mpf(power) / sigma_e_sq
+    other = 1 / (1 / g_b + 1 / g_e) if on_off else g_e
+    return float((_mean_log_rayleigh(g_b) - _mean_log_rayleigh(other)) / mp.log(2))
 
 
 def nearest_neighbour(xs, ys, src: int, x_src: float, obu_range: float) -> tuple[int, float]:

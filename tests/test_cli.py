@@ -204,6 +204,29 @@ def test_validate_and_run_agree_on_a_sweep_grid(tmp_path, capsys, param, unit, g
         assert err.count(f"error: $.params.grid[0]: {message}") == 2
 
 
+# Configs whose schema is met but which a model of the run refuses, with
+# the model's message.
+MODEL_REFUSALS = [
+    pytest.param("intersection", {"case": 1, "speed_kmh": 5e-324}, "speed must be finite and > 0, got 0.0",
+                 id="intersection-speed-rounds-to-0"),
+    pytest.param("intersection", {"case": 1, "dt_s": 1e-320}, "step_count must be finite, got inf",
+                 id="intersection-dt-overflows"),
+    pytest.param("intersection", {"case": 1, "host_span": [-1e308, 1e308]}, "step_count must be finite, got inf",
+                 id="intersection-span-overflows"),
+    pytest.param("highway_cluster",
+                 {"n_nodes": 4, "duration_s": 1e-9, "dt_s": 1e-10, "speed_redraw_period_s": 1e300},
+                 "speed_redraw_period must be finite in dt steps, got inf", id="highway-redraw-overflows"),
+]
+
+
+@pytest.mark.parametrize("experiment, params, message", MODEL_REFUSALS)
+def test_validate_and_run_agree_on_a_model_refusal(tmp_path, capsys, experiment, params, message):
+    cfg = _write_cfg(tmp_path, {"experiment": experiment, "params": params})
+    codes = main(["validate", str(cfg)]), main(["run", "--config", str(cfg), "--out", str(tmp_path)])
+    assert codes == (1, 1)
+    assert capsys.readouterr().err == f"error: $.params: {message}\n" * 2
+
+
 def test_run_reports_an_impossible_fleet_size(tmp_path, capsys):
     cfg = _write_cfg(tmp_path, {"experiment": "highway_cluster", "params": {"n_nodes": 10**400}})
     assert main(["run", "--config", str(cfg), "--out", str(tmp_path)]) == 1

@@ -1,11 +1,14 @@
 """Pinned-output comparisons against the oracle-generated golden files.
 
 Regenerate the goldens with `python3 tests/make_goldens.py` if the
-underlying formulas ever change deliberately.
+underlying formulas ever change deliberately.  The SHA-256 manifest of
+every preset's files comes from `tests/make_preset_manifest.py`.
 """
 
+import json
 from pathlib import Path
 
+import make_preset_manifest
 import pytest
 
 from vscsim.config import build_config
@@ -81,3 +84,9 @@ def test_goldens_are_committed():
         "perturbation_expected.csv",
     ):
         assert (GOLDEN_DIR / name).exists()
+
+
+def test_preset_outputs_match_the_manifest(tmp_path):
+    # every file of every preset at seeds 0, 1 and 7, byte for byte
+    want = json.loads(make_preset_manifest.MANIFEST.read_text(encoding="utf-8"))
+    assert make_preset_manifest.preset_digests(tmp_path) == want

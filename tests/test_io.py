@@ -181,7 +181,7 @@ def test_validate_rejects_floats_in_integer_fields(doc, path):
 @pytest.mark.parametrize("experiment", ["highway_cluster", "perturbation"])
 def test_validate_rejects_zero_step_runs(experiment):
     doc = {"experiment": experiment, "params": {"duration_s": 0.01}}
-    assert validate_config(doc) == ["$.params.duration_s: duration must cover at least one dt step"]
+    assert validate_config(doc) == ["$.params: duration must cover at least one dt step"]
     doc["params"]["dt_s"] = 0.01
     assert validate_config(doc) == []
 
@@ -190,7 +190,7 @@ def test_validate_rejects_zero_step_runs(experiment):
 def test_validate_rejects_overflowing_step_count(experiment):
     doc = {"experiment": experiment, "params": {"duration_s": 1e300, "dt_s": 1e-10}}
     assert validate_config(doc) == [
-        "$.params.duration_s: duration / dt_s overflows: the step count is not finite"
+        "$.params: duration / dt overflows: the step count is not finite"
     ]
 
 
@@ -210,6 +210,14 @@ def test_validate_and_run_agree_on_uncalibrated_delta(tmp_path):
     assert [p.name for p in run(build_config(doc), str(tmp_path))] == ["perturbation.csv"]
     for delta in (5.0, -5.0):
         assert validate_config({"experiment": "perturbation", "params": {"delta_m": delta}}) == []
+
+
+def test_validate_reports_a_bad_world_and_a_bad_shift():
+    doc = {"experiment": "perturbation", "params": {"n_nodes": 3, "n_sources": 3, "delta_m": 0.0}}
+    assert validate_config(doc) == [
+        "$.params: n_sources must leave at least one target",
+        "$.params.delta_m: delta must be non-zero",
+    ]
 
 
 def test_validate_intersection_spans():

@@ -179,6 +179,9 @@ RANGE_PROBES = [
     pytest.param("speed", lambda: run_intersection_case(1, speed_kmh=5e-324),
                  id="intersection(speed_kmh=5e-324)"),
     pytest.param("dt", lambda: run_intersection_case(1, dt=-0.1), id="intersection(dt=-0.1)"),
+    pytest.param("speed_redraw_period",
+                 lambda: HighwayWorld(n_nodes=4, duration=1e-9, dt=1e-10, speed_redraw_period=1e300),
+                 id="HighwayWorld(speed_redraw_period=1e300)"),
     pytest.param("target_distance_m", lambda: _field_dump(NAN), id="ppp_field_dump(target=nan)"),
     pytest.param("target_distance_m", lambda: _field_dump(-1.0), id="ppp_field_dump(target=-1)"),
     pytest.param("speed_step", lambda: SecrecyKnobs(NAN, 1.0), id="SecrecyKnobs(speed_step=nan)"),

@@ -48,6 +48,27 @@ def test_poisson_pmf_against_oracle():
         assert poisson_pmf(n, 6.0) == pytest.approx(oracles.poisson_pmf(n, 6.0), rel=1e-12)
 
 
+@pytest.mark.parametrize("lam", [10.0, 1e3, 1e6, 1e9, 1e12, 1e14, 1e16, 1e100, 1e300, 1e306])
+def test_poisson_pmf_large_lam_against_oracle(lam):
+    # n * log(lam), lam and log(n!) are each far larger than their difference
+    for n in (int(lam), int(lam - 3 * lam**0.5), int(lam + 3 * lam**0.5)):
+        assert poisson_pmf(n, lam) == pytest.approx(oracles.poisson_pmf(n, lam), rel=1e-10)
+
+
+@pytest.mark.parametrize(
+    "n, lam",
+    [
+        (int(1e306), 1e306),  # log(n!) overflows
+        (int(1.7e308), 1.7e308),  # 2 pi n overflows
+        (10**306, 1.0),  # the mass underflows to 0
+        (1, 1e-310),  # n / lam overflows; the mass is subnormal
+        (2, 1e-310),
+    ],
+)
+def test_poisson_pmf_at_the_ends_of_the_float_range(n, lam):
+    assert poisson_pmf(n, lam) == pytest.approx(oracles.poisson_pmf(n, lam), rel=1e-10)
+
+
 def test_square_region():
     r = square_region(Point2D(10.0, -5.0), 400.0)
     assert isinstance(r, Rect)
@@ -226,6 +247,15 @@ def test_ergodic_empty_advantage_set():
     assert est.empty_set
     assert est.value == 0.0
     assert est.in_set_count == 0
+
+
+@pytest.mark.parametrize("on_off", [True, False])
+@pytest.mark.parametrize("power, sigma_b_sq, sigma_e_sq", [(10.0, 1.0, 1.0), (100.0, 1.0, 4.0), (1000.0, 2.0, 0.5)])
+def test_ergodic_rayleigh_matches_closed_form(power, sigma_b_sq, sigma_e_sq, on_off):
+    cfg = ErgodicConfig(power, sigma_b_sq, sigma_e_sq, sample_count=10**6, seed=3)
+    est = ergodic_secrecy_mc(cfg, FadingModel.rayleigh(), FadingModel.rayleigh(), restrict_to_advantage=on_off)
+    want = oracles.ergodic_secrecy_rayleigh(power, sigma_b_sq, sigma_e_sq, on_off)
+    assert abs(est.value - want) < 4 * est.stderr
 
 
 def test_ergodic_deterministic_per_seed():

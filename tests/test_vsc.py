@@ -121,6 +121,14 @@ def test_window_whose_snr_sum_overflows_raises():
     assert [r.snr_xor for r in window_vscs(_window([8e307, 8e307]))] == [8e307, 8e307]
 
 
+def test_leave_one_out_sums_that_overflow_raise():
+    # the target's own sum, and the other senders' sum
+    for target, other in [([1e308, 1e308], [1.0]), ([1.0], [1e308, 1e308])]:
+        win = [CsiRecord(0.0, "a", s) for s in target] + [CsiRecord(0.0, "b", s) for s in other]
+        with pytest.raises(ValueError, match="window starting at 0.0 s overflows"):
+            compute_vsc(win, "a", exclude_target=True)
+
+
 def test_windowing_unit_time_scaling():
     recs = [CsiRecord(float(t), "a", 2.0) for t in range(6)]
     assert len(windowed_stream(recs, unit_time=10.0)) == 1
