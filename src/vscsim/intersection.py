@@ -60,6 +60,8 @@ class Trajectory:
         require_positive(dt=dt, speed=self.speed)  # in m/s, which a tiny km/h speed rounds to 0
         steps = self.path_length / self.speed / dt
         require_finite(step_count=steps)
+        if steps >= np.iinfo(np.intp).max:  # a run samples steps + 1 times, in one array
+            raise ValueError(f"step_count must be < {np.iinfo(np.intp).max}, got {steps!r}")
         return int(math.floor(steps + 1e-9))
 
     def position(self, t: float) -> Point2D:

@@ -86,34 +86,68 @@ def square_region(center: Point2D, area_m2: float) -> Rect:
     return Rect(center.x - half, center.y - half, center.x + half, center.y + half)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PppField:
-    """One realization of the eavesdropper point process."""
+    """One realization of the eavesdropper point process.
+
+    `xy` holds the eavesdropper positions as one read-only (n, 2) float
+    array in meters.  Equality is identity: a dataclass == over an array
+    field would raise.
+    """
 
     lam: float
     ref_area_m2: float
     region: Rect
-    points: tuple[Point2D, ...]
+    xy: np.ndarray
+
+    def __post_init__(self) -> None:
+        xy = np.array(self.xy, dtype=float)
+        if xy.size == 0:
+            xy = xy.reshape(0, 2)
+        if xy.ndim != 2 or xy.shape[1] != 2:
+            raise ValueError(f"xy must have shape (n, 2), got {xy.shape}")
+        if not np.isfinite(xy).all():
+            raise ValueError("eavesdropper coordinates must be finite")
+        xy.flags.writeable = False
+        object.__setattr__(self, "xy", xy)
+        object.__setattr__(self, "_last", (None, None))  # (host key, distances) of the last host
 
     def __len__(self) -> int:
-        return len(self.points)
+        return len(self.xy)
+
+    @property
+    def points(self) -> tuple[Point2D, ...]:
+        """The positions as Point2D, built on each access; `xy` is the stored form."""
+        return tuple(Point2D(x, y) for x, y in self.xy.tolist())
+
+    def distances(self, host: Point2D) -> np.ndarray:
+        """Read-only distances from host to every point, bit for bit
+        units.distance (np.hypot differs in the last bit on some points).
+        The last host's array is kept, so repeated calls cost nothing."""
+        key = (host.x, host.y)
+        last_key, dists = self._last
+        if key != last_key:
+            dx, dy = (host.x - self.xy[:, 0]).tolist(), (host.y - self.xy[:, 1]).tolist()
+            dists = np.array(list(map(math.hypot, dx, dy)), dtype=float)
+            dists.flags.writeable = False
+            object.__setattr__(self, "_last", (key, dists))
+        return dists
 
 
 def sample_field(lam: float, region: Rect, seed, ref_area_m2: float = 1000.0) -> PppField:
     """Draw a field: count ~ Poisson(lam * area / ref_area), positions uniform."""
     require_non_negative(lam=lam)
     require_positive(ref_area_m2=ref_area_m2)
+    require_integer(0, seed=seed)
     rng = np.random.default_rng(seed)
     n = int(rng.poisson(lam * region.area / ref_area_m2))
     xs = rng.uniform(region.x_min, region.x_max, n)
     ys = rng.uniform(region.y_min, region.y_max, n)
-    pts = tuple(Point2D(float(x), float(y)) for x, y in zip(xs, ys))
-    return PppField(lam, ref_area_m2, region, pts)
+    return PppField(lam, ref_area_m2, region, np.stack((xs, ys), axis=1))
 
 
 def _eavesdropper_snrs(host: Point2D, field: PppField, params: ChannelParams) -> np.ndarray:
-    dists = np.array([distance(host, p) for p in field.points])
-    return link_snr(params.p_over_n0, dists, params.alpha)
+    return link_snr(params.p_over_n0, field.distances(host), params.alpha)
 
 
 def ppp_secrecy(

@@ -26,7 +26,7 @@ from .stochastic import (
     sample_field,
     square_region,
 )
-from .units import Point2D, db_to_linear, distance, kmh_to_ms, require_positive
+from .units import Point2D, db_to_linear, kmh_to_ms, require_positive
 
 SWEEP_SCENARIOS = {
     "highway": HighwayScenario,
@@ -143,7 +143,7 @@ def run_ppp_distance_curve(
     if len(field) == 0:
         raise ValueError("sampled field is empty; change seed or raise lam")
     params = ChannelParams(p_over_n0, alpha)
-    r_min = min(distance(host, p) for p in field.points)
+    r_min = float(field.distances(host).min())
     rows = []
     for frac in d_fracs:
         require_positive(d_frac=frac)
@@ -180,7 +180,6 @@ def run_ppp_field_dump(
     params = ChannelParams(p_over_n0, alpha)
     snr_ab = link_snr(params.p_over_n0, target_distance_m, params.alpha)
     rows = []
-    for p in field.points:
-        d_e = distance(host, p)
-        rows.append((p.x, p.y, d_e, secrecy_bits(snr_ab, link_snr(params.p_over_n0, d_e, params.alpha))))
+    for (x, y), d_e in zip(field.xy.tolist(), field.distances(host).tolist()):
+        rows.append((x, y, d_e, secrecy_bits(snr_ab, link_snr(params.p_over_n0, d_e, params.alpha))))
     return TableData(("x_m", "y_m", "distance_m", "pair_secrecy"), tuple(rows))

@@ -213,6 +213,9 @@ MODEL_REFUSALS = [
                  id="intersection-dt-overflows"),
     pytest.param("intersection", {"case": 1, "host_span": [-1e308, 1e308]}, "step_count must be finite, got inf",
                  id="intersection-span-overflows"),
+    pytest.param("intersection", {"case": 5, "host_span": [-1e307, 1e307]},
+                 "step_count must be < 9223372036854775807, got 2.0571428571428574e+307",
+                 id="intersection-steps-past-array-size"),
     pytest.param("highway_cluster",
                  {"n_nodes": 4, "duration_s": 1e-9, "dt_s": 1e-10, "speed_redraw_period_s": 1e300},
                  "speed_redraw_period must be finite in dt steps, got inf", id="highway-redraw-overflows"),

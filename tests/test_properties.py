@@ -34,7 +34,7 @@ from vscsim.highway import HighwayWorld
 from vscsim.intersection import make_case, run_intersection_case
 from vscsim.kinematics import braking_distance, coupled_distance, safety_distance
 from vscsim.scenarios import HighwayScenario, RelayScenario, UrbanScenario
-from vscsim.stochastic import ErgodicConfig, Rect, ergodic_secrecy_mc, poisson_pmf
+from vscsim.stochastic import ErgodicConfig, Rect, ergodic_secrecy_mc, poisson_pmf, sample_field
 from vscsim.sweeps import run_ppp_field_dump
 from vscsim.units import Point2D, db_to_linear, kmh_to_ms, linear_to_db, ms_to_kmh
 from vscsim.vsc import CsiRecord, compute_vsc, windowed_stream
@@ -260,6 +260,8 @@ TYPE_PROBES = [
     pytest.param("n_nodes", lambda: HighwayWorld(n_nodes=True), id="HighwayWorld(n_nodes=True)"),
     pytest.param("max_iterations", lambda: SecrecyKnobs(1.0, 1.0, max_iterations=True),
                  id="SecrecyKnobs(max_iterations=True)"),
+    pytest.param("seed", lambda: sample_field(1.0, Rect(0, 0, 1, 1), seed=1.5), id="sample_field(seed=1.5)"),
+    pytest.param("seed", lambda: sample_field(1.0, Rect(0, 0, 1, 1), seed="a"), id="sample_field(seed=str)"),
 ]
 
 

@@ -155,6 +155,12 @@ def test_intersection_rejects_overflowing_step_count():
         run_intersection_case(1, host_span=(-1e308, 1e308))
 
 
+def test_intersection_rejects_step_count_past_array_size():
+    # finite, but np.arange cannot hold steps + 1 samples
+    with pytest.raises(ValueError, match="^step_count must be < 9223372036854775807"):
+        run_intersection_case(5, host_span=(-1e307, 1e307))
+
+
 @pytest.mark.parametrize("p_over_n0_db", [-400.0, -100.0])
 def test_intersection_rejects_power_too_low_for_a_cutoff(p_over_n0_db):
     # At -400 dB every capacity rounds to 0.  At -100 dB the peak is about

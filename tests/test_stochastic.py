@@ -16,7 +16,7 @@ from vscsim.stochastic import (
     sample_field,
     square_region,
 )
-from vscsim.units import Point2D
+from vscsim.units import Point2D, distance
 
 PARAMS = ChannelParams.from_db(70.0, alpha=1.4)
 REGION = square_region(Point2D(0.0, 0.0), 1_000_000.0)
@@ -109,10 +109,62 @@ def test_sample_field_deterministic():
     assert [(p.x, p.y) for p in a.points] == [(p.x, p.y) for p in b.points]
 
 
+# Hosts inside the 1000 m square REGION, on its edge and far outside it.
+HOSTS = [Point2D(0.0, 0.0), Point2D(123.456, -78.9), Point2D(-499.99, 500.0), Point2D(-3e3, 2.5e3)]
+
+
+def _reference_distances(host, field):
+    return np.array([distance(host, p) for p in field.points])
+
+
+@pytest.mark.parametrize("seed", [0, 3, 11, 12345])
+def test_field_distances_match_point_distance_bit_for_bit(seed):
+    field = sample_field(6.0, REGION, seed=seed)
+    for host in HOSTS:
+        assert field.distances(host).tobytes() == _reference_distances(host, field).tobytes()
+
+
+def test_field_distances_follow_the_host():
+    field = sample_field(6.0, REGION, seed=5)
+    a, b = HOSTS[1], HOSTS[3]
+    first_a, got_b, again_a = field.distances(a), field.distances(b), field.distances(a)
+    assert first_a.tobytes() == again_a.tobytes() == _reference_distances(a, field).tobytes()
+    assert got_b.tobytes() == _reference_distances(b, field).tobytes()
+    assert field.distances(a) is again_a
+
+
+def test_field_arrays_are_read_only():
+    given = np.array([[3.0, 4.0], [6.0, 8.0]])
+    field = PppField(lam=6.0, ref_area_m2=1000.0, region=REGION, xy=given)
+    dists = field.distances(Point2D(0.0, 0.0))
+    assert dists.tolist() == [5.0, 10.0]
+    for array in (field.xy, dists):
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 1.0
+    given[0, 0] = 1.0  # the field holds its own copy
+    assert field.xy[0, 0] == 3.0
+
+
+@pytest.mark.parametrize(
+    "xy",
+    [[(np.nan, 0.0)], [(0.0, np.inf)], [(1.0, 2.0), (-np.inf, 0.0)],
+     [(1.0, 2.0, 3.0)], [1.0, 2.0], np.zeros((2, 3))],
+)
+def test_field_rejects_bad_coordinates(xy):
+    with pytest.raises(ValueError, match="finite|shape"):
+        PppField(lam=6.0, ref_area_m2=1000.0, region=REGION, xy=xy)
+
+
+def test_field_equality_is_identity():
+    a, b = sample_field(6.0, REGION, seed=7), sample_field(6.0, REGION, seed=7)
+    assert a == a
+    assert a != b
+    assert a.xy.tobytes() == b.xy.tobytes()
+
+
 def _field_at(dists):
     host = Point2D(0.0, 0.0)
-    pts = tuple(Point2D(d, 0.0) for d in dists)
-    return host, PppField(lam=6.0, ref_area_m2=1000.0, region=REGION, points=pts)
+    return host, PppField(lam=6.0, ref_area_m2=1000.0, region=REGION, xy=[(d, 0.0) for d in dists])
 
 
 def test_ppp_secrecy_single_eavesdropper_matches_pair_form():
@@ -149,7 +201,7 @@ def test_ppp_secrecy_non_colluding_binds_to_nearest():
 def test_ppp_secrecy_empty_field_gives_full_capacity():
     host = Point2D(0.0, 0.0)
     target = Point2D(10.0, 0.0)
-    field = PppField(lam=6.0, ref_area_m2=1000.0, region=REGION, points=())
+    field = PppField(lam=6.0, ref_area_m2=1000.0, region=REGION, xy=())
     want = np.log2(1.0 + 1e7 * 10.0 ** (-2 * 1.4))
     got = ppp_secrecy(host, target, field, NON_COLLUDING, PARAMS)
     assert got == pytest.approx(float(want), rel=1e-12)
@@ -159,9 +211,7 @@ def test_ppp_secrecy_rejects_degenerate_geometry():
     host, field = _field_at([100.0])
     with pytest.raises(ValueError):
         ppp_secrecy(host, host, field, COLLUDING, PARAMS)
-    bad_field = PppField(
-        lam=6.0, ref_area_m2=1000.0, region=REGION, points=(Point2D(0.0, 0.0),)
-    )
+    bad_field = PppField(lam=6.0, ref_area_m2=1000.0, region=REGION, xy=[(0.0, 0.0)])
     with pytest.raises(ValueError):
         ppp_secrecy(host, Point2D(10.0, 0.0), bad_field, COLLUDING, PARAMS)
 
@@ -181,7 +231,7 @@ def test_average_secrecy_bounds():
     worst = ppp_secrecy(host, target, field, NON_COLLUDING, PARAMS)
     best = oracles.pair_secrecy(1e7, 1.4, 10.0, 300.0)
     assert worst <= avg <= best
-    empty = PppField(lam=6.0, ref_area_m2=1000.0, region=REGION, points=())
+    empty = PppField(lam=6.0, ref_area_m2=1000.0, region=REGION, xy=())
     with pytest.raises(ValueError):
         average_secrecy(host, target, empty, PARAMS)
 
@@ -280,7 +330,7 @@ def test_target_too_close_raises_value_error():
 
 def test_eavesdropper_too_close_raises_value_error():
     # d**(-2*alpha) overflows on the array path too: no -inf secrecy
-    field = PppField(lam=6.0, ref_area_m2=1000.0, region=REGION, points=(Point2D(1e-200, 0.0),))
+    field = PppField(lam=6.0, ref_area_m2=1000.0, region=REGION, xy=[(1e-200, 0.0)])
     host, target = Point2D(0.0, 0.0), Point2D(10.0, 0.0)
     for mode in (COLLUDING, NON_COLLUDING):
         with pytest.raises(ValueError, match="distance 1e-200 m"):

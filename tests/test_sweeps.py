@@ -224,6 +224,15 @@ def test_ppp_field_dump():
     assert all(a <= b + 1e-12 for a, b in zip(secs, secs[1:]))
 
 
+def test_ppp_tables_hold_python_floats():
+    # repr-based pins and the CSV bytes read Python floats, not np.float64
+    common = (6.0, 1_000_000.0, 1000.0, 1.4, 1e7)
+    curve = run_ppp_distance_curve(*common, (0.1, 0.5, 1.0), seed=7)
+    for out in (curve, run_ppp_field_dump(*common, 100.0, seed=7)):
+        assert len(out.rows) > 0
+        assert {type(v) for row in out.rows for v in row} == {float}
+
+
 def test_table_data_is_plain():
     out = run_sweep(_speed_spec())
     assert isinstance(out, TableData)
