@@ -16,8 +16,10 @@ from .units import db_to_linear, is_finite, kmh_to_ms, require_integer, require_
 CALIBRATED_DELTA = 5.0
 
 # Node-steps the nearest-neighbour search takes at once.  It bounds the
-# search's temporaries (about 1 MB per lane at 1000 nodes and 100
-# sources), which would otherwise raise the peak memory of large runs.
+# search's temporaries, which would otherwise raise the peak memory of
+# large runs: with 100 sources and 100 steps, a search allocates at most
+# about 1.3 MB at 1000 nodes and 0.6 MB at 10^4 nodes besides its result
+# (tracemalloc peak).
 _SEARCH_NODE_STEPS = 2**15
 
 
@@ -116,43 +118,59 @@ def _lane_nearest(
     inf for none in range and len(ys) for no index.
 
     Inside a lane the distance grows with |dx|, so the nearest node sits
-    next to the query in the lane's x order.  One stable row-wise sort of
-    the queries merged before the lane's nodes gives both that order
-    (equal x in index order) and each query's insertion point p.  The
-    candidates are the first node of the group of equal x just below p,
-    the node after it, the first node of the group before, and the nodes
-    at p and p + 1: enough to skip the source itself.  Vehicles of one
-    lane at different x whose distances round to the same float
-    (micrometres apart at most) are the one tie a full scan may break
-    differently.
+    next to the query in the lane's x order.  Each row of the lane's
+    nodes is sorted by x with numpy's default (unstable) kind; a row with
+    no equal x has one sorted order, and a row with equal x is sorted
+    again stably, so equal x stay in index order.  The sort is redone
+    every step: no order is carried from one step to the next.
+
+    One searchsorted over complex keys (real part the row, imaginary part
+    the sorted x; numpy orders complex by real, then imaginary part)
+    gives every query's insertion point p, the count of the row's nodes
+    below its x.  The candidates are the first node of the group of equal
+    x just below p, the node after it, the first node of the group
+    before, and the nodes at p and p + 1: enough to skip the source
+    itself.  Without equal x in the chunk each group is one node.
+    Vehicles of one lane at different x whose distances round to the
+    same float (micrometres apart at most) are the one tie a full scan
+    may break differently.
     """
     rows, n_sources = q.shape
     m, n_nodes = members.size, ys.size
-    merged = np.concatenate([q, x[:, members]], axis=1)
-    order = np.argsort(merged, axis=1, kind="stable")
-    is_node = order >= n_sources
-    p = np.empty(q.shape, dtype=int)
-    p[np.nonzero(~is_node)[0], order[~is_node]] = np.cumsum(is_node, axis=1)[~is_node]
+    lane_x = x[:, members]
+    order = np.argsort(lane_x, axis=1)
+    sorted_x = np.take_along_axis(lane_x, order, axis=1)
+    # A tied row's sorted values do not depend on the order of its ties.
+    tied = (sorted_x[:, 1:] == sorted_x[:, :-1]).any(axis=1)
+    any_tied = tied.any()
+    if any_tied:
+        order[tied] = np.argsort(lane_x[tied], axis=1, kind="stable")
+    row = np.arange(rows)[:, None]
+    keys = np.empty((rows, m), dtype=complex)
+    keys.real, keys.imag = row, sorted_x
+    qkeys = np.empty(q.shape, dtype=complex)
+    qkeys.real, qkeys.imag = row, q
+    p = np.searchsorted(keys.ravel(), qkeys.ravel()).reshape(q.shape) - m * row
     # One sentinel at x = inf before the sorted lane and two after it: a
     # candidate past either end lands on one and is never nearest.
-    node_cols = order[is_node].reshape(rows, m) - n_sources
-    ends = ((0, 0), (1, 2))
-    sorted_x = np.pad(
-        np.take_along_axis(merged[:, n_sources:], node_cols, axis=1), ends, constant_values=np.inf
-    )
-    sorted_j = np.pad(members[node_cols], ends, constant_values=n_nodes)
-    starts = np.ones(sorted_x.shape, dtype=bool)
-    starts[:, 1:] = sorted_x[:, 1:] != sorted_x[:, :-1]
-    group_first = np.maximum.accumulate(np.where(starts, np.arange(m + 3), 0), axis=1)
-    below = np.take_along_axis(group_first, p, axis=1)
-    before = np.take_along_axis(group_first, np.maximum(below - 1, 0), axis=1)
-    cand = np.stack([before, below, below + 1, p + 1, p + 2], axis=2).reshape(rows, -1)
-    cx = np.take_along_axis(sorted_x, cand, axis=1).reshape(rows, n_sources, 5)
-    cj = np.take_along_axis(sorted_j, cand, axis=1).reshape(rows, n_sources, 5)
-    d = np.hypot(cx - q[:, :, None], (ys[members[0]] - ys[:n_sources])[:, None])
-    d[(cj == np.arange(n_sources)[:, None]) | (d > obu_range)] = np.inf
-    lane_d = d.min(axis=2)
-    return lane_d, np.where(d == lane_d[:, :, None], cj, n_nodes).min(axis=2)
+    padded_x = np.full((rows, m + 3), np.inf)
+    padded_j = np.full((rows, m + 3), n_nodes)
+    padded_x[:, 1:-2], padded_j[:, 1:-2] = sorted_x, members[order]
+    if any_tied:
+        starts = np.ones(padded_x.shape, dtype=bool)
+        starts[:, 1:] = padded_x[:, 1:] != padded_x[:, :-1]
+        group_first = np.maximum.accumulate(np.where(starts, np.arange(m + 3), 0), axis=1)
+        below = np.take_along_axis(group_first, p, axis=1)
+        before = np.take_along_axis(group_first, np.maximum(below - 1, 0), axis=1)
+    else:
+        below, before = p, np.maximum(p - 1, 0)
+    # Candidates on the first axis, as flat indices into the padded rows.
+    cand = np.stack([before, below, below + 1, p + 1, p + 2]) + (m + 3) * row
+    cx, cj = padded_x.ravel()[cand], padded_j.ravel()[cand]
+    d = np.hypot(cx - q, ys[members[0]] - ys[:n_sources])
+    d[(cj == np.arange(n_sources)) | (d > obu_range)] = np.inf
+    lane_d = d.min(axis=0)
+    return lane_d, np.where(d == lane_d, cj, n_nodes).min(axis=0)
 
 
 def _link_secrecy(world: HighwayWorld, dists: np.ndarray) -> np.ndarray:

@@ -9,7 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import ChannelParams, link_snr, secrecy_bits
+from .channel import ChannelParams, capacity_bits, link_snr
 from .scenarios import (
     HighwayScenario,
     RelayScenario,
@@ -178,8 +178,9 @@ def run_ppp_field_dump(
     host = Point2D(0.0, 0.0)
     field = sample_field(lam, square_region(host, region_area_m2), seed, ref_area_m2)
     params = ChannelParams(p_over_n0, alpha)
-    snr_ab = link_snr(params.p_over_n0, target_distance_m, params.alpha)
+    # secrecy_bits(snr_ab, snr_e) with the target's capacity taken once.
+    c_ab = capacity_bits(link_snr(params.p_over_n0, target_distance_m, params.alpha))
     rows = []
     for (x, y), d_e in zip(field.xy.tolist(), field.distances(host).tolist()):
-        rows.append((x, y, d_e, secrecy_bits(snr_ab, link_snr(params.p_over_n0, d_e, params.alpha))))
+        rows.append((x, y, d_e, c_ab - capacity_bits(link_snr(params.p_over_n0, d_e, params.alpha))))
     return TableData(("x_m", "y_m", "distance_m", "pair_secrecy"), tuple(rows))

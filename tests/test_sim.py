@@ -372,12 +372,39 @@ def test_nearest_links_zero_width_lanes_and_range():
         _nearest_links(xs + np.arange(30) * 1000.0, ys, xs[:, :7], 10.0)
 
 
-def test_nearest_links_chunks_agree(monkeypatch):
+@pytest.mark.parametrize("delta", [0.0, 5.0, -5.0])
+def test_nearest_links_match_brute_force_at_fleet_scale(delta):
+    rng = np.random.default_rng(21)
+    xs = rng.uniform(0.0, 2500.0, (3, 1000))
+    ys = (rng.integers(0, 6, 1000) + 0.5) * 10.0
+    _assert_same_links(xs, ys, xs[:, :100] + delta)
+
+
+def _has_equal_x_in_every_lane(xs, ys):
+    return all((np.diff(np.sort(xs[:, ys == y], axis=1), axis=1) == 0).any() for y in np.unique(ys))
+
+
+def test_nearest_links_match_brute_force_on_a_fleet_scale_grid():
+    # 1000 nodes on a 10 m grid: every lane holds long runs of equal x
+    rng = np.random.default_rng(22)
+    xs = 10.0 * rng.integers(0, 250, (3, 1000)).astype(float)
+    ys = (rng.integers(0, 6, 1000) + 0.5) * 10.0
+    assert _has_equal_x_in_every_lane(xs, ys)
+    for delta in (0.0, 5.0, -5.0):
+        _assert_same_links(xs, ys, xs[:, :100] + delta)
+
+
+@pytest.mark.parametrize("rows_per_chunk", [1, 4])
+@pytest.mark.parametrize("grid", [False, True], ids=["uniform", "grid"])
+def test_nearest_links_chunks_agree(monkeypatch, grid, rows_per_chunk):
     rng = np.random.default_rng(12)
     xs = rng.uniform(0.0, 2500.0, (23, 50))
     ys = (rng.integers(0, 6, 50) + 0.5) * 10.0
+    if grid:
+        xs = 100.0 * np.floor(xs / 100.0)
+        assert _has_equal_x_in_every_lane(xs, ys)
     whole = _nearest_links(xs, ys, xs[:, :9] + 5.0, 2500.0)
-    monkeypatch.setattr(highway, "_SEARCH_NODE_STEPS", 4 * 50)
+    monkeypatch.setattr(highway, "_SEARCH_NODE_STEPS", rows_per_chunk * 50)
     chunked = _nearest_links(xs, ys, xs[:, :9] + 5.0, 2500.0)
     assert np.array_equal(whole[0], chunked[0])
     assert whole[1].tobytes() == chunked[1].tobytes()

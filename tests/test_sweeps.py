@@ -3,6 +3,7 @@ import pytest
 
 import oracles
 from vscsim import config
+from vscsim.channel import link_snr, secrecy_bits
 from vscsim.sweeps import (
     SWEEP_FIELDS,
     SweepSpec,
@@ -222,6 +223,22 @@ def test_ppp_field_dump():
     by_d = sorted(out.rows, key=lambda r: r[2])
     secs = [r[3] for r in by_d]
     assert all(a <= b + 1e-12 for a, b in zip(secs, secs[1:]))
+
+
+def test_ppp_field_dump_rows_are_secrecy_bits():
+    # the target capacity is taken once; each row is still secrecy_bits
+    # of the two scalar SNRs, bit for bit
+    out = run_ppp_field_dump(6.0, 1_000_000.0, 1000.0, 1.4, 1e7, 100.0, seed=7)
+    snr_ab = link_snr(1e7, 100.0, 1.4)
+    for _, _, d, cs in out.rows:
+        assert cs.hex() == secrecy_bits(snr_ab, link_snr(1e7, d, 1.4)).hex()
+
+
+def test_ppp_field_dump_raises_for_an_eavesdropper_snr_that_overflows():
+    # 4000 points within 1.5 m of the host: the nearest ones overflow
+    # 1e300 * d**-200, while the target link at 100 m does not
+    with pytest.raises(ValueError, match="too short"):
+        run_ppp_field_dump(1000.0, 4.0, 1.0, 100.0, 1e300, 100.0, seed=7)
 
 
 def test_ppp_tables_hold_python_floats():
