@@ -164,7 +164,8 @@ def _lane_nearest(
         before = np.take_along_axis(group_first, np.maximum(below - 1, 0), axis=1)
     else:
         below, before = p, np.maximum(p - 1, 0)
-    # Candidates on the first axis, as flat indices into the padded rows.
+    # Candidates on the first axis, as flat indices into the padded rows,
+    # so the reductions over them run on contiguous arrays.
     cand = np.stack([before, below, below + 1, p + 1, p + 2]) + (m + 3) * row
     cx, cj = padded_x.ravel()[cand], padded_j.ravel()[cand]
     d = np.hypot(cx - q, ys[members[0]] - ys[:n_sources])
