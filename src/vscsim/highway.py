@@ -121,8 +121,7 @@ def _lane_nearest(
     next to the query in the lane's x order.  Each row of the lane's
     nodes is sorted by x with numpy's default (unstable) kind; a row with
     no equal x has one sorted order, and a row with equal x is sorted
-    again stably, so equal x stay in index order.  The sort is redone
-    every step: no order is carried from one step to the next.
+    again stably, so equal x stay in index order.
 
     One searchsorted over complex keys (real part the row, imaginary part
     the sorted x; numpy orders complex by real, then imaginary part)
