@@ -10,6 +10,7 @@ its claimed position, which hashes forward to the anchor.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 from dataclasses import dataclass, replace
 from functools import cached_property
@@ -32,9 +33,21 @@ def _hash_times(data: bytes, times: int) -> bytes:
 
 
 def _check_type(name: str, value: object, kind: type) -> None:
-    # bool is an int subclass, but True is no chain position
-    if not isinstance(value, kind) or isinstance(value, bool):
+    if not isinstance(value, kind):
         raise ValueError(f"{name} must be {kind.__name__}, got {value!r}")
+
+
+def _check_vehicle_id(vehicle_id: str) -> None:
+    _check_type("vehicle_id", vehicle_id, str)
+    if not vehicle_id:
+        raise ValueError("vehicle_id must be non-empty")
+
+
+def _check_position(position: int, chain_length: int) -> None:
+    """A chain position is an integer in [0, chain_length), of any integer type."""
+    require_integer(0, position=position)
+    if position >= chain_length:
+        raise ValueError(f"position must be in [0, {chain_length}), got {position!r}")
 
 
 def vin_is_well_formed(vin: str) -> bool:
@@ -62,9 +75,7 @@ class VehicleIdentity:
     chain_length: int
 
     def __post_init__(self) -> None:
-        _check_type("vehicle_id", self.vehicle_id, str)
-        if not self.vehicle_id:
-            raise ValueError("vehicle_id must be non-empty")
+        _check_vehicle_id(self.vehicle_id)
         _check_type("vin", self.vin, str)
         require_integer(1, chain_length=self.chain_length)
         _check_type("chain_anchor", self.chain_anchor, bytes)
@@ -111,37 +122,29 @@ def validate_identity(claim: VehicleIdentity, revealed_preimage: bytes, position
     """
     if not isinstance(revealed_preimage, (bytes, bytearray)):
         raise ValueError(f"revealed_preimage must be bytes, got {revealed_preimage!r}")
-    _check_type("position", position, int)
-    if not 0 <= position < claim.chain_length:
-        raise ValueError(
-            f"position must be in [0, {claim.chain_length}), got {position!r}"
-        )
+    _check_position(position, claim.chain_length)
     return _hash_times(bytes(revealed_preimage), claim.chain_length - position) == claim.chain_anchor
 
 
 def make_identity_exchange(vehicle_id: str, vin: str, chain_length: int, position: int) -> dict:
     """Wire document a vehicle sends to prove itself; the VIN stays local.
 
-    One walk of chain_length hashes: the VIN to the element at position,
-    then on to the anchor.  The checks run in make_identity's order, VIN,
-    then identity, then the position range.
+    The checks run in the order VIN, chain_length, vehicle_id, position,
+    before any hashing; then one walk of chain_length hashes takes the VIN
+    to the element at position and on to the anchor.  The document holds
+    Python ints whatever integer type the arguments were.
     """
     _check_vin(vin)
     require_integer(1, chain_length=chain_length)
-    _check_type("position", position, int)
-    in_range = 0 <= position < chain_length
-    # An out-of-range position walks straight to the anchor, so the
-    # identity is checked before the position is refused.
-    split = position if in_range else 0
-    element = _hash_times(vin.encode("ascii"), split)
-    ident = VehicleIdentity(vehicle_id, vin, _hash_times(element, chain_length - split), chain_length)
-    if not in_range:
-        raise ValueError(f"position must be in [0, {chain_length}), got {position!r}")
+    _check_vehicle_id(vehicle_id)
+    _check_position(position, chain_length)
+    element = _hash_times(vin.encode("ascii"), position)
+    anchor = _hash_times(element, chain_length - position)
     return {
         "vehicle_id": vehicle_id,
-        "anchor_hex": ident.chain_anchor.hex(),
-        "chain_length": chain_length,
-        "position": position,
+        "anchor_hex": anchor.hex(),
+        "chain_length": int(chain_length),
+        "position": int(position),
         "preimage_hex": element.hex(),
     }
 
@@ -150,7 +153,7 @@ def verify_identity_exchange(doc: dict) -> bool:
     """Parse and check a received identity document.
 
     A missing field, malformed hex, or a chain_length or position that is
-    not an int raises ValueError.
+    not an integer raises ValueError.
     """
     try:
         vehicle_id = doc["vehicle_id"]
@@ -158,7 +161,7 @@ def verify_identity_exchange(doc: dict) -> bool:
         chain_length = doc["chain_length"]
         position = doc["position"]
         require_integer(1, chain_length=chain_length)
-        _check_type("position", position, int)
+        require_integer(0, position=position)
         preimage = bytes.fromhex(doc["preimage_hex"])
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"malformed identity exchange: {exc}") from exc
@@ -207,7 +210,8 @@ class AdjustableHighwayLink:
 
     Speed and power edits mutate the underlying scenario; enabling the
     relay re-routes evaluation through the interference form with the
-    same geometry-derived gains.
+    same geometry-derived gains.  Each knob method either acts and returns
+    True or leaves the link unchanged and returns False.
     """
 
     def __init__(self, scenario: HighwayScenario, relay: RelayOption | None = None):
@@ -235,26 +239,26 @@ class AdjustableHighwayLink:
             )
         )
 
-    def can_decrease_speed(self, step: float) -> bool:
-        return self._scenario.v - step > 0.0
-
-    def decrease_speed(self, step: float) -> None:
-        if not self.can_decrease_speed(step):
-            raise ValueError("speed decrease would close the headway distance")
+    def decrease_speed(self, step: float) -> bool:
+        """Slow down by step, unless that would stop the vehicle."""
+        if self._scenario.v - step <= 0.0:
+            return False
         self._scenario = replace(self._scenario, v=self._scenario.v - step)
+        return True
 
-    def increase_power(self, step_db: float) -> None:
+    def increase_power(self, step_db: float) -> bool:
+        """Raise P/N0 by step_db; this knob always acts."""
         params = self._scenario.params
         params = replace(params, p_over_n0=params.p_over_n0 * db_to_linear(step_db))
         self._scenario = replace(self._scenario, params=params)
+        return True
 
-    def can_enable_relay(self) -> bool:
-        return self._relay is not None and not self.relay_enabled
-
-    def enable_relay(self) -> None:
-        if not self.can_enable_relay():
-            raise ValueError("no relay available or relay already enabled")
+    def enable_relay(self) -> bool:
+        """Route through the relay, unless there is none or it is already on."""
+        if self._relay is None or self.relay_enabled:
+            return False
         self.relay_enabled = True
+        return True
 
 
 @dataclass(frozen=True)
@@ -275,32 +279,25 @@ def rsc_negotiate(
 
     Each iteration re-evaluates the link; on a shortfall exactly one
     adjustment is applied, cycling through the knob order and skipping
-    knobs that cannot act (speed already minimal, relay absent or on).
-    Failure after max_iterations is an ordinary outcome, not an error.
+    knobs that decline (speed already minimal, relay absent, on or not
+    allowed).  Failure after max_iterations is an ordinary outcome, not
+    an error.
     """
     require_finite(rsc=rsc)
     target = sc_select(window)
-    cycle = ("speed", "power", "relay")
-    pointer = 0
+    adjustments = itertools.cycle((
+        lambda: env.decrease_speed(knobs.speed_step),
+        lambda: env.increase_power(knobs.power_step_db),
+        lambda: knobs.relay_available and env.enable_relay(),
+    ))
     vsc = float("-inf")
     for iteration in range(1, knobs.max_iterations + 1):
         vsc = env.evaluate()
         if vsc >= rsc:
             return NegotiationResult(True, target, iteration, vsc)
-        if iteration == knobs.max_iterations:
-            break
-        for _ in range(len(cycle)):
-            knob = cycle[pointer]
-            pointer = (pointer + 1) % len(cycle)
-            if knob == "speed" and env.can_decrease_speed(knobs.speed_step):
-                env.decrease_speed(knobs.speed_step)
-                break
-            if knob == "power":
-                env.increase_power(knobs.power_step_db)
-                break
-            if knob == "relay" and knobs.relay_available and env.can_enable_relay():
-                env.enable_relay()
-                break
+        if iteration < knobs.max_iterations:
+            # the first knob that acts, at most one full turn of the cycle
+            any(adjust() for adjust in itertools.islice(adjustments, 3))
     return NegotiationResult(False, target, knobs.max_iterations, vsc)
 
 

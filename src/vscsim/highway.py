@@ -9,7 +9,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .channel import DEFAULT_ALPHA, DEFAULT_P_OVER_N0_DB, link_snr, secrecy_bits
+from .channel import DEFAULT_ALPHA, DEFAULT_P_OVER_N0_DB, capacity_bits, link_snr
 from .units import db_to_linear, is_finite, kmh_to_ms, require_integer, require_positive
 
 # Source shift, in meters, that the perturbation study is calibrated for.
@@ -174,11 +174,13 @@ def _lane_nearest(
 
 
 def _link_secrecy(world: HighwayWorld, dists: np.ndarray) -> np.ndarray:
-    """Per-link secrecy against the fixed-range eavesdropper, one scalar
-    secrecy_bits per link (its ndarray path rounds differently)."""
+    """Per-link secrecy against the fixed-range eavesdropper, in scalar
+    arithmetic per link (the ndarray path rounds differently): the
+    eavesdropper's capacity once, then log2(1 + SNR_B) - c_eve per link,
+    the same float operations as secrecy_bits."""
     c = db_to_linear(world.p_over_n0_db)
-    snr_eve = link_snr(c, world.eavesdropper_range, world.alpha)
-    secrecy = [secrecy_bits(link_snr(c, d, world.alpha), snr_eve) for d in dists.ravel().tolist()]
+    c_eve = capacity_bits(link_snr(c, world.eavesdropper_range, world.alpha))
+    secrecy = [capacity_bits(link_snr(c, d, world.alpha)) - c_eve for d in dists.ravel().tolist()]
     return np.array(secrecy).reshape(dists.shape)
 
 

@@ -71,9 +71,7 @@ class Trajectory:
         pts = self.waypoints
         for a, b in zip(pts, pts[1:]):
             seg = math.hypot(b.x - a.x, b.y - a.y)
-            if s <= seg or seg == 0.0:
-                if seg == 0.0:
-                    continue
+            if seg > 0.0 and s <= seg:
                 f = s / seg
                 return Point2D(a.x + f * (b.x - a.x), a.y + f * (b.y - a.y))
             s -= seg

@@ -140,7 +140,11 @@ def sample_field(lam: float, region: Rect, seed, ref_area_m2: float = 1000.0) ->
     require_positive(ref_area_m2=ref_area_m2)
     require_integer(0, seed=seed)
     rng = np.random.default_rng(seed)
-    n = int(rng.poisson(lam * region.area / ref_area_m2))
+    expected = lam * region.area / ref_area_m2
+    try:
+        n = int(rng.poisson(expected))
+    except ValueError:  # numpy's bare "lam value too large", past about 9.2e18
+        raise ValueError(f"lam gives {expected!r} expected points, too many to draw") from None
     xs = rng.uniform(region.x_min, region.x_max, n)
     ys = rng.uniform(region.y_min, region.y_max, n)
     return PppField(lam, ref_area_m2, region, np.stack((xs, ys), axis=1))

@@ -5,7 +5,10 @@ Poisson mass at 400), the Rayleigh fading average of the secrecy, the
 highway nearest-neighbour search as a brute-force scan, the result
 tables and their cells one row and one cell at a time, and the identity
 hash chain as uncached walks on hashlib, on purpose sharing no code with
-the package, so tests compare two routes to every number.
+the package, so tests compare two routes to every number.  The one
+exception is the negotiation's knob cycle, which drives the package's
+own link object: there the knob order and each knob's can-act test are
+what is checked, not the link model.
 """
 
 import hashlib
@@ -187,3 +190,33 @@ def identity_verdict(vin: str, chain_anchor: bytes, chain_length: int) -> bool:
     if len(vin) != 17 or not (vin.isascii() and vin.isalnum()):
         return False
     return _sha256_walk(vin.encode("ascii"), chain_length) == chain_anchor
+
+
+def knob_cycle_negotiation(rsc: float, knobs, link) -> tuple[bool, int, float]:
+    """rsc_negotiate's loop as three string-named branches, each knob
+    behind its own can-act test on the link's fields (speed stays above
+    0; a relay exists, is off and is allowed), calling the link's knob
+    method only when that test passes.  Returns (connected, iterations,
+    final_vsc); a knob's ValueError propagates."""
+    cycle = ("speed", "power", "relay")
+    pointer = 0
+    vsc = float("-inf")
+    for iteration in range(1, knobs.max_iterations + 1):
+        vsc = link.evaluate()
+        if vsc >= rsc:
+            return True, iteration, vsc
+        if iteration == knobs.max_iterations:
+            break
+        for _ in range(len(cycle)):
+            knob = cycle[pointer]
+            pointer = (pointer + 1) % len(cycle)
+            if knob == "speed" and link.scenario.v - knobs.speed_step > 0.0:
+                link.decrease_speed(knobs.speed_step)
+                break
+            if knob == "power":
+                link.increase_power(knobs.power_step_db)
+                break
+            if knob == "relay" and knobs.relay_available and link._relay is not None and not link.relay_enabled:
+                link.enable_relay()
+                break
+    return False, knobs.max_iterations, vsc

@@ -1,4 +1,5 @@
 import hashlib
+import json
 import math
 
 import numpy as np
@@ -214,6 +215,28 @@ def test_identity_exchange_walks_the_chain_once(hash_count, length, position):
     assert verify_identity_exchange(doc)
     assert verify_identity_exchange(doc)
     assert hash_count[0] == length + 2 * (length - position)
+
+
+def test_identity_exchange_refuses_a_position_before_hashing(hash_count):
+    for position in (5, 6, -1):
+        with pytest.raises(ValueError, match="position"):
+            make_identity_exchange("n07", VIN, 5, position)
+    assert hash_count[0] == 0
+
+
+@pytest.mark.parametrize("integer", [np.int64, np.int32, np.uint16])
+def test_chain_positions_and_lengths_of_any_integer_type(integer):
+    length, position = integer(16), integer(9)
+    ident = make_identity("n07", VIN, length)
+    assert chain_element(VIN, position) == chain_element(VIN, 9)
+    assert validate_identity(ident, chain_element(VIN, position), position)
+    with pytest.raises(ValueError, match="position"):
+        validate_identity(ident, b"x", integer(16))
+    doc = make_identity_exchange("n07", VIN, length, position)
+    assert doc == make_identity_exchange("n07", VIN, 16, 9)
+    assert type(doc["chain_length"]) is int and type(doc["position"]) is int
+    assert verify_identity_exchange(json.loads(json.dumps(doc)))
+    assert verify_identity_exchange(dict(doc, chain_length=length, position=position))
 
 
 def test_reforming_a_cluster_checks_each_identity_once(hash_count):

@@ -18,6 +18,7 @@ from vscsim.channel import (
 )
 from vscsim.cluster import (
     AdjustableHighwayLink,
+    NegotiationResult,
     RelayOption,
     SecrecyKnobs,
     VehicleIdentity,
@@ -26,6 +27,7 @@ from vscsim.cluster import (
     make_identity,
     make_identity_exchange,
     rsc_negotiate,
+    sc_select,
     select_consensus_candidates,
     validate_identity,
     verify_identity_exchange,
@@ -204,6 +206,43 @@ def test_out_of_range_inputs_raise_value_error_naming_the_field(field, call):
         call()
 
 
+def _outcome(call):
+    try:
+        return call()
+    except ValueError:
+        return ValueError
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    step=st.floats(min_value=0.1, max_value=20.0),
+    speed=st.floats(min_value=0.1, max_value=60.0),
+    speed_in_steps=st.sampled_from([None, 1, 2, 4]),
+    power_step_db=st.one_of(st.floats(min_value=0.1, max_value=40.0), st.sampled_from([1500.0, 3100.0])),
+    relay=st.one_of(st.none(), st.builds(RelayOption, gains, gains, gains)),
+    relay_available=st.booleans(),
+    max_iterations=st.integers(min_value=1, max_value=10),
+    rsc=st.one_of(st.floats(min_value=-5.0, max_value=40.0), st.just(1e6)),
+)
+def test_negotiation_matches_the_knob_cycle_reference(
+    step, speed, speed_in_steps, power_step_db, relay, relay_available, max_iterations, rsc
+):
+    if speed_in_steps is not None:  # the speed knob meets v - step == 0 exactly
+        speed = speed_in_steps * step
+    scenario = HighwayScenario(P, 1000.0, speed, 0.2)
+    knobs = SecrecyKnobs(step, power_step_db, relay_available, max_iterations)
+    link, ref_link = AdjustableHighwayLink(scenario, relay), AdjustableHighwayLink(scenario, relay)
+    got = _outcome(lambda: rsc_negotiate(RECORDS, rsc, knobs, link))
+    want = _outcome(lambda: oracles.knob_cycle_negotiation(rsc, knobs, ref_link))
+    if want is not ValueError:
+        connected, iterations, final_vsc = want
+        want = NegotiationResult(connected, sc_select(RECORDS), iterations, final_vsc)
+    assert got == want
+    assert link.scenario.v == ref_link.scenario.v
+    assert link.scenario.params.p_over_n0 == ref_link.scenario.params.p_over_n0
+    assert link.relay_enabled == ref_link.relay_enabled
+
+
 R = FadingModel.rayleigh()
 HUGE = 10**400  # an int past the float range
 
@@ -262,6 +301,8 @@ TYPE_PROBES = [
                  id="SecrecyKnobs(max_iterations=True)"),
     pytest.param("seed", lambda: sample_field(1.0, Rect(0, 0, 1, 1), seed=1.5), id="sample_field(seed=1.5)"),
     pytest.param("seed", lambda: sample_field(1.0, Rect(0, 0, 1, 1), seed="a"), id="sample_field(seed=str)"),
+    pytest.param("lam", lambda: sample_field(6.0, Rect(0, 0, 1, 1), seed=0, ref_area_m2=1e-300),
+                 id="sample_field(expected count=6e300)"),
 ]
 
 

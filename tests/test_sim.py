@@ -53,6 +53,18 @@ def test_trajectory_multi_segment():
     assert p.y == pytest.approx(2.0)
 
 
+def test_trajectory_repeated_waypoints_leave_positions_unchanged():
+    a, b, c = Point2D(0.0, 0.0), Point2D(3.0, 0.0), Point2D(3.0, 4.0)
+    plain = Trajectory((a, b, c), speed=1.3, speed_limit=2.0)
+    times = [0.25 * k for k in range(30)] + [3.0 / 1.3, 7.0 / 1.3, 1e9]
+    for pts in [(a, a, b, c), (a, b, b, c), (a, b, c, c), (a, a, b, b, b, c, c)]:
+        repeated = Trajectory(pts, speed=1.3, speed_limit=2.0)
+        assert repeated.path_length == plain.path_length
+        assert [repeated.position(t) for t in times] == [plain.position(t) for t in times]
+    still = Trajectory((b, b, b), speed=1.3, speed_limit=2.0)
+    assert [still.position(t) for t in times] == [b] * len(times)
+
+
 def test_case_geometries():
     for cid in CASE_IDS:
         case = make_case(cid)
