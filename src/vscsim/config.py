@@ -19,7 +19,7 @@ import jsonschema
 from .channel import DEFAULT_ALPHA, DEFAULT_P_OVER_N0_DB
 from .highway import HighwayWorld, check_delta, run_perturbation_study
 from .intersection import make_case, run_intersection_case
-from .sweeps import GRID_UNITS, SWEEP_FIELDS
+from .sweeps import GRID_UNITS, SWEEP_FIELDS, sweep_errors
 from .units import db_to_linear, is_finite
 
 EXPERIMENTS = ("sweep", "intersection", "highway_cluster", "perturbation", "ppp")
@@ -143,10 +143,10 @@ _FIELD_BOUNDS = {
 }
 # Scenario field -> its config name, where the two differ.
 _CONFIG_NAMES = {"p_over_n0": "p_over_n0_db"}
-# Kind -> config field -> bounds, for the fields sweeps.SWEEP_FIELDS
+# Kind -> config field -> required, for the fields sweeps.SWEEP_FIELDS
 # reads off the kind's scenario dataclass.
 _SCENARIO_FIELDS = {
-    kind: {name: _FIELD_BOUNDS[name] for name in (_CONFIG_NAMES.get(f, f) for f in fields)}
+    kind: {_CONFIG_NAMES.get(f, f): required for f, required in fields.items()}
     for kind, fields in SWEEP_FIELDS.items()
 }
 
@@ -315,48 +315,28 @@ def validate_config(doc) -> list[str]:
 
 def _sweep_extra_errors(params: dict) -> list[str]:
     """Cross-field checks of the defaulted sweep params that passed the schema."""
-    kind, param, series = params.get("kind"), params.get("param"), params["series"]
+    kind, param, base, unit = params.get("kind"), params.get("param"), params.get("base"), params["unit"]
     if kind is None:
         return []
-    errors: list[str] = []
-    fields = _object_schema(_SCENARIO_FIELDS[kind])
-    if "base" in params:
-        base = params["base"]
-        errors += _schema_errors(base, fields, "$.params.base")
-        # As in run_sweep, a required field may come from the base, the
-        # swept parameter or each series' overrides.
-        for field, required in SWEEP_FIELDS[kind].items():
-            name = _CONFIG_NAMES.get(field, field)
-            if not required or name == param or name in base:
-                continue
-            lacking = [i for i, entry in enumerate(series) if name not in entry.get("overrides", {})]
-            if len(lacking) == len(series):
-                errors.append(f"$.params.base.{name}: required for kind {kind!r} unless swept")
-                continue
-            errors += [
-                f"$.params.series[{i}].overrides.{name}: required for kind {kind!r} "
-                "unless swept or set in the base"
-                for i in lacking
-            ]
-    if param is not None and param not in _SCENARIO_FIELDS[kind]:
-        errors.append(f"$.params.param: {param!r} is not a field of kind {kind!r}")
-    elif param is not None and param.endswith("_db"):
-        if params["unit"] != "db":
-            errors.append(f"$.params.unit: sweeping {param!r} needs unit 'db'")
-    grid = params.get("grid", [])
-    unit = params["unit"]
-    bounds = _DECIBEL if unit == "db" else _SCENARIO_FIELDS[kind].get(param)
+    fields, grid = _SCENARIO_FIELDS[kind], params.get("grid", [])
+    series = [(entry["label"], entry.get("overrides", {})) for entry in params["series"]]
+    # Bounds only: sweep_errors reports a key that is not a field of the kind.
+    schema = {"properties": {name: _FIELD_BOUNDS[name] for name in fields}}
+    errors = [] if base is None else _schema_errors(base, schema, "$.params.base")
+    # The run's column for the swept value drops the _db of the config name.
+    column = params.get("param_label") or (param and param.removesuffix("_db"))
+    rule = sweep_errors(kind, fields, base, param, grid, series, column)
+    errors += [f"$.params.{path}: {message}" for path, message in rule]
+    if param in fields and param.endswith("_db") and unit != "db":
+        errors.append(f"$.params.unit: sweeping {param!r} needs unit 'db'")
+    bounds = _DECIBEL if unit == "db" else _FIELD_BOUNDS[param] if param in fields else None
     if bounds is not None:
         # The run reads a value of any other unit in SI units, where a tiny one rounds
         # to 0; one <= 0 is checked as written (the factor keeps its sign).
         values = grid if unit == "db" else [GRID_UNITS[unit](g) if g > 0 else g for g in grid]
         errors += _schema_errors(values, {"items": bounds}, "$.params.grid")
-    diffs = [b - a for a, b in zip(grid, grid[1:])]
-    if not (all(d > 0 for d in diffs) or all(d < 0 for d in diffs)):
-        errors.append("$.params.grid: must be strictly monotone")
-    for i, entry in enumerate(series):
-        overrides = entry.get("overrides", {})
-        errors += _schema_errors(overrides, fields, f"$.params.series[{i}].overrides")
+    for i, (_, overrides) in enumerate(series):
+        errors += _schema_errors(overrides, schema, f"$.params.series[{i}].overrides")
     return errors
 
 

@@ -135,8 +135,12 @@ def relay_secrecy(s: RelayScenario) -> float:
     """Secrecy with relay interference raising both noise floors.
 
     W * [log2(1 + Pa*hab/(Pr*hrb + sb)) - log2(1 + Pa*hae/(Pr*hre + se))].
-    With p_r = 0 this reduces to the plain gain-pair secrecy.
+    With p_r = 0 this reduces to the plain gain-pair secrecy.  A power-gain
+    product or the bandwidth product that overflows raises ValueError.
     """
     sinr_b = s.p_a * s.h_ab_sq / (s.p_r * s.h_rb_sq + s.sigma_b_sq)
     sinr_e = s.p_a * s.h_ae_sq / (s.p_r * s.h_re_sq + s.sigma_e_sq)
-    return s.bandwidth_hz * secrecy_bits(sinr_b, sinr_e)
+    cs = s.bandwidth_hz * secrecy_bits(sinr_b, sinr_e)
+    if not math.isfinite(cs):
+        raise ValueError(f"relay secrecy is {cs!r}: a power-gain or bandwidth product overflows")
+    return cs

@@ -7,8 +7,6 @@ import dataclasses
 import typing
 from dataclasses import dataclass
 
-import numpy as np
-
 from .channel import ChannelParams, capacity_bits, link_snr
 from .scenarios import (
     HighwayScenario,
@@ -26,7 +24,7 @@ from .stochastic import (
     sample_field,
     square_region,
 )
-from .units import Point2D, db_to_linear, kmh_to_ms, require_positive
+from .units import Point2D, db_to_linear, is_finite, kmh_to_ms, require_positive
 
 SWEEP_SCENARIOS = {
     "highway": HighwayScenario,
@@ -89,12 +87,47 @@ def _evaluate(kind: str, kwargs: dict) -> float:
     return urban_secrecy(UrbanScenario(params, **kwargs, eavesdropper=kind.removeprefix("urban_")))
 
 
-def run_sweep(spec: SweepSpec) -> TableData:
-    """Evaluate the spec's scenario at every (grid value, series) pair.
+def sweep_errors(kind: str, fields: dict[str, bool], base: dict | None, param: str | None,
+                 grid, series, param_column: str | None) -> list[tuple[str, str]]:
+    """Every cross-field refusal of a sweep, as (path under the sweep params, message).
 
-    The grid must be strictly monotone so downstream trend checks read
-    left to right; the swept value is reported in its grid units.  Base,
-    swept parameter and overrides must set exactly the kind's fields.
+    `fields` maps each field of the kind to whether it is required, and `series`
+    holds (label, overrides) pairs, in the caller's names; a base of None is not
+    checked.  Base and overrides set only fields; the swept parameter is a field;
+    a required field comes from the base, the swept parameter or every series'
+    overrides; the grid is strictly monotone, so trend checks read left to right;
+    the column names (param_column, then the series labels) are distinct.
+    """
+    unknown = f"not a field of kind {kind!r}"
+    errors = [(f"base.{name}", unknown) for name in base or () if name not in fields]
+    for i, (_, overrides) in enumerate(series):
+        errors += [(f"series[{i}].overrides.{name}", unknown) for name in overrides if name not in fields]
+    missing = [name for name, required in fields.items()
+               if required and name != param and base is not None and name not in base]
+    for name in missing:
+        lacking = [i for i, (_, overrides) in enumerate(series) if name not in overrides]
+        if len(lacking) == len(series):
+            errors.append((f"base.{name}", f"required for kind {kind!r} unless swept"))
+        else:
+            errors += [(f"series[{i}].overrides.{name}",
+                        f"required for kind {kind!r} unless swept or set in the base") for i in lacking]
+    if param is not None and param not in fields:
+        errors.append(("param", f"{param!r} is not a field of kind {kind!r}"))
+    pairs = list(zip(grid, grid[1:]))
+    if not (all(a < b for a, b in pairs) or all(a > b for a, b in pairs)):
+        errors.append(("grid", "must be strictly monotone"))
+    columns = {param_column}
+    for i, (label, _) in enumerate(series):
+        if label in columns:
+            errors.append((f"series[{i}].label", f"column {label!r} is named twice"))
+        columns.add(label)
+    return errors
+
+
+def run_sweep(spec: SweepSpec) -> TableData:
+    """Evaluate the spec's scenario at every (grid value, series) pair,
+    reporting the swept value in its grid units.  A spec that breaks a
+    rule of sweep_errors raises one ValueError listing each `path: message`.
     """
     if spec.kind not in SWEEP_SCENARIOS:
         raise ValueError(f"kind must be one of {tuple(SWEEP_SCENARIOS)}, got {spec.kind!r}")
@@ -102,21 +135,17 @@ def run_sweep(spec: SweepSpec) -> TableData:
         raise ValueError(f"unit must be one of {tuple(GRID_UNITS)}, got {spec.unit!r}")
     if len(spec.grid) == 0:
         raise ValueError("grid must be non-empty")
-    diffs = np.diff(np.asarray(spec.grid, dtype=float))
-    if len(spec.grid) > 1 and not (np.all(diffs > 0.0) or np.all(diffs < 0.0)):
-        raise ValueError("grid must be strictly monotone")
     if not spec.series:
         raise ValueError("at least one series is required")
-    fields = SWEEP_FIELDS[spec.kind]
-    for label, overrides in spec.series:
-        given = {*spec.base, spec.param, *overrides}
-        missing = [name for name, required in fields.items() if required and name not in given]
-        unknown = sorted(given - fields.keys())
-        if missing or unknown:
-            raise ValueError(f"series {label!r} of kind {spec.kind!r}: missing fields {missing}, "
-                             f"unknown fields {unknown}")
-    convert = GRID_UNITS[spec.unit]
+    for i, g in enumerate(spec.grid):
+        if not is_finite(g):
+            raise ValueError(f"grid[{i}]: must be a finite number")
     columns = (spec.param_label or spec.param,) + tuple(label for label, _ in spec.series)
+    errors = sweep_errors(spec.kind, SWEEP_FIELDS[spec.kind], spec.base, spec.param, spec.grid,
+                          spec.series, columns[0])
+    if errors:
+        raise ValueError("; ".join(f"{path}: {message}" for path, message in errors))
+    convert = GRID_UNITS[spec.unit]
     rows = []
     for g in spec.grid:
         value = convert(float(g))

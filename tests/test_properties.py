@@ -35,9 +35,9 @@ from vscsim.cluster import (
 from vscsim.highway import HighwayWorld
 from vscsim.intersection import make_case, run_intersection_case
 from vscsim.kinematics import braking_distance, coupled_distance, safety_distance
-from vscsim.scenarios import HighwayScenario, RelayScenario, UrbanScenario
+from vscsim.scenarios import HighwayScenario, RelayScenario, UrbanScenario, relay_secrecy
 from vscsim.stochastic import ErgodicConfig, Rect, ergodic_secrecy_mc, poisson_pmf, sample_field
-from vscsim.sweeps import run_ppp_field_dump
+from vscsim.sweeps import SweepSpec, run_ppp_field_dump, run_sweep
 from vscsim.units import Point2D, db_to_linear, kmh_to_ms, linear_to_db, ms_to_kmh
 from vscsim.vsc import CsiRecord, compute_vsc, windowed_stream
 
@@ -245,6 +245,7 @@ def test_negotiation_matches_the_knob_cycle_reference(
 
 R = FadingModel.rayleigh()
 HUGE = 10**400  # an int past the float range
+HIGHWAY_BASE = {"r": 1000.0, "tau": 0.2, "alpha": 1.4, "p_over_n0": 1e7}
 
 
 def _negotiate(max_iterations):
@@ -303,6 +304,15 @@ TYPE_PROBES = [
     pytest.param("seed", lambda: sample_field(1.0, Rect(0, 0, 1, 1), seed="a"), id="sample_field(seed=str)"),
     pytest.param("lam", lambda: sample_field(6.0, Rect(0, 0, 1, 1), seed=0, ref_area_m2=1e-300),
                  id="sample_field(expected count=6e300)"),
+    pytest.param("relay secrecy", lambda: relay_secrecy(RelayScenario(1e300, 0.0, 1e300, 1e300, 0.0, 0.0)),
+                 id="relay_secrecy(sinr_b=inf)"),
+    pytest.param("relay secrecy", lambda: relay_secrecy(RelayScenario(1e300, 1e300, 1e300, 1e300, 0.0, 0.0)),
+                 id="relay_secrecy(sinr_b=inf/inf)"),
+    pytest.param("relay secrecy",
+                 lambda: relay_secrecy(RelayScenario(1.0, 0.0, 3.0, 0.0, 0.0, 0.0, bandwidth_hz=1e308)),
+                 id="relay_secrecy(bandwidth*cs=inf)"),
+    pytest.param("grid", lambda: run_sweep(SweepSpec("highway", HIGHWAY_BASE, "v", (HUGE, 2.0))),
+                 id="run_sweep(grid=huge)"),
 ]
 
 

@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 from vscsim import config
 from vscsim.channel import link_snr, secrecy_bits
+from vscsim.config import validate_config
 from vscsim.sweeps import (
     SWEEP_FIELDS,
     SweepSpec,
@@ -12,6 +15,7 @@ from vscsim.sweeps import (
     run_ppp_field_dump,
     run_sweep,
 )
+from vscsim.units import db_to_linear
 
 HIGHWAY_BASE = {"r": 1000.0, "v": 0.0, "tau": 0.2, "alpha": 1.4, "p_over_n0": 1e7}
 RELAY_BASE = {
@@ -94,19 +98,19 @@ def test_sweep_rejects_unknown_kind_and_unit():
     [
         (
             SweepSpec("highway", {}, "v", (1.0,)),
-            r"missing fields \['p_over_n0', 'alpha', 'r', 'tau'\]",
+            r"base\.p_over_n0: required .*base\.alpha: required .*base\.r: required .*base\.tau: required",
         ),
         (
             SweepSpec("highway", {**HIGHWAY_BASE, "v": 20.0}, "theta", (1.0, 2.0, 3.0)),
-            r"unknown fields \['theta'\]",
+            r"param: 'theta' is not a field",
         ),
         (
             SweepSpec("highway", HIGHWAY_BASE, "v", (1.0, 2.0), series=(("a", {"alfa": 4.0}),)),
-            r"series 'a' .*unknown fields \['alfa'\]",
+            r"series\[0\]\.overrides\.alfa: not a field",
         ),
         (
             SweepSpec("relay", {**RELAY_BASE, "sigma": 2.0}, "p_r", (0.0, 1.0)),
-            r"unknown fields \['sigma'\]",
+            r"base\.sigma: not a field",
         ),
     ],
     ids=["missing", "unknown-param", "misspelled-override", "stray-base-key"],
@@ -114,6 +118,77 @@ def test_sweep_rejects_unknown_kind_and_unit():
 def test_sweep_rejects_missing_or_unknown_fields(spec, match):
     with pytest.raises(ValueError, match=match):
         run_sweep(spec)
+
+
+# A valid value of every field, in config names, for the kinds the agreement test builds.
+FIELD_VALUES = {
+    "highway": {"p_over_n0_db": 70.0, "alpha": 1.4, "r": 1000.0, "v": 20.0, "tau": 0.2},
+    "relay": {**RELAY_BASE, "sigma_b_sq": 1.0, "sigma_e_sq": 1.0, "bandwidth_hz": 2.0},
+}
+
+
+def _run_names(values: dict) -> dict:
+    return {k.removesuffix("_db"): db_to_linear(v) if k.endswith("_db") else v for k, v in values.items()}
+
+
+@st.composite
+def _sweep_docs(draw):
+    """A sweep config doc and the SweepSpec the run builds from it, with each
+    field in the base, in every series, in the first series only or nowhere,
+    a stray key, a real or bogus swept parameter, any grid order and labels
+    that may repeat a column name."""
+    kind = draw(st.sampled_from(sorted(FIELD_VALUES)))
+    labels = draw(st.lists(st.sampled_from(["cs", "a", "v", "p_over_n0"]), min_size=1, max_size=3))
+    base, overrides = {}, [{} for _ in labels]
+    stray = draw(st.sampled_from([None, "alfa", "p_r" if kind == "highway" else "v"]))
+    for name, value in [*FIELD_VALUES[kind].items(), (stray, 1.0)]:
+        where = draw(st.sampled_from(["base", "every series", "first series", "nowhere"]))
+        if name is None or where == "nowhere":
+            continue
+        for target in [base] if where == "base" else overrides if where == "every series" else overrides[:1]:
+            target[name] = value
+    param = draw(st.sampled_from([*FIELD_VALUES[kind], "bogus"]))
+    grid = draw(st.sampled_from([[1.0, 2.0, 3.0], [3.0, 2.0, 1.0], [1.0, 3.0, 2.0], [2.0, 2.0], [2.0]]))
+    param_label = draw(st.sampled_from([None, "cs"]))
+    unit = "db" if param.endswith("_db") else "si"
+    params = {"kind": kind, "base": base, "param": param, "grid": grid, "unit": unit,
+              "series": [{"label": label, "overrides": o} for label, o in zip(labels, overrides)]}
+    if param_label is not None:
+        params["param_label"] = param_label
+    spec = SweepSpec(kind, _run_names(base), param.removesuffix("_db"), tuple(grid), unit, param_label,
+                     tuple((label, _run_names(o)) for label, o in zip(labels, overrides)))
+    return {"experiment": "sweep", "params": params}, spec
+
+
+@settings(max_examples=300, deadline=None)
+@given(_sweep_docs())
+def test_validate_config_and_run_sweep_refuse_the_same_paths(doc_and_spec):
+    doc, spec = doc_and_spec
+    want = {e.split(":")[0].removeprefix("$.params.").replace("_db", "") for e in validate_config(doc)}
+    try:
+        run_sweep(spec)
+        got = set()
+    except ValueError as exc:
+        got = {part.split(":")[0] for part in str(exc).split("; ")}
+    assert got == want
+
+
+def test_sweep_rejects_a_repeated_column_name():
+    doc = {"experiment": "sweep", "params": {
+        "kind": "highway", "base": {"r": 1000.0, "tau": 0.2, "alpha": 1.4, "p_over_n0_db": 70.0},
+        "param": "v", "grid": [10.0, 20.0], "param_label": "cs",
+        "series": [{"label": "cs"}, {"label": "a"}, {"label": "cs"}],
+    }}
+    assert validate_config(doc) == [
+        "$.params.series[0].label: column 'cs' is named twice",
+        "$.params.series[2].label: column 'cs' is named twice",
+    ]
+    spec = _speed_spec(param_label="cs", series=(("cs", {}), ("a", {}), ("cs", {})))
+    with pytest.raises(ValueError, match=r"^series\[0\]\.label: column 'cs' is named twice; "
+                                         r"series\[2\]\.label: column 'cs' is named twice$"):
+        run_sweep(spec)
+    del doc["params"]["param_label"]
+    assert validate_config(doc) == ["$.params.series[2].label: column 'cs' is named twice"]
 
 
 def test_sweep_fields_match_config_fields():
