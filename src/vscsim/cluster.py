@@ -12,8 +12,10 @@ from __future__ import annotations
 import hashlib
 import itertools
 import json
+import math
+import operator
 from dataclasses import dataclass, replace
-from functools import cached_property
+from functools import cached_property, lru_cache
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -30,6 +32,26 @@ def _hash_times(data: bytes, times: int) -> bytes:
     for _ in range(times):
         data = hashlib.sha256(data).digest()
     return data
+
+
+@lru_cache(maxsize=256)
+def _chain(vin: str, chain_length: int) -> tuple[int, tuple[bytes, ...], bytes]:
+    """A vehicle's own chain as (stride s, checkpoints H^0, H^s, H^2s, ..., anchor).
+
+    s = isqrt(n - 1) + 1 for n = chain_length, so at most s checkpoints
+    cover every position in [0, n) and an element is fewer than s hashes
+    from its checkpoint: about sqrt(n) digests kept and sqrt(n) hashes per
+    reveal (s = 32 at n = 1000).  One walk of exactly n hashes builds it.
+    The 256 most recent (VIN, length) chains stay resident, at most about
+    16 MB for chains of 10^6.  Callers check the VIN and the length first
+    and pass a Python int, so every integer type shares one entry.
+    """
+    stride = math.isqrt(chain_length - 1) + 1
+    checkpoints = [vin.encode("ascii")]
+    for _ in range((chain_length - 1) // stride):
+        checkpoints.append(_hash_times(checkpoints[-1], stride))
+    anchor = _hash_times(checkpoints[-1], chain_length - stride * (len(checkpoints) - 1))
+    return stride, tuple(checkpoints), anchor
 
 
 def _check_type(name: str, value: object, kind: type) -> None:
@@ -95,7 +117,7 @@ def make_identity(vehicle_id: str, vin: str, chain_length: int) -> VehicleIdenti
     """Build an identity whose anchor is the VIN hashed chain_length times."""
     _check_vin(vin)
     require_integer(1, chain_length=chain_length)
-    anchor = _hash_times(vin.encode("ascii"), chain_length)
+    anchor = _chain(vin, operator.index(chain_length))[2]
     return VehicleIdentity(vehicle_id, vin, anchor, chain_length)
 
 
@@ -130,21 +152,25 @@ def make_identity_exchange(vehicle_id: str, vin: str, chain_length: int, positio
     """Wire document a vehicle sends to prove itself; the VIN stays local.
 
     The checks run in the order VIN, chain_length, vehicle_id, position,
-    before any hashing; then one walk of chain_length hashes takes the VIN
-    to the element at position and on to the anchor.  The document holds
-    Python ints whatever integer type the arguments were.
+    before any hashing.  The vehicle keeps its chain (see _chain): the
+    first exchange on a (VIN, chain_length) walks the chain_length hashes
+    once, and every exchange then hashes position mod s times from the
+    checkpoint below position, fewer than s = isqrt(chain_length - 1) + 1.
+    The verifier keeps nothing and hashes chain_length - position times.
+    The document holds Python ints whatever integer type the arguments were.
     """
     _check_vin(vin)
     require_integer(1, chain_length=chain_length)
     _check_vehicle_id(vehicle_id)
     _check_position(position, chain_length)
-    element = _hash_times(vin.encode("ascii"), position)
-    anchor = _hash_times(element, chain_length - position)
+    chain_length, position = operator.index(chain_length), operator.index(position)
+    stride, checkpoints, anchor = _chain(vin, chain_length)
+    element = _hash_times(checkpoints[position // stride], position % stride)
     return {
         "vehicle_id": vehicle_id,
         "anchor_hex": anchor.hex(),
-        "chain_length": int(chain_length),
-        "position": int(position),
+        "chain_length": chain_length,
+        "position": position,
         "preimage_hex": element.hex(),
     }
 
@@ -386,18 +412,28 @@ class ClusterHistory:
 
     @classmethod
     def load(cls, path: str | Path) -> "ClusterHistory":
+        """Read a saved history; a malformed line raises ValueError naming
+        the file and its 1-based line number."""
+        records = []
         with open(path, encoding="utf-8") as fh:
-            docs = [json.loads(line) for line in fh if line.strip()]
-        return cls(
-            ClusterState(
-                doc["cluster_id"],
-                tuple((m["id"], float(m["vsc"])) for m in doc["members"]),
-                float(doc["rsc"]),
-                float(doc["secondary_rsc"]),
-                float(doc["ts"]),
-            )
-            for doc in docs
-        )
+            for lineno, line in enumerate(fh, 1):
+                if not line.strip():
+                    continue
+                try:
+                    doc = json.loads(line)
+                    if not isinstance(doc, dict):
+                        raise TypeError(f"expected a JSON object, got {type(doc).__name__}")
+                    records.append(ClusterState(
+                        doc["cluster_id"],
+                        tuple((m["id"], float(m["vsc"])) for m in doc["members"]),
+                        float(doc["rsc"]),
+                        float(doc["secondary_rsc"]),
+                        float(doc["ts"]),
+                    ))
+                except (KeyError, TypeError, ValueError) as exc:
+                    reason = f"missing key {exc}" if isinstance(exc, KeyError) else str(exc)
+                    raise ValueError(f"{path}, line {lineno}: malformed history record: {reason}") from exc
+        return cls(records)
 
 
 def history_fallback(history: ClusterHistory, candidate_ids: Iterable[str]) -> str | None:

@@ -10,8 +10,10 @@ from __future__ import annotations
 import csv
 import itertools
 import math
+import re
 from dataclasses import dataclass
 from pathlib import Path
+from types import SimpleNamespace
 from typing import Iterable, Sequence
 
 from .channel import secrecy_bits
@@ -21,6 +23,7 @@ ADEQUATE = "adequate"
 INADEQUATE = "inadequate"
 
 CSI_CSV_HEADER = ["timestamp_s", "sender_id", "snr_db", "chain_element_hex"]
+_CSV_SPECIAL = re.compile(r'[,"\r\n]')  # a text cell holding one of these may need csv quoting
 
 
 @dataclass(frozen=True)
@@ -39,8 +42,10 @@ class CsiRecord:
     def __post_init__(self) -> None:
         if not is_finite(self.timestamp):
             raise ValueError(f"timestamp must be finite, got {self.timestamp!r}")
-        if not self.sender_id:
-            raise ValueError("sender_id must be non-empty")
+        if not (isinstance(self.sender_id, str) and self.sender_id):
+            raise ValueError(f"sender_id must be a non-empty str, got {self.sender_id!r}")
+        if not (self.chain_element is None or isinstance(self.chain_element, str)):
+            raise ValueError(f"chain_element must be a str or None, got {self.chain_element!r}")
         if not (is_finite(self.snr) and self.snr > 0.0):
             raise ValueError(f"snr must be finite and > 0, got {self.snr!r}")
 
@@ -138,19 +143,23 @@ def security_verdict(vsc_bits: float, reference_bits: float) -> str:
 
 
 def write_csi_csv(path: str | Path, records: Iterable[CsiRecord]) -> None:
-    """Persist records with dB-valued SNR, one row per record."""
+    """Persist records with dB-valued SNR, one row per record.
+
+    Each row is one f-string and the file is written once; a row whose
+    sender_id or chain_element holds a character csv may quote is
+    formatted by csv.writer, so the bytes are csv.writer's either way.
+    """
+    lines: list[str] = []
+    writer = csv.writer(SimpleNamespace(write=lines.append), lineterminator="\n")
+    writer.writerow(CSI_CSV_HEADER)
+    for rec in records:
+        ts, snr_db, chain = float(rec.timestamp), linear_to_db(rec.snr), rec.chain_element or ""
+        if _CSV_SPECIAL.search(rec.sender_id) or _CSV_SPECIAL.search(chain):
+            writer.writerow([repr(ts), rec.sender_id, repr(snr_db), chain])
+        else:
+            lines.append(f"{ts!r},{rec.sender_id},{snr_db!r},{chain}\n")
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(CSI_CSV_HEADER)
-        for rec in records:
-            writer.writerow(
-                [
-                    repr(float(rec.timestamp)),
-                    rec.sender_id,
-                    repr(linear_to_db(rec.snr)),
-                    rec.chain_element or "",
-                ]
-            )
+        fh.write("".join(lines))
 
 
 def read_csi_csv(path: str | Path) -> list[CsiRecord]:

@@ -1,9 +1,12 @@
 import hashlib
 import json
 import math
+import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from vscsim import cluster
 from vscsim.channel import ChannelParams
@@ -207,14 +210,74 @@ def hash_count(monkeypatch):
     return count
 
 
-@pytest.mark.parametrize("length, position", [(1, 0), (5, 0), (5, 4), (16, 9), (1000, 500)])
-def test_identity_exchange_walks_the_chain_once(hash_count, length, position):
+@pytest.mark.parametrize("length, position", [(1, 0), (5, 0), (5, 4), (16, 9), (1000, 500), (1000, 999)])
+def test_identity_exchange_hashes_under_a_stride_once_the_chain_is_kept(hash_count, length, position):
+    cluster._chain.cache_clear()
+    stride = math.isqrt(length - 1) + 1
+    # cold: one walk of the whole chain, then the steps from the checkpoint
     doc = make_identity_exchange("n07", VIN, length, position)
-    assert hash_count[0] == length
+    assert hash_count[0] == length + position % stride
+    # warm: only the steps from the checkpoint below the position
+    hash_count[0] = 0
+    assert make_identity_exchange("n07", VIN, length, position) == doc
+    assert hash_count[0] == position % stride < stride
     # the wire side keeps nothing: each verification walks element to anchor
+    hash_count[0] = 0
     assert verify_identity_exchange(doc)
     assert verify_identity_exchange(doc)
-    assert hash_count[0] == length + 2 * (length - position)
+    assert hash_count[0] == 2 * (length - position)
+
+
+def _oracle_walk(vin, times):
+    data = vin.encode("ascii")
+    for _ in range(times):
+        data = hashlib.sha256(data).digest()
+    return data
+
+
+# stride edges: n = k^2 - 1, k^2, k^2 + 1 around the squares where the stride steps
+_ORACLE_LENGTHS = [1, 2, 3, 4, 5, 8, 9, 10, 24, 25, 26, 1000, 1024]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    length=st.sampled_from(_ORACLE_LENGTHS),
+    drawn=st.integers(min_value=0),
+    vin=st.sampled_from([VIN, "VB000000000001017"]),
+)
+def test_cached_walk_matches_direct_hashlib_iteration(length, drawn, vin):
+    cluster._chain.cache_clear()  # the identity builds the chain cold, the exchanges read it warm
+    stride = math.isqrt(length - 1) + 1
+    anchor = _oracle_walk(vin, length)
+    assert make_identity("n07", vin, length).chain_anchor == anchor
+    for position in {0, stride - 1, stride, length - 1, drawn % length} & set(range(length)):
+        doc = make_identity_exchange("n07", vin, length, position)
+        assert doc["anchor_hex"] == anchor.hex()
+        assert doc["preimage_hex"] == _oracle_walk(vin, position).hex()
+
+
+def test_numpy_integer_arguments_share_one_kept_chain():
+    cluster._chain.cache_clear()
+    doc = make_identity_exchange("n07", VIN, 1000, 517)
+    for integer in (np.int64, np.int32, np.uint16):
+        assert make_identity_exchange("n07", VIN, integer(1000), integer(517)) == doc
+        assert make_identity("n07", VIN, integer(1000)).chain_anchor.hex() == doc["anchor_hex"]
+    info = cluster._chain.cache_info()
+    assert (info.misses, info.hits, info.currsize) == (1, 6, 1)
+
+
+def test_verdicts_do_not_depend_on_the_kept_chains():
+    docs = [make_identity_exchange(f"n{k}", VIN, 64, k) for k in (0, 7, 8, 63)]
+    forged = dict(docs[1], preimage_hex=docs[2]["preimage_hex"])
+    ident = make_identity("n07", VIN, 64)
+    tampered = VehicleIdentity("t", VIN, bytes(32), 64)
+    before = [verify_identity_exchange(doc) for doc in docs + [forged]]
+    cluster._chain.cache_clear()
+    after = [verify_identity_exchange(doc) for doc in docs + [forged]]
+    assert before == after == [True, True, True, True, False]
+    assert identity_is_valid(VehicleIdentity("n07", VIN, ident.chain_anchor, 64))
+    assert not identity_is_valid(tampered)
+    assert cluster._chain.cache_info().currsize == 0
 
 
 def test_identity_exchange_refuses_a_position_before_hashing(hash_count):
@@ -451,6 +514,26 @@ def test_history_save_writes_formed_at_as_ts(tmp_path):
         b'"rsc": 2.0, "secondary_rsc": 1.0, "ts": 3.5}\n'
     )
     assert ClusterHistory.load(path).replay() == hist.replay()
+
+
+@pytest.mark.parametrize(
+    "bad_line, reason",
+    [
+        ('{"cluster_id": "c-1", "members": [], "rsc": 2.0, "secondary_rsc": 1.0}', "missing key 'ts'"),
+        ('["c-1", [], 2.0, 1.0, 3.5]', "expected a JSON object, got list"),
+        ("cluster c-1 formed at 3.5", "Expecting value"),
+    ],
+    ids=["missing-key", "json-list", "not-json"],
+)
+def test_history_load_names_the_file_and_line_of_a_malformed_record(tmp_path, bad_line, reason):
+    hist = ClusterHistory([ClusterState("c-0", (("a", 2.5),), 2.0, 1.0, 0.5)])
+    path = tmp_path / "history.ndjson"
+    hist.save(path)
+    with open(path, "a", encoding="utf-8") as fh:
+        fh.write("\n" + bad_line + "\n")  # a blank line still counts toward the line number
+    where = re.escape(f"{path}, line 3")
+    with pytest.raises(ValueError, match=rf"^{where}: malformed history record: {reason}"):
+        ClusterHistory.load(path)
 
 
 def test_history_fallback_prefers_recent_then_vsc_then_id():

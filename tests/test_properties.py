@@ -284,6 +284,11 @@ TYPE_PROBES = [
     pytest.param("speed", lambda: kmh_to_ms("3"), id="kmh_to_ms(str)"),
     pytest.param("coordinates", lambda: Point2D("a", 0), id="Point2D(str)"),
     pytest.param("timestamp", lambda: CsiRecord("a", "s", 1.0), id="CsiRecord(timestamp=str)"),
+    pytest.param("sender_id", lambda: CsiRecord(0.0, 5, 1.0), id="CsiRecord(sender_id=int)"),
+    pytest.param("sender_id", lambda: CsiRecord(0.0, b"x", 1.0), id="CsiRecord(sender_id=bytes)"),
+    pytest.param("sender_id", lambda: CsiRecord(0.0, "", 1.0), id="CsiRecord(sender_id=empty)"),
+    pytest.param("chain_element", lambda: CsiRecord(0.0, "a", 1.0, 5), id="CsiRecord(chain_element=int)"),
+    pytest.param("chain_element", lambda: CsiRecord(0.0, "a", 1.0, b"ab"), id="CsiRecord(chain_element=bytes)"),
     pytest.param("dt", lambda: run_intersection_case(1, dt="0.1"), id="intersection(dt=str)"),
     pytest.param("n", lambda: poisson_pmf("2", 1.0), id="poisson_pmf(n=str)"),
     pytest.param("k", lambda: FadingModel.rician("1"), id="rician(k=str)"),

@@ -1,3 +1,5 @@
+import csv
+import io
 import math
 
 import numpy as np
@@ -5,6 +7,7 @@ import pytest
 
 from vscsim.channel import secrecy_bits
 from vscsim.cluster import sc_select
+from vscsim.units import linear_to_db
 from vscsim.vsc import (
     ADEQUATE,
     INADEQUATE,
@@ -200,6 +203,31 @@ def test_csi_csv_round_trip(tmp_path):
         assert b.sender_id == a.sender_id
         assert b.snr == pytest.approx(a.snr, rel=1e-12)
         assert b.chain_element == a.chain_element
+
+
+def test_csi_csv_quotes_text_cells_as_csv_writer_does(tmp_path):
+    senders = ["plain", "a,b", 'say "hi"', "two\nlines", "cr\rhere", "tab\tis plain", " lead"]
+    chains = [None, "ab" * 32, "x,y", 'q"', "l\n", None, ""]
+    recs = [
+        CsiRecord(0.1 * i + 1e-7, sender, 10.0 ** (i - 3), chain_element=chain)
+        for i, (sender, chain) in enumerate(zip(senders, chains))
+    ]
+    path = tmp_path / "csi.csv"
+    write_csi_csv(path, recs)
+    want = io.StringIO(newline="")
+    writer = csv.writer(want, lineterminator="\n")
+    writer.writerow(["timestamp_s", "sender_id", "snr_db", "chain_element_hex"])
+    writer.writerows(
+        [repr(float(r.timestamp)), r.sender_id, repr(linear_to_db(r.snr)), r.chain_element or ""] for r in recs
+    )
+    assert path.read_bytes() == want.getvalue().encode("utf-8")
+    # csv.writer leaves a lone "\r" unquoted, so only the other rows read back
+    readable = [r for r in recs if "\r" not in r.sender_id]
+    write_csi_csv(path, readable)
+    back = read_csi_csv(path)
+    assert [(r.sender_id, r.chain_element) for r in back] == [
+        (r.sender_id, r.chain_element or None) for r in readable
+    ]
 
 
 def test_csi_csv_stores_db(tmp_path):
