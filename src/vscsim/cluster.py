@@ -114,9 +114,13 @@ class VehicleIdentity:
 
 
 def make_identity(vehicle_id: str, vin: str, chain_length: int) -> VehicleIdentity:
-    """Build an identity whose anchor is the VIN hashed chain_length times."""
+    """Build an identity whose anchor is the VIN hashed chain_length times.
+
+    The VIN, chain_length and vehicle_id are checked, in that order,
+    before any hashing."""
     _check_vin(vin)
     require_integer(1, chain_length=chain_length)
+    _check_vehicle_id(vehicle_id)
     anchor = _chain(vin, operator.index(chain_length))[2]
     return VehicleIdentity(vehicle_id, vin, anchor, chain_length)
 

@@ -269,14 +269,12 @@ def test_numpy_integer_arguments_share_one_kept_chain():
 def test_verdicts_do_not_depend_on_the_kept_chains():
     docs = [make_identity_exchange(f"n{k}", VIN, 64, k) for k in (0, 7, 8, 63)]
     forged = dict(docs[1], preimage_hex=docs[2]["preimage_hex"])
-    ident = make_identity("n07", VIN, 64)
-    tampered = VehicleIdentity("t", VIN, bytes(32), 64)
+    anchor = make_identity("n07", VIN, 64).chain_anchor
     before = [verify_identity_exchange(doc) for doc in docs + [forged]]
     cluster._chain.cache_clear()
     after = [verify_identity_exchange(doc) for doc in docs + [forged]]
     assert before == after == [True, True, True, True, False]
-    assert identity_is_valid(VehicleIdentity("n07", VIN, ident.chain_anchor, 64))
-    assert not identity_is_valid(tampered)
+    assert identity_is_valid(VehicleIdentity("n07", VIN, anchor, 64))
     assert cluster._chain.cache_info().currsize == 0
 
 
@@ -285,6 +283,17 @@ def test_identity_exchange_refuses_a_position_before_hashing(hash_count):
         with pytest.raises(ValueError, match="position"):
             make_identity_exchange("n07", VIN, 5, position)
     assert hash_count[0] == 0
+
+
+def test_make_identity_refuses_a_vehicle_id_before_hashing(hash_count):
+    cluster._chain.cache_clear()
+    with pytest.raises(ValueError, match="VIN"):
+        make_identity("", "NOTAVIN", 10**6)
+    for vehicle_id in ("", 7):
+        with pytest.raises(ValueError, match="vehicle_id"):
+            make_identity(vehicle_id, VIN, 10**6)
+    assert hash_count[0] == 0
+    assert cluster._chain.cache_info().currsize == 0
 
 
 @pytest.mark.parametrize("integer", [np.int64, np.int32, np.uint16])
