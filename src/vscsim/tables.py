@@ -12,8 +12,11 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
+import re
 from dataclasses import dataclass, field
+from itertools import islice
 from pathlib import Path
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -79,6 +82,8 @@ def _parse_provenance(line: str) -> dict[str, str]:
 
 
 _SCALAR_TYPES = {int, float, str}
+_BLOCK = 256  # rows per write: bounds the formatted text held at once
+_CSV_SPECIAL = re.compile(r'[,"\r\n]')  # a text cell holding one of these is quoted
 
 
 def _scalar(value):
@@ -92,9 +97,75 @@ def _scalar(value):
     return str(value)
 
 
-def _scalars(column: list) -> list:
-    """The column as Python scalars, converted only when it holds anything else."""
-    return column if set(map(type, column)) <= _SCALAR_TYPES else [_scalar(v) for v in column]
+def _typed(column: list) -> tuple[list, set]:
+    """The column as Python scalars, converted only when it holds anything
+    else, and the set of its cell types."""
+    types = set(map(type, column))
+    if types <= _SCALAR_TYPES:
+        return column, types
+    column = [_scalar(v) for v in column]
+    return column, set(map(type, column))
+
+
+def _csv_field(cell: str) -> str:
+    r"""A text cell as csv.writer's minimal quoting writes it, except that a
+    lone carriage return is quoted too: csv.writer leaves it bare when rows
+    end in "\n", and csv.reader then splits the row there."""
+    return '"' + cell.replace('"', '""') + '"' if _CSV_SPECIAL.search(cell) else cell
+
+
+def _csv_lone_field(cell: str) -> str:
+    """The cell of a one-column row: empty, it is quoted as csv.writer
+    quotes it, or the row would read back as a blank line."""
+    return _csv_field(cell) or '""'
+
+
+class _Memo(dict):
+    """fmt of each distinct value of a one-type column. A zero is formatted
+    on every lookup, because 0.0 == -0.0 while their texts differ; a NaN
+    equals only itself, so it finds no other value's text."""
+
+    def __init__(self, fmt, column: list) -> None:
+        distinct = dict.fromkeys(column)
+        super().__init__(zip(distinct, map(fmt, distinct)))
+        self.pop(0, None)
+        self.fmt = fmt
+
+    def __missing__(self, value) -> str:
+        return self.fmt(value)
+
+
+def _formatted(fmt, column: list) -> Iterator[str]:
+    """fmt of each cell of a one-type column, each distinct value formatted
+    once when the first block repeats values (as an np.repeat column does)."""
+    probe = column[:_BLOCK]
+    if 2 * len(set(probe)) > len(probe):
+        return map(fmt, column)
+    return map(_Memo(fmt, column).__getitem__, column)
+
+
+def _cells(column: list, float_fmt, text_fmt=None) -> Iterable[str]:
+    """The text of each cell: float_fmt of a float, str() of an int and
+    text_fmt of a str (the str itself when text_fmt is None)."""
+    column, types = _typed(column)
+    if types == {str}:
+        if text_fmt is None or all(text_fmt(t) == t for t in dict.fromkeys(column)):
+            return column
+        return _formatted(text_fmt, column)
+    if types == {float}:
+        return _formatted(float_fmt, column)
+    if types == {int}:
+        return _formatted(str, column)
+    text_fmt = text_fmt or str  # mixed types: one cell at a time
+    return (float_fmt(v) if type(v) is float else text_fmt(v) if type(v) is str else str(v) for v in column)
+
+
+def _write_rows(fh, columns: list[Iterable[str]], sep: str) -> None:
+    """Write the rows of per-column cell texts, _BLOCK rows per write, so
+    no more than a block of formatted text is held at once."""
+    rows = map(sep.join, zip(*columns))
+    while block := list(islice(rows, _BLOCK)):
+        fh.write("\n".join(block) + "\n")
 
 
 def _parse_cell(text: str):
@@ -110,13 +181,15 @@ def _parse_cell(text: str):
 
 def write_csv(table: ResultTable, path: str | Path) -> None:
     """Comma-separated form: provenance comment, header row, data rows.
-    LF line endings and UTF-8 regardless of platform."""
+    LF line endings and UTF-8 regardless of platform.
+
+    Cells are str() of an int or a str and repr() of a float, quoted as
+    csv.writer quotes them (see _csv_field)."""
+    quote = _csv_lone_field if len(table.columns) == 1 else _csv_field
     with open(path, "w", newline="", encoding="utf-8") as fh:
         fh.write(_provenance_line(table.provenance) + "\n")
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(table.columns)
-        # csv writes str() of an int or str and repr() of a float.
-        writer.writerows(zip(*map(_scalars, table.data)))
+        fh.write(",".join(map(quote, table.columns)) + "\n")
+        _write_rows(fh, [_cells(col, repr, quote) for col in table.data], ",")
 
 
 def read_csv(path: str | Path) -> ResultTable:
@@ -138,8 +211,7 @@ def emit_plot_data(table: ResultTable, path: str | Path) -> None:
     with open(path, "w", newline="\n", encoding="utf-8") as fh:
         fh.write(_provenance_line(table.provenance) + "\n")
         fh.write("# " + " ".join(table.columns) + "\n")
-        columns = [["%.9g" % v if type(v) is float else str(v) for v in _scalars(col)] for col in table.data]
-        fh.writelines(" ".join(cells) + "\n" for cells in zip(*columns))
+        _write_rows(fh, [_cells(col, "%.9g".__mod__) for col in table.data], " ")
 
 
 def read_plot_data(path: str | Path) -> ResultTable:

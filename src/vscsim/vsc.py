@@ -10,20 +10,18 @@ from __future__ import annotations
 import csv
 import itertools
 import math
-import re
 from dataclasses import dataclass
 from pathlib import Path
-from types import SimpleNamespace
 from typing import Iterable, Sequence
 
 from .channel import secrecy_bits
+from .tables import _CSV_SPECIAL, _csv_field
 from .units import db_to_linear, is_finite, linear_to_db, require_finite, require_positive
 
 ADEQUATE = "adequate"
 INADEQUATE = "inadequate"
 
 CSI_CSV_HEADER = ["timestamp_s", "sender_id", "snr_db", "chain_element_hex"]
-_CSV_SPECIAL = re.compile(r'[,"\r\n]')  # a text cell holding one of these may need csv quoting
 
 
 @dataclass(frozen=True)
@@ -146,16 +144,14 @@ def write_csi_csv(path: str | Path, records: Iterable[CsiRecord]) -> None:
     """Persist records with dB-valued SNR, one row per record.
 
     Each row is one f-string and the file is written once; a row whose
-    sender_id or chain_element holds a character csv may quote is
-    formatted by csv.writer, so the bytes are csv.writer's either way.
+    sender_id or chain_element holds a character to quote quotes it as
+    write_csv does (tables._csv_field), so csv.reader reads it back.
     """
-    lines: list[str] = []
-    writer = csv.writer(SimpleNamespace(write=lines.append), lineterminator="\n")
-    writer.writerow(CSI_CSV_HEADER)
+    lines = [",".join(CSI_CSV_HEADER) + "\n"]
     for rec in records:
         ts, snr_db, chain = float(rec.timestamp), linear_to_db(rec.snr), rec.chain_element or ""
         if _CSV_SPECIAL.search(rec.sender_id) or _CSV_SPECIAL.search(chain):
-            writer.writerow([repr(ts), rec.sender_id, repr(snr_db), chain])
+            lines.append(f"{ts!r},{_csv_field(rec.sender_id)},{snr_db!r},{_csv_field(chain)}\n")
         else:
             lines.append(f"{ts!r},{rec.sender_id},{snr_db!r},{chain}\n")
     with open(path, "w", newline="", encoding="utf-8") as fh:

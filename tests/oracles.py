@@ -11,7 +11,9 @@ own link object: there the knob order and each knob's can-act test are
 what is checked, not the link model.
 """
 
+import csv
 import hashlib
+import io
 
 import mpmath as mp
 import numpy as np
@@ -111,6 +113,18 @@ def csv_cell(value) -> str:
     if isinstance(value, (float, np.floating)):
         return repr(float(value))
     return str(value)
+
+
+def csv_text(rows) -> str:
+    r"""Rows of text cells as csv.writer writes them with "\n" line ends, but
+    with a lone "\r" quoted like a "\n": csv.writer quotes both when "\r\n"
+    is the terminator, and each row's "\r\n" is then cut to "\n"."""
+    out = []
+    for row in rows:
+        buf = io.StringIO()
+        csv.writer(buf, lineterminator="\r\n").writerow(row)
+        out.append(buf.getvalue()[:-2] + "\n")
+    return "".join(out)
 
 
 def plot_cell(value) -> str:

@@ -1,6 +1,6 @@
-import csv
-import io
 import json
+import math
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -25,6 +25,7 @@ from vscsim.intersection import run_intersection_case
 from vscsim.presets import PRESETS, get_preset, list_presets
 from vscsim.runner import OUT_DIR_ENV, build_table, resolve_out_dir, run
 from vscsim.tables import (
+    _BLOCK,
     ARTIFACT_VERSION,
     ResultTable,
     config_hash,
@@ -342,31 +343,46 @@ _CELL_KINDS = [
     st.floats(),
     st.floats().map(np.float64),
     st.floats(width=32).map(np.float32),
-    st.text(alphabet='ab ,"-\n', max_size=4),
+    st.text(alphabet='ab ,"-\n\r', max_size=4),
+    # equal values whose texts differ (0.0 == -0.0), or that equal nothing (nan)
+    st.sampled_from([0.0, -0.0, math.nan, math.inf, -math.inf]),
 ]
+# Up to 6 rows, or a count next to the writers' block size.
+_ROW_COUNTS = st.one_of(st.integers(0, 6), st.sampled_from([_BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 1]))
+_PROVENANCE = {"config": "abc", "seed": "1"}
 
 
 @st.composite
 def _tables(draw):
-    """Tables whose columns each hold one cell type or a mix of them."""
+    """Tables whose columns each hold one cell type or a mix of them. A
+    column repeats a drawn pattern of up to 6 cells, tiled (a b a b) or
+    each cell in a run (a a b b), as the link tables' columns do."""
     n_cols = draw(st.integers(1, 4))
-    n_rows = draw(st.integers(0, 6))
-    column_cells = st.sampled_from([st.one_of(_CELL_KINDS), *_CELL_KINDS])
-    data = [draw(st.lists(draw(column_cells), min_size=n_rows, max_size=n_rows)) for _ in range(n_cols)]
-    return ResultTable([f"c{i}" for i in range(n_cols)], data, {"config": "abc", "seed": "1"})
+    n_rows = draw(_ROW_COUNTS)
+    data = []
+    for _ in range(n_cols):
+        cells = draw(st.sampled_from([st.one_of(_CELL_KINDS), *_CELL_KINDS]))
+        size = draw(st.integers(1, min(n_rows, 6))) if n_rows else 0
+        pattern = draw(st.lists(cells, min_size=size, max_size=size))
+        if draw(st.booleans()):
+            column = [pattern[i % size] for i in range(n_rows)]
+        else:
+            column = [pattern[i * size // n_rows] for i in range(n_rows)]
+        data.append(column)
+    return ResultTable([f"c{i}" for i in range(n_cols)], data, dict(_PROVENANCE))
 
 
 @settings(max_examples=200, deadline=None)
 @given(table=_tables())
+@example(table=ResultTable(["c0", "c1"], [[], []], dict(_PROVENANCE)))
+@example(table=ResultTable(["c0"], [["", "a", "", "b\r"]], dict(_PROVENANCE)))
+@example(table=ResultTable([""], [[""] * (_BLOCK + 1)], dict(_PROVENANCE)))
 def test_writers_match_cell_by_cell_reference(table, tmp_path_factory):
     out = tmp_path_factory.mktemp("writers")
     head = "# vscsim 0.1.0 config=abc seed=1\n"
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(table.columns)
-    writer.writerows([oracles.csv_cell(v) for v in row] for row in table.rows)
+    rows = [table.columns, *([oracles.csv_cell(v) for v in row] for row in table.rows)]
     write_csv(table, out / "t.csv")
-    assert (out / "t.csv").read_bytes() == (head + buf.getvalue()).encode("utf-8")
+    assert (out / "t.csv").read_bytes() == (head + oracles.csv_text(rows)).encode("utf-8")
     plot = "".join(" ".join(map(oracles.plot_cell, row)) + "\n" for row in table.rows)
     emit_plot_data(table, out / "t.dat")
     want = head + "# " + " ".join(table.columns) + "\n" + plot
@@ -438,6 +454,36 @@ def test_csv_mixed_cell_types(tmp_path):
     back = read_csv(path)
     assert back.rows[0] == (0.1, "n00", 1.5)
     assert isinstance(back.rows[0][1], str)
+
+
+def test_csv_text_cells_with_a_carriage_return_read_back(tmp_path):
+    # csv.writer leaves a lone "\r" bare, and csv.reader splits a row there
+    table = ResultTable(["id", "x"], [["cr\rhere", "a\r\nb", "\r", "plain"], [1.5, 2.5, 3.5, 4.5]])
+    path = tmp_path / "cr.csv"
+    write_csv(table, path)
+    assert path.read_bytes().split(b"\n")[2] == b'"cr\rhere",1.5'
+    assert read_csv(path).rows == table.rows
+
+
+def test_csv_write_holds_one_block_of_text_at_a_time(tmp_path):
+    """The formatted text of a 1000-vehicle, 100-source perturbation table
+    (10^4 rows, 9 columns) is about 1.4 MB; a write holds a block of it."""
+    doc = {
+        "name": "fleet",
+        "experiment": "perturbation",
+        "params": {"n_nodes": 1000, "n_sources": 100, "duration_s": 10.0},
+        "seed": 3,
+    }
+    table = build_table(build_config(doc))
+    assert len(table.columns) == 9 and len(table.data[0]) == 10**4
+    tracemalloc.start()
+    try:
+        write_csv(table, tmp_path / "fleet.csv")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert (tmp_path / "fleet.csv").stat().st_size > 10**6
+    assert peak < 10**6
 
 
 def test_csv_rejects_boolean_cells(tmp_path):
