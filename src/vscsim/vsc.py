@@ -148,9 +148,12 @@ def write_csi_csv(path: str | Path, records: Iterable[CsiRecord]) -> None:
     write_csv does (tables._csv_field), so csv.reader reads it back.
     """
     lines = [",".join(CSI_CSV_HEADER) + "\n"]
+    # bound once: CPython compiles a method call on an imported name as a
+    # module attribute load, which builds a bound method on every call
+    needs_quoting = _CSV_SPECIAL.search
     for rec in records:
         ts, snr_db, chain = float(rec.timestamp), linear_to_db(rec.snr), rec.chain_element or ""
-        if _CSV_SPECIAL.search(rec.sender_id) or _CSV_SPECIAL.search(chain):
+        if needs_quoting(rec.sender_id) or needs_quoting(chain):
             lines.append(f"{ts!r},{_csv_field(rec.sender_id)},{snr_db!r},{_csv_field(chain)}\n")
         else:
             lines.append(f"{ts!r},{rec.sender_id},{snr_db!r},{chain}\n")
