@@ -179,17 +179,23 @@ def _parse_cell(text: str):
         return text
 
 
-def write_csv(table: ResultTable, path: str | Path) -> None:
-    """Comma-separated form: provenance comment, header row, data rows.
-    LF line endings and UTF-8 regardless of platform.
+def write_csv_rows(fh, table: ResultTable) -> None:
+    """Write the header row and the data rows of the table to fh, each
+    ending in LF.
 
     Cells are str() of an int or a str and repr() of a float, quoted as
     csv.writer quotes them (see _csv_field)."""
     quote = _csv_lone_field if len(table.columns) == 1 else _csv_field
+    fh.write(",".join(map(quote, table.columns)) + "\n")
+    _write_rows(fh, [_cells(col, repr, quote) for col in table.data], ",")
+
+
+def write_csv(table: ResultTable, path: str | Path) -> None:
+    """Comma-separated form: provenance comment, then write_csv_rows.
+    UTF-8 regardless of platform."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
         fh.write(_provenance_line(table.provenance) + "\n")
-        fh.write(",".join(map(quote, table.columns)) + "\n")
-        _write_rows(fh, [_cells(col, repr, quote) for col in table.data], ",")
+        write_csv_rows(fh, table)
 
 
 def read_csv(path: str | Path) -> ResultTable:

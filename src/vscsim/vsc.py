@@ -15,7 +15,7 @@ from pathlib import Path
 from typing import Iterable, Sequence
 
 from .channel import secrecy_bits
-from .tables import _CSV_SPECIAL, _csv_field
+from .tables import ResultTable, write_csv_rows
 from .units import db_to_linear, is_finite, linear_to_db, require_finite, require_positive
 
 ADEQUATE = "adequate"
@@ -141,24 +141,17 @@ def security_verdict(vsc_bits: float, reference_bits: float) -> str:
 
 
 def write_csi_csv(path: str | Path, records: Iterable[CsiRecord]) -> None:
-    """Persist records with dB-valued SNR, one row per record.
-
-    Each row is one f-string and the file is written once; a row whose
-    sender_id or chain_element holds a character to quote quotes it as
-    write_csv does (tables._csv_field), so csv.reader reads it back.
-    """
-    lines = [",".join(CSI_CSV_HEADER) + "\n"]
-    # bound once: CPython compiles a method call on an imported name as a
-    # module attribute load, which builds a bound method on every call
-    needs_quoting = _CSV_SPECIAL.search
-    for rec in records:
-        ts, snr_db, chain = float(rec.timestamp), linear_to_db(rec.snr), rec.chain_element or ""
-        if needs_quoting(rec.sender_id) or needs_quoting(chain):
-            lines.append(f"{ts!r},{_csv_field(rec.sender_id)},{snr_db!r},{_csv_field(chain)}\n")
-        else:
-            lines.append(f"{ts!r},{rec.sender_id},{snr_db!r},{chain}\n")
+    """Persist records with dB-valued SNR, one row per record, written and
+    quoted as tables.write_csv writes its rows, without the provenance line."""
+    records = list(records)
+    table = ResultTable(CSI_CSV_HEADER, [
+        [float(r.timestamp) for r in records],
+        [r.sender_id for r in records],
+        [linear_to_db(r.snr) for r in records],
+        [r.chain_element or "" for r in records],
+    ])
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        fh.write("".join(lines))
+        write_csv_rows(fh, table)
 
 
 def read_csi_csv(path: str | Path) -> list[CsiRecord]:
