@@ -88,8 +88,6 @@ _CSV_SPECIAL = re.compile(r'[,"\r\n]')  # a text cell holding one of these is qu
 
 def _scalar(value):
     """The Python int, float or str that the writers format for a cell."""
-    if isinstance(value, (bool, np.bool_)):
-        raise TypeError("boolean cells are not part of any table schema")
     if isinstance(value, (int, np.integer)):
         return int(value)
     if isinstance(value, (float, np.floating)):
@@ -97,12 +95,15 @@ def _scalar(value):
     return str(value)
 
 
-def _typed(column: list) -> tuple[list, set]:
+def _typed(name: str, column: list) -> tuple[list, set]:
     """The column as Python scalars, converted only when it holds anything
-    else, and the set of its cell types."""
+    else, and the set of its cell types. A boolean cell is a ValueError
+    that names the column."""
     types = set(map(type, column))
     if types <= _SCALAR_TYPES:
         return column, types
+    if types & {bool, np.bool_}:
+        raise ValueError(f"column {name!r} holds a boolean cell; booleans are not part of any table schema")
     column = [_scalar(v) for v in column]
     return column, set(map(type, column))
 
@@ -144,10 +145,10 @@ def _formatted(fmt, column: list) -> Iterator[str]:
     return map(_Memo(fmt, column).__getitem__, column)
 
 
-def _cells(column: list, float_fmt, text_fmt=None) -> Iterable[str]:
-    """The text of each cell: float_fmt of a float, str() of an int and
-    text_fmt of a str (the str itself when text_fmt is None)."""
-    column, types = _typed(column)
+def _cells(column: list, types: set, float_fmt, text_fmt=None) -> Iterable[str]:
+    """The text of each cell of a _typed column: float_fmt of a float,
+    str() of an int and text_fmt of a str (the str itself when text_fmt
+    is None)."""
     if types == {str}:
         if text_fmt is None or all(text_fmt(t) == t for t in dict.fromkeys(column)):
             return column
@@ -158,6 +159,10 @@ def _cells(column: list, float_fmt, text_fmt=None) -> Iterable[str]:
         return _formatted(str, column)
     text_fmt = text_fmt or str  # mixed types: one cell at a time
     return (float_fmt(v) if type(v) is float else text_fmt(v) if type(v) is str else str(v) for v in column)
+
+
+def _typed_columns(table: ResultTable) -> list[tuple[list, set]]:
+    return [_typed(name, col) for name, col in zip(table.columns, table.data)]
 
 
 def _write_rows(fh, columns: list[Iterable[str]], sep: str) -> None:
@@ -187,7 +192,7 @@ def write_csv_rows(fh, table: ResultTable) -> None:
     csv.writer quotes them (see _csv_field)."""
     quote = _csv_lone_field if len(table.columns) == 1 else _csv_field
     fh.write(",".join(map(quote, table.columns)) + "\n")
-    _write_rows(fh, [_cells(col, repr, quote) for col in table.data], ",")
+    _write_rows(fh, [_cells(*typed, repr, quote) for typed in _typed_columns(table)], ",")
 
 
 def write_csv(table: ResultTable, path: str | Path) -> None:
@@ -199,6 +204,9 @@ def write_csv(table: ResultTable, path: str | Path) -> None:
 
 
 def read_csv(path: str | Path) -> ResultTable:
+    """The table that write_csv wrote. Each cell is typed by its text: an
+    int if int() takes it, else a float if float() does, else the text
+    itself, so a text cell such as "007" or "nan" reads back as a number."""
     with open(path, newline="", encoding="utf-8") as fh:
         first = fh.readline()
         if not first.startswith("#"):
@@ -212,15 +220,32 @@ def read_csv(path: str | Path) -> ResultTable:
     return ResultTable.from_rows(header, rows, prov)
 
 
+def _check_plot_words(table: ResultTable, typed: list[tuple[list, set]]) -> None:
+    """ValueError naming the column unless its name and each text cell
+    read back from plot data as one word: not empty, no whitespace, and in
+    the first column no leading "#", which would make a comment line."""
+    for i, (name, (column, types)) in enumerate(zip(table.columns, typed)):
+        texts = dict.fromkeys(v for v in column if type(v) is str) if str in types else {}
+        for text in [name, *texts]:
+            if text.split() != [text] or (i == 0 and text.startswith("#")):
+                raise ValueError(f"column {name!r}: {text!r} does not read back from plot data as one word")
+
+
 def emit_plot_data(table: ResultTable, path: str | Path) -> None:
-    """Whitespace-delimited data block for gnuplot, `#` comment headers."""
+    """Whitespace-delimited data block for gnuplot, `#` comment headers.
+    A column name or text cell that would not read back (see
+    _check_plot_words) is a ValueError, raised before the file is opened."""
+    typed = _typed_columns(table)
+    _check_plot_words(table, typed)
     with open(path, "w", newline="\n", encoding="utf-8") as fh:
         fh.write(_provenance_line(table.provenance) + "\n")
         fh.write("# " + " ".join(table.columns) + "\n")
-        _write_rows(fh, [_cells(col, "%.9g".__mod__) for col in table.data], " ")
+        _write_rows(fh, [_cells(*t, "%.9g".__mod__) for t in typed], " ")
 
 
 def read_plot_data(path: str | Path) -> ResultTable:
+    """The table that emit_plot_data wrote, each cell typed as read_csv
+    types it."""
     prov: dict[str, str] = {}
     columns: list[str] = []
     rows: list[tuple] = []

@@ -14,6 +14,7 @@ what is checked, not the link model.
 import csv
 import hashlib
 import io
+import re
 
 import mpmath as mp
 import numpy as np
@@ -107,7 +108,7 @@ def csv_cell(value) -> str:
     """A CSV cell as the table schema writes it, one cell at a time:
     str() of an int, repr() of a float, str() of anything else."""
     if isinstance(value, (bool, np.bool_)):
-        raise TypeError("boolean cells are not part of any table schema")
+        raise ValueError("boolean cells are not part of any table schema")
     if isinstance(value, (int, np.integer)):
         return str(int(value))
     if isinstance(value, (float, np.floating)):
@@ -134,6 +135,13 @@ def plot_cell(value) -> str:
     if isinstance(value, (float, np.floating)):
         return "%.9g" % float(value)
     return str(value)
+
+
+def plot_word(text: str, first_column: bool) -> bool:
+    """Whether a column name or text cell reads back from a gnuplot data
+    file as itself: one or more non-space characters, and in the first
+    column no leading "#", which would start a comment line."""
+    return re.fullmatch(r"\S+", text) is not None and not (first_column and text.startswith("#"))
 
 
 def highway_rows(res) -> list[tuple]:

@@ -343,7 +343,7 @@ _CELL_KINDS = [
     st.floats(),
     st.floats().map(np.float64),
     st.floats(width=32).map(np.float32),
-    st.text(alphabet='ab ,"-\n\r', max_size=4),
+    st.text(alphabet='ab ,"-#\n\r', max_size=4),
     # equal values whose texts differ (0.0 == -0.0), or that equal nothing (nan)
     st.sampled_from([0.0, -0.0, math.nan, math.inf, -math.inf]),
 ]
@@ -383,16 +383,30 @@ def test_writers_match_cell_by_cell_reference(table, tmp_path_factory):
     rows = [table.columns, *([oracles.csv_cell(v) for v in row] for row in table.rows)]
     write_csv(table, out / "t.csv")
     assert (out / "t.csv").read_bytes() == (head + oracles.csv_text(rows)).encode("utf-8")
+    words = [
+        oracles.plot_word(text, i == 0)
+        for i, (name, column) in enumerate(zip(table.columns, table.data))
+        for text in [name, *column]
+        if isinstance(text, str)
+    ]
+    if not all(words):
+        with pytest.raises(ValueError, match="does not read back"):
+            emit_plot_data(table, out / "t.dat")
+        assert not (out / "t.dat").exists()
+        return
     plot = "".join(" ".join(map(oracles.plot_cell, row)) + "\n" for row in table.rows)
     emit_plot_data(table, out / "t.dat")
     want = head + "# " + " ".join(table.columns) + "\n" + plot
     assert (out / "t.dat").read_bytes() == want.encode("utf-8")
 
 
-@pytest.mark.parametrize("column", [[1, True], [np.bool_(False)], [2.0, "a", True], [np.int64(3), False]])
-def test_csv_rejects_boolean_cells_in_any_column(tmp_path, column):
-    with pytest.raises(TypeError, match="boolean"):
-        write_csv(ResultTable(["a", "flag"], [list(range(len(column))), column]), tmp_path / "x.csv")
+@pytest.mark.parametrize(
+    "data", [[[True]], [[0, 1], [1, True]], [[0], [np.bool_(False)]], [[0, 1, 2], [2.0, "a", True]], [[0, 1], [np.int64(3), False]]]
+)
+def test_csv_rejects_boolean_cells_in_any_column(tmp_path, data):
+    table = ResultTable(["a", "flag"][-len(data):], data)
+    with pytest.raises(ValueError, match="column 'flag' holds a boolean"):
+        write_csv(table, tmp_path / "x.csv")
 
 
 @pytest.mark.parametrize("experiment", ["highway_cluster", "perturbation"])
@@ -486,11 +500,6 @@ def test_csv_write_holds_one_block_of_text_at_a_time(tmp_path):
     assert peak < 10**6
 
 
-def test_csv_rejects_boolean_cells(tmp_path):
-    with pytest.raises(TypeError):
-        write_csv(ResultTable.from_rows(["flag"], [(True,)]), tmp_path / "x.csv")
-
-
 def test_csv_missing_provenance_rejected(tmp_path):
     path = tmp_path / "noprov.csv"
     path.write_text("a,b\n1,2\n", encoding="utf-8")
@@ -514,6 +523,29 @@ def test_plot_data_round_trip(tmp_path):
     assert back.columns == ["v_kmh", "cs"]
     assert back.rows[0][1] == pytest.approx(25.571907631, rel=1e-8)
     assert back.provenance["seed"] == "3"
+
+
+@pytest.mark.parametrize(
+    "table, bad",
+    [
+        (ResultTable(["v", "my label"], [[1.0], [2.0]]), "my label"),
+        (ResultTable(["#v", "x"], [[1.0], [2.0]]), "#v"),
+        (ResultTable(["v", "x"], [[1.0, 2.0], ["a", ""]]), "x"),
+        (ResultTable(["v", "x"], [[1.0], ["tab\there"]]), "x"),
+        (ResultTable(["x", "v"], [["a", "#b"], [1.0, 2.0]]), "x"),
+        (ResultTable(["x", "v"], [[1, "two words"], [1.0, 2.0]]), "x"),
+    ],
+)
+def test_plot_data_rejects_cells_that_do_not_read_back(tmp_path, table, bad):
+    with pytest.raises(ValueError, match=f"column '{bad}'"):
+        emit_plot_data(table, tmp_path / "bad.dat")
+    assert not (tmp_path / "bad.dat").exists()
+
+
+def test_plot_data_reads_back_a_hash_past_the_first_column(tmp_path):
+    table = ResultTable(["v", "x"], [[1.0, 2.0], ["#a", "b#"]])
+    emit_plot_data(table, tmp_path / "ok.dat")
+    assert read_plot_data(tmp_path / "ok.dat").rows == table.rows
 
 
 def test_build_table_stamps_provenance():

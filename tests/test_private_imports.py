@@ -1,0 +1,49 @@
+"""No vscsim module imports a private (leading-underscore) name of another:
+a format or rule that two modules need is a public name of the module that
+owns it, so it lives in one place."""
+
+import ast
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "vscsim"
+
+
+def _is_vscsim(node: ast.ImportFrom) -> bool:
+    return node.level > 0 or (node.module or "").split(".")[0] == "vscsim"
+
+
+def private_imports(source: str) -> list[str]:
+    """`from <vscsim module> import _name`, and `mod._name` where `mod` is a
+    vscsim module bound by `from . import mod`, as "line: name"."""
+    tree = ast.parse(source)
+    modules = set()
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and _is_vscsim(node):
+            for alias in node.names:
+                if alias.name.startswith("_"):
+                    found.append(f"{node.lineno}: {alias.name}")
+                elif node.module is None or node.level == 0 and node.module == "vscsim":
+                    modules.add(alias.asname or alias.name)
+    for node in ast.walk(tree):
+        if (
+            isinstance(node, ast.Attribute)
+            and isinstance(node.value, ast.Name)
+            and node.value.id in modules
+            and node.attr.startswith("_")
+        ):
+            found.append(f"{node.lineno}: {node.value.id}.{node.attr}")
+    return sorted(found)
+
+
+def test_private_imports_finds_each_form():
+    source = "from .tables import _csv_field, write_csv\nfrom vscsim.units import _x\nfrom . import tables\ntables._BLOCK\n"
+    assert private_imports(source) == ["1: _csv_field", "2: _x", "4: tables._BLOCK"]
+    assert private_imports("from collections import _chain_map\nimport numpy as np\nnp._core\n") == []
+
+
+def test_no_module_imports_a_private_name_of_another():
+    paths = sorted(SRC.glob("*.py"))
+    assert len(paths) > 10
+    found = {p.name: private_imports(p.read_text(encoding="utf-8")) for p in paths}
+    assert {name: hits for name, hits in found.items() if hits} == {}

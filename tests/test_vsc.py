@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import oracles
 
@@ -205,21 +207,42 @@ def test_csi_csv_round_trip(tmp_path):
         assert b.chain_element == a.chain_element
 
 
-def test_csi_csv_quotes_text_cells_as_csv_writer_does(tmp_path):
-    senders = ["plain", "a,b", 'say "hi"', "two\nlines", "cr\rhere", "tab\tis plain", " lead"]
-    chains = [None, "ab" * 32, "x,y", 'q"', "l\n", None, ""]
-    recs = [
-        CsiRecord(0.1 * i + 1e-7, sender, 10.0 ** (i - 3), chain_element=chain)
-        for i, (sender, chain) in enumerate(zip(senders, chains))
-    ]
-    path = tmp_path / "csi.csv"
+_CSI_TEXT = 'ab ,"\r\n'
+_SEVEN_RECORDS = [
+    CsiRecord(0.1 * i + 1e-7, sender, 10.0 ** (i - 3), chain_element=chain)
+    for i, (sender, chain) in enumerate(
+        zip(
+            ["plain", "a,b", 'say "hi"', "two\nlines", "cr\rhere", "tab\tis plain", " lead"],
+            [None, "ab" * 32, "x,y", 'q"', "l\n", None, ""],
+        )
+    )
+]
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    recs=st.lists(
+        st.builds(
+            CsiRecord,
+            timestamp=st.integers(-(10**6), 10**6) | st.floats(allow_nan=False, allow_infinity=False),
+            sender_id=st.text(alphabet=_CSI_TEXT, min_size=1, max_size=5),
+            snr=st.floats(min_value=1e-300, max_value=1e300),
+            chain_element=st.none() | st.text(alphabet=_CSI_TEXT, max_size=5),
+        ),
+        max_size=8,
+    )
+)
+@example(recs=_SEVEN_RECORDS)
+@example(recs=[])
+def test_csi_csv_quotes_text_cells_as_csv_writer_does(recs, tmp_path_factory):
+    path = tmp_path_factory.mktemp("csi") / "csi.csv"
     write_csi_csv(path, recs)
     want = oracles.csv_text(
         [["timestamp_s", "sender_id", "snr_db", "chain_element_hex"]]
         + [[repr(float(r.timestamp)), r.sender_id, repr(linear_to_db(r.snr)), r.chain_element or ""] for r in recs]
     )
     assert path.read_bytes() == want.encode("utf-8")
-    # every record reads back, the lone "\r" one included
+    # every record reads back, one with a lone "\r" included
     back = read_csi_csv(path)
     assert [(r.sender_id, r.chain_element) for r in back] == [(r.sender_id, r.chain_element or None) for r in recs]
 
