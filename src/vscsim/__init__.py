@@ -49,7 +49,6 @@ from .scenarios import (
     relay_secrecy,
     urban_fixed_secrecy,
     urban_moving_secrecy,
-    urban_secrecy,
 )
 from .stochastic import (
     ErgodicConfig,

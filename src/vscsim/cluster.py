@@ -416,8 +416,9 @@ class ClusterHistory:
 
     @classmethod
     def load(cls, path: str | Path) -> "ClusterHistory":
-        """Read a saved history; a malformed line raises ValueError naming
-        the file and its 1-based line number."""
+        """Read a saved history; a malformed line, one holding a non-finite
+        number among them, raises ValueError naming the file and its
+        1-based line number."""
         records = []
         with open(path, encoding="utf-8") as fh:
             for lineno, line in enumerate(fh, 1):
@@ -427,13 +428,16 @@ class ClusterHistory:
                     doc = json.loads(line)
                     if not isinstance(doc, dict):
                         raise TypeError(f"expected a JSON object, got {type(doc).__name__}")
-                    records.append(ClusterState(
+                    state = ClusterState(
                         doc["cluster_id"],
                         tuple((m["id"], float(m["vsc"])) for m in doc["members"]),
                         float(doc["rsc"]),
                         float(doc["secondary_rsc"]),
                         float(doc["ts"]),
-                    ))
+                    )
+                    require_finite(ts=state.formed_at, rsc=state.rsc, secondary_rsc=state.secondary_rsc,
+                                   **{f"vsc of member {mid!r}": v for mid, v in state.members})
+                    records.append(state)
                 except (KeyError, TypeError, ValueError) as exc:
                     reason = f"missing key {exc}" if isinstance(exc, KeyError) else str(exc)
                     raise ValueError(f"{path}, line {lineno}: malformed history record: {reason}") from exc
@@ -465,7 +469,8 @@ def select_consensus_candidates(
 
     When the host holds CSI for a responder, its claim is cross-checked
     against the host-side VSC and dropped on a mismatch beyond the
-    tolerance.  Ties order by vehicle id.
+    tolerance.  Ties order by vehicle id.  A claim that is not a finite
+    number is a ValueError naming the responder.
     """
     require_finite(threshold=threshold)
     require_non_negative(tolerance=tolerance)
@@ -476,6 +481,7 @@ def select_consensus_candidates(
         if vehicle_id in seen:
             raise ValueError(f"duplicate response from {vehicle_id!r}")
         seen.add(vehicle_id)
+        require_finite(**{f"claim of {vehicle_id!r}": claimed})
         if claimed <= threshold:
             continue
         if vehicle_id in host_side and abs(claimed - host_side[vehicle_id]) > tolerance:

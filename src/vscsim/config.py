@@ -19,7 +19,7 @@ import jsonschema
 from .channel import DEFAULT_ALPHA, DEFAULT_P_OVER_N0_DB
 from .highway import HighwayWorld, check_delta, run_perturbation_study
 from .intersection import make_case, run_intersection_case
-from .sweeps import GRID_UNITS, SWEEP_FIELDS, sweep_errors
+from .sweeps import GRID_UNITS, SWEEP_FIELDS, SweepSpec, sweep_errors
 from .units import db_to_linear, is_finite
 
 EXPERIMENTS = ("sweep", "intersection", "highway_cluster", "perturbation", "ppp")
@@ -99,6 +99,13 @@ def model_kwargs(params: dict) -> dict:
     return {MODEL_KEYWORDS[key]: value for key, value in params.items()}
 
 
+def split_kwargs(model, kwargs: dict) -> tuple[dict, dict]:
+    """The keywords that are parameters of model, and the rest."""
+    names = inspect.signature(model).parameters
+    return ({k: v for k, v in kwargs.items() if k in names},
+            {k: v for k, v in kwargs.items() if k not in names})
+
+
 def _model_defaults(experiment: str, *models) -> dict:
     """The config defaults that the models' keyword defaults stand for,
     with tuples as the lists a JSON document holds."""
@@ -141,8 +148,9 @@ _FIELD_BOUNDS = {
         _NON_NEGATIVE,
     ),
 }
-# Scenario field -> its config name, where the two differ.
+# Scenario field -> its config name, where the two differ: a *_db value is in decibels.
 _CONFIG_NAMES = {"p_over_n0": "p_over_n0_db"}
+_SCENARIO_NAMES = {name: field for field, name in _CONFIG_NAMES.items()}
 # Kind -> config field -> required, for the fields sweeps.SWEEP_FIELDS
 # reads off the kind's scenario dataclass.
 _SCENARIO_FIELDS = {
@@ -302,12 +310,12 @@ def validate_config(doc) -> list[str]:
         kwargs = model_kwargs({k: v for k, v in merged.items() if k in _MODEL_KEYS.get(experiment, ())})
         refusals = {}
         if experiment in ("highway_cluster", "perturbation"):
-            shift = {k: kwargs.pop(k) for k in ("delta", "allow_custom_delta") if k in kwargs}
-            refusals["$.params"] = _refusal(HighwayWorld, **kwargs)
+            shift, world = split_kwargs(check_delta, kwargs)
+            refusals["$.params"] = _refusal(HighwayWorld, **world)
             if shift:
                 refusals["$.params.delta_m"] = _refusal(check_delta, **shift)
         if experiment == "intersection" and "case_id" in kwargs:  # a missing case is a schema error
-            case = {k: v for k, v in kwargs.items() if k not in ("dt", "alpha", "p_over_n0_db")}
+            case, _ = split_kwargs(make_case, kwargs)
             refusals["$.params"] = _refusal(lambda: make_case(**case).host.steps(kwargs["dt"]))
         errors += [f"{path}: {message}" for path, message in refusals.items() if message]
     return errors
@@ -323,8 +331,8 @@ def _sweep_extra_errors(params: dict) -> list[str]:
     # Bounds only: sweep_errors reports a key that is not a field of the kind.
     schema = {"properties": {name: _FIELD_BOUNDS[name] for name in fields}}
     errors = [] if base is None else _schema_errors(base, schema, "$.params.base")
-    # The run's column for the swept value drops the _db of the config name.
-    column = params.get("param_label") or (param and param.removesuffix("_db"))
+    # The run's column for the swept value is its scenario name.
+    column = params.get("param_label") or (param and _SCENARIO_NAMES.get(param, param))
     rule = sweep_errors(kind, fields, base, param, grid, series, column)
     errors += [f"$.params.{path}: {message}" for path, message in rule]
     if param in fields and param.endswith("_db") and unit != "db":
@@ -338,6 +346,19 @@ def _sweep_extra_errors(params: dict) -> list[str]:
     for i, (_, overrides) in enumerate(series):
         errors += _schema_errors(overrides, schema, f"$.params.series[{i}].overrides")
     return errors
+
+
+def sweep_spec(params: dict) -> SweepSpec:
+    """The SweepSpec of defaulted sweep params: each *_db field becomes its
+    scenario field with the linear value."""
+    def scenario(values: dict) -> dict:
+        return {_SCENARIO_NAMES.get(k, k): db_to_linear(v) if k in _SCENARIO_NAMES else v
+                for k, v in values.items()}
+
+    series = tuple((entry["label"], scenario(entry.get("overrides", {}))) for entry in params["series"])
+    param = _SCENARIO_NAMES.get(params["param"], params["param"])
+    return SweepSpec(params["kind"], scenario(params["base"]), param, tuple(params["grid"]), params["unit"],
+                     params.get("param_label"), series)
 
 
 def build_config(doc: dict) -> RunConfig:

@@ -7,36 +7,18 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import RunConfig, model_kwargs
-from .highway import HighwayWorld, run_highway_experiment, run_perturbation_study
+from .config import RunConfig, model_kwargs, split_kwargs, sweep_spec
+from .highway import HighwayWorld, check_delta, run_highway_experiment, run_perturbation_study
 from .intersection import run_intersection_case
-from .sweeps import SweepSpec, run_ppp_distance_curve, run_ppp_field_dump, run_sweep
+from .sweeps import run_ppp_distance_curve, run_ppp_field_dump, run_sweep
 from .tables import ARTIFACT_VERSION, ResultTable, config_hash, emit_plot_data, write_csv
 from .units import db_to_linear
 
 OUT_DIR_ENV = "VSCSIM_OUT"
 
 
-def _convert_db_fields(doc: dict) -> dict:
-    """Replace each *_db field with its linear value at the config boundary."""
-    return {k.removesuffix("_db"): db_to_linear(v) if k.endswith("_db") else v
-            for k, v in doc.items()}
-
-
 def _sweep_table(params: dict) -> ResultTable:
-    spec = SweepSpec(
-        kind=params["kind"],
-        base=_convert_db_fields(params["base"]),
-        param=params["param"].removesuffix("_db"),
-        grid=tuple(params["grid"]),
-        unit=params["unit"],
-        param_label=params.get("param_label"),
-        series=tuple(
-            (entry["label"], _convert_db_fields(entry.get("overrides", {})))
-            for entry in params["series"]
-        ),
-    )
-    data = run_sweep(spec)
+    data = run_sweep(sweep_spec(params))
     return ResultTable.from_rows(data.columns, data.rows)
 
 
@@ -71,9 +53,9 @@ def _highway_table(params: dict, seed: int) -> ResultTable:
 
 
 def _perturbation_table(params: dict, seed: int) -> ResultTable:
-    kwargs = model_kwargs(params)
-    delta, allow_custom_delta = kwargs.pop("delta"), kwargs.pop("allow_custom_delta")
-    res = run_perturbation_study(HighwayWorld(seed=seed, **kwargs), delta, allow_custom_delta)
+    # check_delta names the shift keywords: a tracer may rebind run_perturbation_study to a wrapper.
+    shift, world = split_kwargs(check_delta, model_kwargs(params))
+    res = run_perturbation_study(HighwayWorld(seed=seed, **world), **shift)
     return _link_table(
         ["t_s", "source_id", "target_base", "target_pert", "distance_base_m",
          "distance_pert_m", "secrecy_base", "secrecy_pert", "dx_base_m"],

@@ -55,10 +55,10 @@ def highway_secrecy(s: HighwayScenario) -> float:
 class UrbanScenario:
     """Host and target converging on a corner of a road of width w.
 
-    The eavesdropper sits r0 from the corner; `eavesdropper` selects
-    whether it holds position ("fixed") or advances with traffic
-    ("moving").  t is the snapshot time since the reference instant and
-    v_limit the speed both vehicles travel at.
+    The eavesdropper sits r0 from the corner; urban_fixed_secrecy holds
+    it in position and urban_moving_secrecy advances it with traffic.  t
+    is the snapshot time since the reference instant and v_limit the
+    speed both vehicles travel at.
     """
 
     params: ChannelParams
@@ -66,13 +66,10 @@ class UrbanScenario:
     v_limit: float
     t: float
     r0: float
-    eavesdropper: str = "fixed"
 
     def __post_init__(self) -> None:
         require_positive(lane_width_w=self.lane_width_w, r0=self.r0)
         require_non_negative(v_limit=self.v_limit, t=self.t)
-        if self.eavesdropper not in ("fixed", "moving"):
-            raise ValueError(f"eavesdropper must be 'fixed' or 'moving', got {self.eavesdropper!r}")
 
 
 def _legitimate_range(w: float, x: float) -> float:
@@ -100,13 +97,6 @@ def urban_moving_secrecy(s: UrbanScenario) -> float:
     if r2 <= 0.0:
         raise ValueError("eavesdropper coincides with the host position")
     return secrecy_bits(_snr(s.params, _legitimate_range(s.lane_width_w, x)), _snr(s.params, r2))
-
-
-def urban_secrecy(s: UrbanScenario) -> float:
-    """Dispatch on the scenario's eavesdropper mode."""
-    if s.eavesdropper == "fixed":
-        return urban_fixed_secrecy(s)
-    return urban_moving_secrecy(s)
 
 
 @dataclass(frozen=True)

@@ -14,7 +14,8 @@ from .scenarios import (
     UrbanScenario,
     highway_secrecy,
     relay_secrecy,
-    urban_secrecy,
+    urban_fixed_secrecy,
+    urban_moving_secrecy,
 )
 from .stochastic import (
     COLLUDING,
@@ -44,13 +45,13 @@ GRID_UNITS = {
 
 def _scenario_fields(scenario) -> dict[str, bool]:
     """Field name -> required (no default) of a scenario dataclass; a ChannelParams
-    field stands for its own fields, and the kind sets the urban eavesdropper mode."""
+    field stands for its own fields."""
     hints = typing.get_type_hints(scenario)
     fields: dict[str, bool] = {}
     for f in dataclasses.fields(scenario):
         if hints[f.name] is ChannelParams:
             fields.update(_scenario_fields(ChannelParams))
-        elif f.name != "eavesdropper":
+        else:
             fields[f.name] = f.default is dataclasses.MISSING
     return fields
 
@@ -84,7 +85,9 @@ def _evaluate(kind: str, kwargs: dict) -> float:
     params = ChannelParams(kwargs.pop("p_over_n0"), kwargs.pop("alpha"))
     if kind == "highway":
         return highway_secrecy(HighwayScenario(params, **kwargs))
-    return urban_secrecy(UrbanScenario(params, **kwargs, eavesdropper=kind.removeprefix("urban_")))
+    if kind == "urban_fixed":
+        return urban_fixed_secrecy(UrbanScenario(params, **kwargs))
+    return urban_moving_secrecy(UrbanScenario(params, **kwargs))
 
 
 def sweep_errors(kind: str, fields: dict[str, bool], base: dict | None, param: str | None,

@@ -184,23 +184,24 @@ def _parse_cell(text: str):
         return text
 
 
-def write_csv_rows(fh, table: ResultTable) -> None:
-    """Write the header row and the data rows of the table to fh, each
-    ending in LF.
+def write_csv_rows(table: ResultTable, path: str | Path, first_line: str = "") -> None:
+    """Write first_line, then the header row and the data rows of the
+    table, each ending in LF, to a UTF-8 file at path.
 
     Cells are str() of an int or a str and repr() of a float, quoted as
-    csv.writer quotes them (see _csv_field)."""
+    csv.writer quotes them (see _csv_field). A table that _typed refuses
+    is a ValueError raised before the file is opened, so it leaves any
+    file at path as it was."""
+    typed = _typed_columns(table)
     quote = _csv_lone_field if len(table.columns) == 1 else _csv_field
-    fh.write(",".join(map(quote, table.columns)) + "\n")
-    _write_rows(fh, [_cells(*typed, repr, quote) for typed in _typed_columns(table)], ",")
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        fh.write(first_line + ",".join(map(quote, table.columns)) + "\n")
+        _write_rows(fh, [_cells(*t, repr, quote) for t in typed], ",")
 
 
 def write_csv(table: ResultTable, path: str | Path) -> None:
-    """Comma-separated form: provenance comment, then write_csv_rows.
-    UTF-8 regardless of platform."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        fh.write(_provenance_line(table.provenance) + "\n")
-        write_csv_rows(fh, table)
+    """Comma-separated form: write_csv_rows after a provenance comment."""
+    write_csv_rows(table, path, _provenance_line(table.provenance) + "\n")
 
 
 def read_csv(path: str | Path) -> ResultTable:

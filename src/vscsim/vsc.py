@@ -150,8 +150,7 @@ def write_csi_csv(path: str | Path, records: Iterable[CsiRecord]) -> None:
         [linear_to_db(r.snr) for r in records],
         [r.chain_element or "" for r in records],
     ])
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        write_csv_rows(fh, table)
+    write_csv_rows(table, path)
 
 
 def read_csi_csv(path: str | Path) -> list[CsiRecord]:

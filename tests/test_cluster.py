@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import json
 import math
 import re
@@ -531,8 +532,12 @@ def test_history_save_writes_formed_at_as_ts(tmp_path):
         ('{"cluster_id": "c-1", "members": [], "rsc": 2.0, "secondary_rsc": 1.0}', "missing key 'ts'"),
         ('["c-1", [], 2.0, 1.0, 3.5]', "expected a JSON object, got list"),
         ("cluster c-1 formed at 3.5", "Expecting value"),
+        ('{"cluster_id": "c-1", "members": [{"id": "a", "vsc": NaN}], "rsc": 2.0, "secondary_rsc": 1.0, "ts": 3.5}',
+         "vsc of member 'a' must be finite, got nan"),
+        ('{"cluster_id": "c-1", "members": [], "rsc": 2.0, "secondary_rsc": 1.0, "ts": -Infinity}',
+         "ts must be finite, got -inf"),
     ],
-    ids=["missing-key", "json-list", "not-json"],
+    ids=["missing-key", "json-list", "not-json", "nan-vsc", "infinite-ts"],
 )
 def test_history_load_names_the_file_and_line_of_a_malformed_record(tmp_path, bad_line, reason):
     hist = ClusterHistory([ClusterState("c-0", (("a", 2.5),), 2.0, 1.0, 0.5)])
@@ -582,6 +587,12 @@ def test_consensus_cross_checks_claims():
         [("zz", 3.0)], threshold=0.0, window=win, tolerance=0.05
     )
     assert got == ["zz"]
+
+
+@pytest.mark.parametrize("responses", list(itertools.permutations([("a", 3.0), ("b", math.nan), ("c", 5.0)])))
+def test_consensus_refuses_a_nan_claim_in_any_order(responses):
+    with pytest.raises(ValueError, match="^claim of 'b' must be finite, got nan$"):
+        select_consensus_candidates(responses, 1.0)
 
 
 def test_consensus_empty_window_checks_nothing():

@@ -1,3 +1,5 @@
+import functools
+import inspect
 import json
 import math
 import tracemalloc
@@ -9,7 +11,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
-
+import vscsim.config
+import vscsim.runner
 from vscsim.config import (
     EXPERIMENTS,
     PARAM_DEFAULTS,
@@ -258,6 +261,37 @@ def test_intersection_defaults_map_to_default_case():
     assert got.distances.tobytes() == want.distances.tobytes()
 
 
+@pytest.mark.parametrize("doc", [
+    {"experiment": "perturbation", "params": {"n_nodes": 6, "n_sources": 2, "duration_s": 1.0}},
+    {"experiment": "intersection", "params": {"case": 3}},
+], ids=["perturbation", "intersection"])
+def test_each_model_keyword_reaches_one_call_that_takes_it(monkeypatch, doc):
+    calls = []
+
+    def record(module, name):
+        model = getattr(module, name)
+
+        @functools.wraps(model)
+        def recorded(*args, **kwargs):
+            calls.append((model, set(kwargs) - {"seed"}))
+            return model(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, recorded)
+
+    for name in ("HighwayWorld", "check_delta", "make_case"):
+        record(vscsim.config, name)
+    for name in ("HighwayWorld", "run_perturbation_study", "run_intersection_case"):
+        record(vscsim.runner, name)
+    cfg = build_config(doc)
+    for phase in (lambda: validate_config(doc), lambda: build_table(cfg)):
+        calls.clear()
+        phase()
+        passed = [kw for _, kws in calls for kw in kws]
+        assert len(passed) == len(set(passed)), calls
+        assert all(kws <= set(inspect.signature(model).parameters) for model, kws in calls)
+    assert sorted(passed) == sorted(model_kwargs(cfg.params))  # the run passes every keyword
+
+
 @pytest.mark.parametrize(
     "doc, where",
     [
@@ -402,9 +436,13 @@ def test_writers_match_cell_by_cell_reference(table, tmp_path_factory):
 
 @pytest.mark.parametrize("column", [[1, True], [np.bool_(False)], [2.0, "a", True], [np.int64(3), False]])
 def test_csv_rejects_boolean_cells_in_any_column(tmp_path, column):
+    path = tmp_path / "x.csv"
+    write_csv(ResultTable(["a"], [[1]]), path)
+    before = path.read_bytes()
     for table in [ResultTable(["flag"], [column]), ResultTable(["a", "flag"], [list(range(len(column))), column])]:
         with pytest.raises(ValueError, match="column 'flag' holds a boolean"):
-            write_csv(table, tmp_path / "x.csv")
+            write_csv(table, path)
+        assert path.read_bytes() == before  # refused before the file is opened
 
 
 @pytest.mark.parametrize("experiment", ["highway_cluster", "perturbation"])

@@ -318,6 +318,10 @@ TYPE_PROBES = [
                  id="relay_secrecy(bandwidth*cs=inf)"),
     pytest.param("grid", lambda: run_sweep(SweepSpec("highway", HIGHWAY_BASE, "v", (HUGE, 2.0))),
                  id="run_sweep(grid=huge)"),
+    pytest.param("claim of 'b' must", lambda: select_consensus_candidates([("a", 3.0), ("b", "5")], 1.0),
+                 id="consensus(claim=str)"),
+    pytest.param("claim of 'b' must", lambda: select_consensus_candidates([("b", None)], 1.0),
+                 id="consensus(claim=None)"),
 ]
 
 

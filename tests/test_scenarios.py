@@ -11,7 +11,6 @@ from vscsim.scenarios import (
     relay_secrecy,
     urban_fixed_secrecy,
     urban_moving_secrecy,
-    urban_secrecy,
 )
 
 HIGHWAY_PARAMS = ChannelParams.from_db(70.0, alpha=1.4)
@@ -71,14 +70,13 @@ def test_highway_rejects_zero_coupled_distance():
         highway_secrecy(_highway(0.0))
 
 
-def _urban(vl_kmh, t, r0, eavesdropper="fixed", w=3.0, alpha=1.4, pn0_db=70.0):
+def _urban(vl_kmh, t, r0, w=3.0, alpha=1.4, pn0_db=70.0):
     return UrbanScenario(
         params=ChannelParams.from_db(pn0_db, alpha=alpha),
         lane_width_w=w,
         v_limit=vl_kmh / 3.6,
         t=t,
         r0=r0,
-        eavesdropper=eavesdropper,
     )
 
 
@@ -100,7 +98,7 @@ def test_urban_moving_against_oracle():
         t = float(rng.uniform(0.05, 2.0))
         r0 = float(rng.uniform(15.0, 250.0))
         want = oracles.urban_moving_secrecy(3.0, vl, t, r0, 1.4, 70.0)
-        got = urban_moving_secrecy(_urban(vl, t, r0, eavesdropper="moving"))
+        got = urban_moving_secrecy(_urban(vl, t, r0))
         assert got == pytest.approx(want, rel=1e-11)
 
 
@@ -141,22 +139,6 @@ def test_urban_sign_is_power_independent():
             s = _urban(float(vl), 1.0, 20.0, pn0_db=pn0)
             base = _urban(float(vl), 1.0, 20.0)
             assert np.sign(urban_fixed_secrecy(s)) == np.sign(urban_fixed_secrecy(base))
-
-
-def test_urban_dispatcher():
-    s_fixed = _urban(30.0, 0.5, 100.0)
-    s_moving = _urban(30.0, 0.5, 100.0, eavesdropper="moving")
-    assert urban_secrecy(s_fixed) == urban_fixed_secrecy(s_fixed)
-    assert urban_secrecy(s_moving) == urban_moving_secrecy(s_moving)
-    with pytest.raises(ValueError):
-        UrbanScenario(
-            params=HIGHWAY_PARAMS,
-            lane_width_w=3.0,
-            v_limit=10.0,
-            t=0.1,
-            r0=100.0,
-            eavesdropper="orbiting",
-        )
 
 
 def test_urban_fixed_rejects_overrun():
@@ -209,6 +191,6 @@ def test_out_of_range_distances_raise_value_error():
     far = HighwayScenario(ChannelParams.from_db(70.0, 1.4), 1e300, 20.0, 0.2)
     with pytest.raises(ValueError, match="distance 1e\\+300 m"):
         highway_secrecy(far)
-    urban = UrbanScenario(HIGHWAY_PARAMS, 3.5, 10.0, 1.0, 1e300, "fixed")
+    urban = UrbanScenario(HIGHWAY_PARAMS, 3.5, 10.0, 1.0, 1e300)
     with pytest.raises(ValueError, match="distance"):
-        urban_secrecy(urban)
+        urban_fixed_secrecy(urban)

@@ -15,7 +15,6 @@ from vscsim.sweeps import (
     run_ppp_field_dump,
     run_sweep,
 )
-from vscsim.units import db_to_linear
 
 HIGHWAY_BASE = {"r": 1000.0, "v": 0.0, "tau": 0.2, "alpha": 1.4, "p_over_n0": 1e7}
 RELAY_BASE = {
@@ -127,10 +126,6 @@ FIELD_VALUES = {
 }
 
 
-def _run_names(values: dict) -> dict:
-    return {k.removesuffix("_db"): db_to_linear(v) if k.endswith("_db") else v for k, v in values.items()}
-
-
 @st.composite
 def _sweep_docs(draw):
     """A sweep config doc and the SweepSpec the run builds from it, with each
@@ -155,9 +150,7 @@ def _sweep_docs(draw):
               "series": [{"label": label, "overrides": o} for label, o in zip(labels, overrides)]}
     if param_label is not None:
         params["param_label"] = param_label
-    spec = SweepSpec(kind, _run_names(base), param.removesuffix("_db"), tuple(grid), unit, param_label,
-                     tuple((label, _run_names(o)) for label, o in zip(labels, overrides)))
-    return {"experiment": "sweep", "params": params}, spec
+    return {"experiment": "sweep", "params": params}, config.sweep_spec(params)
 
 
 @settings(max_examples=300, deadline=None)
@@ -196,9 +189,11 @@ def test_sweep_fields_match_config_fields():
         assert {n.removesuffix("_db") for n in config._SCENARIO_FIELDS[kind]} == set(fields)
 
 
-def test_urban_sweep():
+@pytest.mark.parametrize("kind, oracle", [("urban_fixed", oracles.urban_fixed_secrecy),
+                                          ("urban_moving", oracles.urban_moving_secrecy)])
+def test_urban_sweep(kind, oracle):
     spec = SweepSpec(
-        kind="urban_fixed",
+        kind=kind,
         base={"lane_width_w": 3.0, "v_limit": 0.0, "t": 0.1, "r0": 200.0, "alpha": 1.4, "p_over_n0": 1e7},
         param="v_limit",
         grid=tuple(float(v) for v in range(10, 65, 5)),
@@ -207,7 +202,7 @@ def test_urban_sweep():
     )
     out = run_sweep(spec)
     for row in out.rows:
-        want = oracles.urban_fixed_secrecy(3.0, row[0], 0.1, 200.0, 1.4, 70.0)
+        want = oracle(3.0, row[0], 0.1, 200.0, 1.4, 70.0)
         assert row[1] == pytest.approx(want, rel=1e-11)
 
 
