@@ -102,14 +102,13 @@ def model_kwargs(params: dict) -> dict:
 
 @functools.cache
 def _parameters(model) -> frozenset[str]:
-    return frozenset(inspect.signature(model).parameters)  # inspect.signature takes about 15 us
+    return frozenset(inspect.signature(model).parameters)  # costs about a sixth of a validate_config
 
 
 def split_kwargs(model, kwargs: dict) -> tuple[dict, dict]:
     """The keywords that are parameters of model, and the rest."""
-    names = _parameters(model)
-    return ({k: v for k, v in kwargs.items() if k in names},
-            {k: v for k, v in kwargs.items() if k not in names})
+    own = {k: kwargs[k] for k in _parameters(model) & kwargs.keys()}
+    return own, {k: v for k, v in kwargs.items() if k not in own}
 
 
 def _model_defaults(experiment: str, *models) -> dict:
