@@ -15,7 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .units import db_to_linear, is_finite, require_integer, require_non_negative, require_positive
+from .units import (Positive, check_fields, db_to_linear, is_finite, require_integer, require_non_negative,
+                    require_positive)
 
 # Defaults used by the simulation harness when a config does not pin them.
 DEFAULT_ALPHA = 1.4
@@ -26,11 +27,11 @@ DEFAULT_P_OVER_N0_DB = 70.0
 class ChannelParams:
     """Transmit power over noise density (linear) and path-loss exponent."""
 
-    p_over_n0: float
-    alpha: float
+    p_over_n0: Positive
+    alpha: Positive
 
     def __post_init__(self) -> None:
-        require_positive(p_over_n0=self.p_over_n0, alpha=self.alpha)
+        check_fields(self)
 
     @classmethod
     def from_db(cls, p_over_n0_db: float, alpha: float) -> "ChannelParams":

@@ -22,7 +22,8 @@ from typing import Iterable, Sequence
 from .channel import path_loss_coeff_sq
 from .kinematics import coupled_distance
 from .scenarios import HighwayScenario, RelayScenario, highway_secrecy, relay_secrecy
-from .units import db_to_linear, require_finite, require_integer, require_non_negative, require_positive
+from .units import (IntAtLeast1, NonNegative, Positive, check_fields, db_to_linear, require_finite,
+                    require_integer, require_non_negative)
 from .vsc import CsiRecord, VscResult, window_vscs
 
 _DIGEST_SIZE = hashlib.sha256().digest_size
@@ -94,12 +95,12 @@ class VehicleIdentity:
     vehicle_id: str
     vin: str
     chain_anchor: bytes
-    chain_length: int
+    chain_length: IntAtLeast1
 
     def __post_init__(self) -> None:
         _check_vehicle_id(self.vehicle_id)
         _check_type("vin", self.vin, str)
-        require_integer(1, chain_length=self.chain_length)
+        check_fields(self)
         _check_type("chain_anchor", self.chain_anchor, bytes)
         if len(self.chain_anchor) != _DIGEST_SIZE:
             raise ValueError(f"chain_anchor must be {_DIGEST_SIZE} bytes")
@@ -212,14 +213,13 @@ class SecrecyKnobs:
     """Adjustments a negotiating host may apply, in this fixed order:
     slow down, raise power, fall back to the relay."""
 
-    speed_step: float
-    power_step_db: float
+    speed_step: Positive
+    power_step_db: Positive
     relay_available: bool = False
-    max_iterations: int = 8
+    max_iterations: IntAtLeast1 = 8
 
     def __post_init__(self) -> None:
-        require_positive(speed_step=self.speed_step, power_step_db=self.power_step_db)
-        require_integer(1, max_iterations=self.max_iterations)
+        check_fields(self)
 
 
 @dataclass(frozen=True)
@@ -227,12 +227,12 @@ class RelayOption:
     """Relay fallback parameters: its transmit power and its power gains
     toward the receiver and the eavesdropper."""
 
-    p_r: float
-    h_rb_sq: float
-    h_re_sq: float
+    p_r: NonNegative
+    h_rb_sq: NonNegative
+    h_re_sq: NonNegative
 
     def __post_init__(self) -> None:
-        require_non_negative(p_r=self.p_r, h_rb_sq=self.h_rb_sq, h_re_sq=self.h_re_sq)
+        check_fields(self)
 
 
 class AdjustableHighwayLink:

@@ -17,11 +17,12 @@ from pathlib import Path
 
 import jsonschema
 
-from .channel import DEFAULT_ALPHA, DEFAULT_P_OVER_N0_DB
+from .channel import DEFAULT_ALPHA, DEFAULT_P_OVER_N0_DB, ChannelParams
 from .highway import HighwayWorld, check_delta, run_perturbation_study
 from .intersection import make_case, run_intersection_case
-from .sweeps import GRID_UNITS, SWEEP_FIELDS, SweepSpec, sweep_errors
-from .units import db_to_linear, is_finite
+from .sweeps import GRID_UNITS, SWEEP_FIELDS, SWEEP_SCENARIOS, SweepSpec, sweep_errors
+from .units import (Decibel, IntAtLeast0, IntAtLeast1, IntAtLeast2, NonNegative, Positive, db_to_linear,
+                    field_rules, is_finite)
 
 EXPERIMENTS = ("sweep", "intersection", "highway_cluster", "perturbation", "ppp")
 
@@ -32,6 +33,10 @@ _POSITIVE = {"type": "number", "exclusiveMinimum": 0}
 _NON_NEGATIVE = {"type": "number", "minimum": 0}
 _BOOLEAN = {"type": "boolean"}
 _SPAN = {"type": "array", "items": _NUMBER, "minItems": 2, "maxItems": 2}
+# The JSON bound of each field rule a model declares (units field types).
+_RULE_BOUNDS = {Positive: _POSITIVE, NonNegative: _NON_NEGATIVE, Decibel: _DECIBEL,
+                IntAtLeast0: {"type": "integer", "minimum": 0}, IntAtLeast1: {"type": "integer", "minimum": 1},
+                IntAtLeast2: {"type": "integer", "minimum": 2}}
 
 
 def _object_schema(properties: dict, required: list | None = None) -> dict:
@@ -55,28 +60,22 @@ _TOP_SCHEMA = _object_schema(
     ["experiment"],
 )
 
+# Config key -> the HighwayWorld field it sets.
+_HIGHWAY_KEYS = {
+    "n_nodes": "n_nodes", "n_sources": "n_sources", "lanes": "lanes", "lane_width_m": "lane_width",
+    "length_m": "length", "duration_s": "duration", "dt_s": "dt", "speed_redraw_period_s": "speed_redraw_period",
+    "max_speed_kmh": "max_speed_kmh", "alpha": "alpha", "p_over_n0_db": "p_over_n0_db",
+    "eavesdropper_range_m": "eavesdropper_range", "obu_range_m": "obu_range",
+}
+_WORLD_RULES = dict(field_rules(HighwayWorld))
+_WORLD_KEYS = {key: (field, _RULE_BOUNDS[_WORLD_RULES[field]]) for key, field in _HIGHWAY_KEYS.items()}
 # Config key -> (keyword of the model it sets, JSON bounds), for the
 # experiments that configure a HighwayWorld, run_perturbation_study or
 # run_intersection_case.  Defaults are written once, on the models.
-_HIGHWAY_KEYS = {
-    "n_nodes": ("n_nodes", {"type": "integer", "minimum": 2}),
-    "n_sources": ("n_sources", {"type": "integer", "minimum": 1}),
-    "lanes": ("lanes", {"type": "integer", "minimum": 1}),
-    "lane_width_m": ("lane_width", _POSITIVE),
-    "length_m": ("length", _POSITIVE),
-    "duration_s": ("duration", _POSITIVE),
-    "dt_s": ("dt", _POSITIVE),
-    "speed_redraw_period_s": ("speed_redraw_period", _POSITIVE),
-    "max_speed_kmh": ("max_speed_kmh", _POSITIVE),
-    "alpha": ("alpha", _POSITIVE),
-    "p_over_n0_db": ("p_over_n0_db", _DECIBEL),
-    "eavesdropper_range_m": ("eavesdropper_range", _POSITIVE),
-    "obu_range_m": ("obu_range", _POSITIVE),
-}
 _MODEL_KEYS = {
-    "highway_cluster": _HIGHWAY_KEYS,
+    "highway_cluster": _WORLD_KEYS,
     "perturbation": {
-        **_HIGHWAY_KEYS,
+        **_WORLD_KEYS,
         "delta_m": ("delta", _NUMBER),
         "allow_custom_delta": ("allow_custom_delta", _BOOLEAN),
     },
@@ -140,22 +139,16 @@ PARAM_DEFAULTS: dict[str, dict] = {
     },
 }
 
-# JSON bounds of every field a sweep base (or series override) may set.
-# Values are SI / linear except p_over_n0_db, which is converted on load.
-_FIELD_BOUNDS = {
-    "p_over_n0_db": _DECIBEL,
-    **dict.fromkeys(
-        ["r", "alpha", "lane_width_w", "r0", "p_a", "sigma_b_sq", "sigma_e_sq", "bandwidth_hz"],
-        _POSITIVE,
-    ),
-    **dict.fromkeys(
-        ["v", "tau", "v_limit", "t", "p_r", "h_ab_sq", "h_rb_sq", "h_ae_sq", "h_re_sq"],
-        _NON_NEGATIVE,
-    ),
-}
 # Scenario field -> its config name, where the two differ: a *_db value is in decibels.
 _CONFIG_NAMES = {"p_over_n0": "p_over_n0_db"}
 _SCENARIO_NAMES = {name: field for field, name in _CONFIG_NAMES.items()}
+# JSON bounds of every field a sweep base (or series override) may set: the rule its scenario
+# declares, on SI / linear values except p_over_n0_db, which is converted on load.
+_FIELD_BOUNDS = {
+    _CONFIG_NAMES.get(name, name): _DECIBEL if name in _CONFIG_NAMES else _RULE_BOUNDS[rule]
+    for model in (ChannelParams, *SWEEP_SCENARIOS.values())
+    for name, rule in field_rules(model)
+}
 # Kind -> config field -> required, for the fields sweeps.SWEEP_FIELDS
 # reads off the kind's scenario dataclass.
 _SCENARIO_FIELDS = {
@@ -340,7 +333,7 @@ def _sweep_extra_errors(params: dict) -> list[str]:
     column = params.get("param_label") or (param and _SCENARIO_NAMES.get(param, param))
     rule = sweep_errors(kind, fields, base, param, grid, series, column)
     errors += [f"$.params.{path}: {message}" for path, message in rule]
-    if param in fields and param.endswith("_db") and unit != "db":
+    if param in fields and param in _SCENARIO_NAMES and unit != "db":
         errors.append(f"$.params.unit: sweeping {param!r} needs unit 'db'")
     bounds = _DECIBEL if unit == "db" else _FIELD_BOUNDS[param] if param in fields else None
     if bounds is not None:
@@ -353,17 +346,24 @@ def _sweep_extra_errors(params: dict) -> list[str]:
     return errors
 
 
-def sweep_spec(params: dict) -> SweepSpec:
-    """The SweepSpec of defaulted sweep params: each *_db field becomes its
-    scenario field with the linear value."""
-    def scenario(values: dict) -> dict:
-        return {_SCENARIO_NAMES.get(k, k): db_to_linear(v) if k in _SCENARIO_NAMES else v
-                for k, v in values.items()}
+def _scenario_values(values: dict) -> dict:
+    """Each *_db config value as its scenario field, with the linear value."""
+    return {_SCENARIO_NAMES.get(k, k): db_to_linear(v) if k in _SCENARIO_NAMES else v for k, v in values.items()}
 
-    series = tuple((entry["label"], scenario(entry.get("overrides", {}))) for entry in params["series"])
+
+def sweep_spec(params: dict) -> SweepSpec:
+    """The SweepSpec of defaulted sweep params, in scenario fields and linear values."""
+    series = tuple((entry["label"], _scenario_values(entry.get("overrides", {}))) for entry in params["series"])
     param = _SCENARIO_NAMES.get(params["param"], params["param"])
-    return SweepSpec(params["kind"], scenario(params["base"]), param, tuple(params["grid"]), params["unit"],
+    return SweepSpec(params["kind"], _scenario_values(params["base"]), param, tuple(params["grid"]), params["unit"],
                      params.get("param_label"), series)
+
+
+def ppp_kwargs(params: dict) -> dict:
+    """Defaulted ppp params as keywords of the run_ppp_* model of their mode, in scenario
+    fields and linear values: d_fracs goes to distance_curve, target_distance_m to field_dump."""
+    other = "target_distance_m" if params["mode"] == "distance_curve" else "d_fracs"
+    return _scenario_values({k: v for k, v in params.items() if k not in ("mode", other)})
 
 
 def build_config(doc: dict) -> RunConfig:

@@ -5,12 +5,13 @@ the secrecy of that link, plus a position-perturbation study on top.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
 from .channel import DEFAULT_ALPHA, DEFAULT_P_OVER_N0_DB, capacity_bits, link_snr
-from .units import db_to_linear, is_finite, kmh_to_ms, require_integer, require_positive
+from .units import (Decibel, IntAtLeast0, IntAtLeast1, IntAtLeast2, Positive, check_fields, db_to_linear,
+                    is_finite, kmh_to_ms)
 
 # Source shift, in meters, that the perturbation study is calibrated for.
 CALIBRATED_DELTA = 5.0
@@ -32,30 +33,25 @@ class HighwayWorld:
     secrecy expression; sources only ever talk to their nearest node.
     """
 
-    n_nodes: int = 25
-    n_sources: int = 2
-    lanes: int = 6
-    lane_width: float = 10.0
-    length: float = 2500.0
-    duration: float = 100.0
-    dt: float = 0.1
-    speed_redraw_period: float = 1.0
-    max_speed_kmh: float = 120.0
-    alpha: float = DEFAULT_ALPHA
-    p_over_n0_db: float = DEFAULT_P_OVER_N0_DB
-    eavesdropper_range: float = 1000.0
-    obu_range: float = 2500.0
-    seed: int = 0
+    n_nodes: IntAtLeast2 = 25
+    n_sources: IntAtLeast1 = 2
+    lanes: IntAtLeast1 = 6
+    lane_width: Positive = 10.0
+    length: Positive = 2500.0
+    duration: Positive = 100.0
+    dt: Positive = 0.1
+    speed_redraw_period: Positive = 1.0
+    max_speed_kmh: Positive = 120.0
+    alpha: Positive = DEFAULT_ALPHA
+    p_over_n0_db: Decibel = DEFAULT_P_OVER_N0_DB
+    eavesdropper_range: Positive = 1000.0
+    obu_range: Positive = 2500.0
+    seed: IntAtLeast0 = 0
 
     def __post_init__(self) -> None:
-        require_integer(2, n_nodes=self.n_nodes)
-        require_integer(1, n_sources=self.n_sources, lanes=self.lanes)
-        require_integer(0, seed=self.seed)
+        check_fields(self)
         if self.n_sources >= self.n_nodes:
             raise ValueError("n_sources must leave at least one target")
-        floats = {f.name: getattr(self, f.name) for f in fields(self) if f.type == "float"}
-        db_to_linear(floats.pop("p_over_n0_db"), "p_over_n0_db")
-        require_positive(**floats)
         if self.duration / self.dt <= 0.5:  # rounds to zero steps
             raise ValueError("duration must cover at least one dt step")
         if not is_finite(self.duration / self.dt):
@@ -63,6 +59,8 @@ class HighwayWorld:
         redraw_steps = self.speed_redraw_period / self.dt
         if not is_finite(redraw_steps):
             raise ValueError(f"speed_redraw_period must be finite in dt steps, got {redraw_steps!r}")
+        if round(self.duration / self.dt) * self.n_nodes * 16 > np.iinfo(np.intp).max:  # (n_steps, n_nodes, 2) float64
+            raise ValueError("n_nodes positions over duration / dt steps do not fit in one numpy array")
 
 
 @dataclass

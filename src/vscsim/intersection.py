@@ -14,8 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import DEFAULT_ALPHA, DEFAULT_P_OVER_N0_DB, capacity_bits, link_snr
-from .units import (Point2D, db_to_linear, is_finite, kmh_to_ms, require_finite, require_integer,
-                    require_non_negative, require_positive)
+from .units import (NonNegative, Point2D, check_fields, db_to_linear, is_finite, kmh_to_ms, require_finite,
+                    require_integer, require_positive)
 
 # A capacity sample counts as "nearly zero" below this fraction of the
 # run's peak capacity.
@@ -36,13 +36,13 @@ class Trajectory:
     at the final waypoint once the path is exhausted."""
 
     waypoints: tuple[Point2D, ...]
-    speed: float
+    speed: NonNegative
     speed_limit: float
 
     def __post_init__(self) -> None:
         if len(self.waypoints) < 1:
             raise ValueError("trajectory needs at least one waypoint")
-        require_non_negative(speed=self.speed)
+        check_fields(self)
         if self.speed > self.speed_limit:
             raise ValueError(
                 f"speed {self.speed!r} exceeds speed limit {self.speed_limit!r}"

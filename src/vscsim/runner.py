@@ -7,12 +7,11 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import RunConfig, model_kwargs, split_kwargs, sweep_spec
+from .config import RunConfig, model_kwargs, ppp_kwargs, split_kwargs, sweep_spec
 from .highway import HighwayWorld, check_delta, run_highway_experiment, run_perturbation_study
 from .intersection import run_intersection_case
 from .sweeps import run_ppp_distance_curve, run_ppp_field_dump, run_sweep
 from .tables import ARTIFACT_VERSION, ResultTable, config_hash, emit_plot_data, write_csv
-from .units import db_to_linear
 
 OUT_DIR_ENV = "VSCSIM_OUT"
 
@@ -66,17 +65,8 @@ def _perturbation_table(params: dict, seed: int) -> ResultTable:
 
 
 def _ppp_table(params: dict, seed: int) -> ResultTable:
-    common = (
-        params["lam"],
-        params["region_area_m2"],
-        params["ref_area_m2"],
-        params["alpha"],
-        db_to_linear(params["p_over_n0_db"]),
-    )
-    if params["mode"] == "distance_curve":
-        data = run_ppp_distance_curve(*common, tuple(params["d_fracs"]), seed)
-    else:
-        data = run_ppp_field_dump(*common, params["target_distance_m"], seed)
+    model = run_ppp_distance_curve if params["mode"] == "distance_curve" else run_ppp_field_dump
+    data = model(seed=seed, **ppp_kwargs(params))
     return ResultTable.from_rows(data.columns, data.rows)
 
 

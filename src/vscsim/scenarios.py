@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 from .channel import ChannelParams, secrecy_bits
 from .kinematics import coupled_distance
-from .units import require_non_negative, require_positive
+from .units import NonNegative, Positive, check_fields
 
 
 def _snr(params: ChannelParams, d: float) -> float:
@@ -34,13 +34,12 @@ class HighwayScenario:
     """Follower at headway distance v*tau, eavesdropper at fixed range r."""
 
     params: ChannelParams
-    r: float
-    v: float
-    tau: float
+    r: Positive
+    v: NonNegative
+    tau: NonNegative
 
     def __post_init__(self) -> None:
-        require_positive(r=self.r)
-        require_non_negative(v=self.v, tau=self.tau)
+        check_fields(self)
 
 
 def highway_secrecy(s: HighwayScenario) -> float:
@@ -62,14 +61,13 @@ class UrbanScenario:
     """
 
     params: ChannelParams
-    lane_width_w: float
-    v_limit: float
-    t: float
-    r0: float
+    lane_width_w: Positive
+    v_limit: NonNegative
+    t: NonNegative
+    r0: Positive
 
     def __post_init__(self) -> None:
-        require_positive(lane_width_w=self.lane_width_w, r0=self.r0)
-        require_non_negative(v_limit=self.v_limit, t=self.t)
+        check_fields(self)
 
 
 def _legitimate_range(w: float, x: float) -> float:
@@ -104,21 +102,18 @@ class RelayScenario:
     """Source A and relay R transmitting together; the relay signal acts as
     interference at both the receiver B and the eavesdropper E."""
 
-    p_a: float
-    p_r: float
-    h_ab_sq: float
-    h_rb_sq: float
-    h_ae_sq: float
-    h_re_sq: float
-    sigma_b_sq: float = 1.0
-    sigma_e_sq: float = 1.0
-    bandwidth_hz: float = 1.0
+    p_a: Positive
+    p_r: NonNegative
+    h_ab_sq: NonNegative
+    h_rb_sq: NonNegative
+    h_ae_sq: NonNegative
+    h_re_sq: NonNegative
+    sigma_b_sq: Positive = 1.0
+    sigma_e_sq: Positive = 1.0
+    bandwidth_hz: Positive = 1.0
 
     def __post_init__(self) -> None:
-        require_positive(p_a=self.p_a, sigma_b_sq=self.sigma_b_sq, sigma_e_sq=self.sigma_e_sq,
-                         bandwidth_hz=self.bandwidth_hz)
-        require_non_negative(p_r=self.p_r, h_ab_sq=self.h_ab_sq, h_rb_sq=self.h_rb_sq,
-                             h_ae_sq=self.h_ae_sq, h_re_sq=self.h_re_sq)
+        check_fields(self)
 
 
 def relay_secrecy(s: RelayScenario) -> float:

@@ -14,7 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import ChannelParams, FadingModel, link_snr, sample_fading, secrecy_bits
-from .units import Point2D, distance, require_finite, require_integer, require_non_negative, require_positive
+from .units import (IntAtLeast0, IntAtLeast1, Point2D, Positive, check_fields, distance, require_finite,
+                    require_integer, require_non_negative, require_positive)
 
 COLLUDING = "colluding"
 NON_COLLUDING = "non-colluding"
@@ -198,17 +199,14 @@ def average_secrecy(host: Point2D, target: Point2D, field: PppField, params: Cha
 class ErgodicConfig:
     """Inputs for the fading-average secrecy estimate."""
 
-    mean_power_budget: float
-    sigma_b_sq: float = 1.0
-    sigma_e_sq: float = 1.0
-    sample_count: int = 100_000
-    seed: int = 0
+    mean_power_budget: Positive
+    sigma_b_sq: Positive = 1.0
+    sigma_e_sq: Positive = 1.0
+    sample_count: IntAtLeast1 = 100_000
+    seed: IntAtLeast0 = 0
 
     def __post_init__(self) -> None:
-        require_positive(mean_power_budget=self.mean_power_budget, sigma_b_sq=self.sigma_b_sq,
-                         sigma_e_sq=self.sigma_e_sq)
-        require_integer(1, sample_count=self.sample_count)
-        require_integer(0, seed=self.seed)
+        check_fields(self)
 
 
 @dataclass(frozen=True)

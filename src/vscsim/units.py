@@ -7,8 +7,10 @@ so the converters here are the single place those units are handled.
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass
+import typing
+from dataclasses import dataclass, fields
 from numbers import Integral
 
 __all__ = [
@@ -18,6 +20,7 @@ __all__ = [
     "ms_to_kmh",
     "Point2D",
     "distance",
+    "Positive", "NonNegative", "Decibel", "IntAtLeast0", "IntAtLeast1", "IntAtLeast2", "field_rules", "check_fields",
 ]
 
 
@@ -66,6 +69,35 @@ def db_to_linear(value_db: float, name: str = "decibel value") -> float:
     if not 0.0 < ratio < math.inf:
         raise ValueError(f"{name} {value_db!r} gives no finite linear ratio > 0")
     return ratio
+
+
+def require_decibel(**values: float) -> None:
+    """Raise ValueError naming the first value that db_to_linear refuses."""
+    for name, value in values.items():
+        db_to_linear(value, name)
+
+
+# Field types that declare a dataclass field's range rule once: the metadata is the
+# require_* check that check_fields applies; config derives the JSON bound from the type.
+Positive = typing.Annotated[float, require_positive]
+NonNegative = typing.Annotated[float, require_non_negative]
+Decibel = typing.Annotated[float, require_decibel]
+IntAtLeast0 = typing.Annotated[int, functools.partial(require_integer, 0)]
+IntAtLeast1 = typing.Annotated[int, functools.partial(require_integer, 1)]
+IntAtLeast2 = typing.Annotated[int, functools.partial(require_integer, 2)]
+
+
+@functools.cache
+def field_rules(cls) -> tuple[tuple[str, typing.Any], ...]:
+    """(field, field type) of each field of a dataclass that a rule type above declares, in field order."""
+    hints = typing.get_type_hints(cls, include_extras=True)
+    return tuple((f.name, hints[f.name]) for f in fields(cls) if hasattr(hints[f.name], "__metadata__"))
+
+
+def check_fields(obj) -> None:
+    """Apply the declared field rules of a dataclass instance; the ValueError names the first bad field."""
+    for name, rule in field_rules(type(obj)):
+        rule.__metadata__[0](**{name: getattr(obj, name)})
 
 
 def linear_to_db(ratio: float) -> float:

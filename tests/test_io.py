@@ -21,12 +21,15 @@ from vscsim.config import (
     build_config,
     load_config,
     model_kwargs,
+    sweep_spec,
     validate_config,
 )
+from vscsim.channel import ChannelParams
 from vscsim.highway import HighwayWorld, run_highway_experiment, run_perturbation_study
 from vscsim.intersection import run_intersection_case
 from vscsim.presets import PRESETS, get_preset, list_presets
 from vscsim.runner import OUT_DIR_ENV, build_table, resolve_out_dir, run
+from vscsim.sweeps import SWEEP_FIELDS, SWEEP_SCENARIOS
 from vscsim.tables import (
     _BLOCK,
     ARTIFACT_VERSION,
@@ -292,6 +295,23 @@ def test_each_model_keyword_reaches_one_call_that_takes_it(monkeypatch, doc):
     assert sorted(passed) == sorted(model_kwargs(cfg.params))  # the run passes every keyword
 
 
+@pytest.mark.parametrize("mode", ["distance_curve", "field_dump"])
+def test_ppp_params_reach_the_model_of_their_mode_by_keyword(monkeypatch, mode):
+    calls = []
+    model = getattr(vscsim.runner, f"run_ppp_{mode}")
+
+    def bare(*args, **kwargs):  # no signature of its own, as a tracer's wrapper
+        calls.append((args, kwargs))
+        return model(*args, **kwargs)
+
+    monkeypatch.setattr(vscsim.runner, f"run_ppp_{mode}", bare)
+    build_table(build_config({"experiment": "ppp", "params": {"mode": mode, "p_over_n0_db": 60.0}}))
+    [(args, kwargs)] = calls
+    assert args == ()
+    assert set(kwargs) == set(inspect.signature(model).parameters)
+    assert kwargs["p_over_n0"] == 1e6  # linear
+
+
 @pytest.mark.parametrize(
     "doc, where",
     [
@@ -310,6 +330,73 @@ def test_validate_reports_wrongly_typed_fields(doc, where):
     assert any(e.startswith(where + ":") for e in errors)
     with pytest.raises(ConfigError):
         build_config(doc)
+
+
+# Values a JSON document may hold where a model field takes a number.  bool is left
+# out: a model takes a bool as the number it holds, and config refuses it.
+FIELD_PROBES = [0.0, -1.0, 5e-324, 1e308, 10**400, math.nan, "x", None]
+# Kind -> its sweep fields by config name, and a value each field takes.
+SWEEP_CONFIG_FIELDS = {
+    kind: [{"p_over_n0": "p_over_n0_db"}.get(f, f) for f in fields] for kind, fields in SWEEP_FIELDS.items()
+}
+SWEEP_VALUES = {
+    "p_over_n0_db": 70.0, "alpha": 1.4, "r": 1000.0, "v": 20.0, "tau": 0.2, "lane_width_w": 3.0,
+    "v_limit": 10.0, "t": 0.1, "r0": 20.0, "p_a": 1.0, "p_r": 0.5, "h_ab_sq": 1.0, "h_rb_sq": 0.1,
+    "h_ae_sq": 0.2, "h_re_sq": 1.0, "sigma_b_sq": 1.0, "sigma_e_sq": 1.0, "bandwidth_hz": 1.0,
+}
+
+
+def _takes(build) -> bool:
+    """Whether build() returns rather than raising ValueError."""
+    try:
+        build()
+    except ValueError:
+        return False
+    return True
+
+
+def _sweep_case(kind, name, value):
+    """(doc, config path of the value, whether the kind's scenario takes it) for a sweep
+    whose base sets name to value and every other field to one it takes."""
+    fields = SWEEP_CONFIG_FIELDS[kind]
+    param = next(f for f in fields if f not in (name, "p_over_n0_db"))
+    base = {**{f: SWEEP_VALUES[f] for f in fields if f != param}, name: value}
+    params = {"kind": kind, "base": base, "param": param, "grid": [SWEEP_VALUES[param]]}
+
+    def build():  # the scenario of one grid point, as the run builds it
+        kwargs = {**sweep_spec({**PARAM_DEFAULTS["sweep"], **params}).base, param: SWEEP_VALUES[param]}
+        if kind == "relay":
+            return SWEEP_SCENARIOS[kind](**kwargs)
+        return SWEEP_SCENARIOS[kind](ChannelParams(kwargs.pop("p_over_n0"), kwargs.pop("alpha")), **kwargs)
+
+    return {"experiment": "sweep", "params": params}, f"$.params.base.{name}", _takes(build)
+
+
+def _highway_case(key, value):
+    params = {"n_nodes": 6, "duration_s": 1.0, key: value}
+    doc = {"experiment": "highway_cluster", "params": params}
+    return doc, f"$.params.{key}", _takes(lambda: HighwayWorld(**model_kwargs(params)))
+
+
+FIELD_CASES = [
+    *(pytest.param(_sweep_case, (kind, name), id=f"{kind}.{name}")
+      for kind, names in SWEEP_CONFIG_FIELDS.items() for name in names),
+    *(pytest.param(_highway_case, (key,), id=f"highway_cluster.{key}") for key in PARAM_DEFAULTS["highway_cluster"]),
+]
+
+
+@pytest.mark.parametrize("case, args", FIELD_CASES)
+def test_config_and_model_refuse_the_same_field_values(case, args):
+    disagreements = []
+    for value in FIELD_PROBES:
+        doc, path, taken = case(*args, value)
+        errors = validate_config(doc)
+        # The schema reports a bound at the field's path; a model's own refusal of
+        # the document is at $.params.
+        assert all(e.startswith((f"{path}: ", "$.params: ")) for e in errors), errors
+        if bool(errors) == taken:
+            disagreements.append((value, errors))
+    assert disagreements == []
 
 
 def test_build_config_raises_collected_errors():

@@ -320,10 +320,15 @@ def test_highway_world_rejects_zero_step_runs(duration):
     assert run_highway_experiment(HighwayWorld(duration=0.06, dt=0.1)).times.size == 1
 
 
-def test_highway_refuses_an_impossible_fleet_at_once():
-    # numpy refuses the position arrays before any per-node Python work
-    with pytest.raises(ValueError, match="Maximum allowed dimension exceeded"):
-        run_highway_experiment(HighwayWorld(n_nodes=10**400))
+def test_highway_world_refuses_positions_past_numpy_array_size():
+    # The most nodes whose 1000 default steps of (n_nodes, 2) float64 positions numpy holds in one array.
+    max_nodes = np.iinfo(np.intp).max // (1000 * 2 * 8)
+    with pytest.raises(ValueError, match="array is too big"):
+        np.empty((1000, max_nodes + 1, 2))
+    for n_nodes in (max_nodes + 1, 10**400):
+        with pytest.raises(ValueError, match="^n_nodes positions over duration / dt steps do not fit"):
+            HighwayWorld(n_nodes=n_nodes)
+    assert HighwayWorld(n_nodes=max_nodes).n_nodes == max_nodes
 
 
 def test_highway_world_rejects_overflowing_step_count():

@@ -3,7 +3,21 @@ import math
 import numpy as np
 import pytest
 
-from vscsim.units import Point2D, db_to_linear, distance, kmh_to_ms, linear_to_db, ms_to_kmh
+from vscsim.channel import ChannelParams
+from vscsim.cluster import SecrecyKnobs
+from vscsim.scenarios import HighwayScenario, UrbanScenario
+from vscsim.units import (
+    NonNegative,
+    Point2D,
+    Positive,
+    check_fields,
+    db_to_linear,
+    distance,
+    field_rules,
+    kmh_to_ms,
+    linear_to_db,
+    ms_to_kmh,
+)
 
 
 def test_db_reference_points():
@@ -63,3 +77,19 @@ def test_point_rejects_nonfinite():
         Point2D(math.nan, 0.0)
     with pytest.raises(ValueError):
         Point2D(0.0, math.inf)
+
+
+def test_field_rules_are_the_declared_field_types_in_field_order():
+    assert field_rules(HighwayScenario) == (("r", Positive), ("v", NonNegative), ("tau", NonNegative))
+    # a field without a rule type (the params, a bool) has no rule
+    assert [name for name, _ in field_rules(SecrecyKnobs)] == ["speed_step", "power_step_db", "max_iterations"]
+
+
+def test_check_fields_names_the_first_bad_field_in_field_order():
+    params = ChannelParams(1e7, 1.4)
+    with pytest.raises(ValueError, match=r"^v_limit must be finite and >= 0, got -1.0$"):
+        UrbanScenario(params, 3.0, -1.0, 1.0, -1.0)
+    scenario = HighwayScenario(params, 1000.0, 20.0, 0.2)
+    object.__setattr__(scenario, "tau", math.nan)
+    with pytest.raises(ValueError, match="^tau must be finite and >= 0, got nan$"):
+        check_fields(scenario)
