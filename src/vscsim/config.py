@@ -3,6 +3,12 @@
 Validation is exhaustive: every schema violation is reported at once, with
 its JSON path, then the first refusal of each model input the run builds.
 Unknown keys are rejected everywhere.
+
+The schemas are JSON Schema (draft 2020-12) dicts in a keyword subset that
+this module checks itself, with jsonschema's messages: `type` (with the
+`integer`, `number` and `decibel` rules below), `enum`, `properties`,
+`required`, `additionalProperties: false`, `minimum`, `exclusiveMinimum`,
+`maximum`, `items`, `minItems`, `maxItems`, `minLength` and `pattern`.
 """
 
 from __future__ import annotations
@@ -11,11 +17,10 @@ import copy
 import functools
 import inspect
 import json
+import re
 from dataclasses import dataclass
 from numbers import Real
 from pathlib import Path
-
-import jsonschema
 
 from .channel import DEFAULT_ALPHA, DEFAULT_P_OVER_N0_DB, ChannelParams
 from .highway import HighwayWorld, check_delta, run_perturbation_study
@@ -255,38 +260,89 @@ def _refusal(check, *args, **kwargs) -> str | None:
     return None
 
 
-# JSON Schema counts 0.0 as an integer; the models need a Python int.
-# json.load also accepts NaN, +-Infinity and ints of any size; a real
-# field takes only values that are finite as a float.
-_Validator = jsonschema.validators.extend(
-    jsonschema.Draft202012Validator,
-    type_checker=jsonschema.Draft202012Validator.TYPE_CHECKER.redefine_many(
-        {
-            "integer": lambda _, value: isinstance(value, int) and not isinstance(value, bool),
-            "number": lambda _, value: _is_number(value) and is_finite(value),
-            "decibel": lambda _, value: _is_number(value) and _refusal(db_to_linear, value) is None,
-        }
-    ),
-)
+# The JSON types the schemas name.  JSON Schema counts 0.0 as an integer; the models need a
+# Python int.  json.load also accepts NaN, +-Infinity and ints of any size; a real field takes
+# only values that are finite as a float, and a "decibel" field one db_to_linear takes.
+_TYPES = {
+    "object": lambda value: isinstance(value, dict),
+    "array": lambda value: isinstance(value, list),
+    "string": lambda value: isinstance(value, str),
+    "boolean": lambda value: isinstance(value, bool),
+    "null": lambda value: value is None,
+    "integer": lambda value: isinstance(value, int) and not isinstance(value, bool),
+    "number": lambda value: _is_number(value) and is_finite(value),
+    "decibel": lambda value: _is_number(value) and _refusal(db_to_linear, value) is None,
+}
+
+
+def _schema_walk(instance, schema: dict, path: tuple = ()):
+    """Yield (path, message) for each violation of schema by instance, keyword by keyword in
+    schema order, with jsonschema's messages.  As in jsonschema, a failed type does not stop
+    the other keywords, and the numeric ones skip any value that is not a "number"."""
+    for keyword, value in schema.items():
+        if keyword == "type":
+            types = value if isinstance(value, list) else [value]
+            if not any(_TYPES[name](instance) for name in types):
+                if _is_number(instance) and not is_finite(instance):
+                    yield path, "must be a finite number"
+                elif value == "decibel" and _is_number(instance):
+                    yield path, _refusal(db_to_linear, instance)
+                else:
+                    yield path, f"{instance!r} is not of type {', '.join(map(repr, types))}"
+        elif keyword == "enum":
+            if instance not in value:
+                yield path, f"{instance!r} is not one of {value!r}"
+        elif keyword == "properties":
+            if isinstance(instance, dict):
+                for key, subschema in value.items():
+                    if key in instance:
+                        yield from _schema_walk(instance[key], subschema, (*path, key))
+        elif keyword == "required":
+            if isinstance(instance, dict):
+                for key in value:
+                    if key not in instance:
+                        yield path, f"{key!r} is a required property"
+        elif keyword == "additionalProperties":  # the schemas use false only
+            if isinstance(instance, dict):
+                extras = sorted((key for key in instance if key not in schema.get("properties", {})), key=str)
+                if extras:
+                    names, verb = ", ".join(map(repr, extras)), "was" if len(extras) == 1 else "were"
+                    yield path, f"Additional properties are not allowed ({names} {verb} unexpected)"
+        elif keyword == "minimum":
+            if _TYPES["number"](instance) and instance < value:
+                yield path, f"{instance!r} is less than the minimum of {value!r}"
+        elif keyword == "exclusiveMinimum":
+            if _TYPES["number"](instance) and instance <= value:
+                yield path, f"{instance!r} is less than or equal to the minimum of {value!r}"
+        elif keyword == "maximum":
+            if _TYPES["number"](instance) and instance > value:
+                yield path, f"{instance!r} is greater than the maximum of {value!r}"
+        elif keyword == "items":
+            if isinstance(instance, list):
+                for index, item in enumerate(instance):
+                    yield from _schema_walk(item, value, (*path, index))
+        elif keyword == "minItems":
+            if isinstance(instance, list) and len(instance) < value:
+                yield path, f"{instance!r} {'should be non-empty' if value == 1 else 'is too short'}"
+        elif keyword == "maxItems":
+            if isinstance(instance, list) and len(instance) > value:
+                yield path, f"{instance!r} {'is expected to be empty' if value == 0 else 'is too long'}"
+        elif keyword == "minLength":
+            if isinstance(instance, str) and len(instance) < value:
+                yield path, f"{instance!r} {'should be non-empty' if value == 1 else 'is too short'}"
+        elif keyword == "pattern":
+            if isinstance(instance, str) and not re.search(value, instance):
+                yield path, f"{instance!r} does not match {value!r}"
 
 
 def _schema_errors(instance, schema, prefix: str, bad_keys: set | None = None) -> list[str]:
-    """Messages for every schema violation; the top-level keys they sit
+    """Messages for every schema violation, sorted by path; the top-level keys they sit
     under are added to bad_keys when given."""
-    validator = _Validator(schema)
     out = []
-    for err in sorted(validator.iter_errors(instance), key=lambda e: list(e.absolute_path)):
-        path = prefix + "".join(
-            f"[{p}]" if isinstance(p, int) else f".{p}" for p in err.absolute_path
-        )
-        message = err.message
-        if err.validator == "type" and _is_number(err.instance) and not is_finite(err.instance):
-            message = "must be a finite number"
-        elif err.validator == "type" and err.validator_value == "decibel" and _is_number(err.instance):
-            message = _refusal(db_to_linear, err.instance)
-        out.append(f"{path}: {message}")
-        if bad_keys is not None and err.absolute_path:
-            bad_keys.add(err.absolute_path[0])
+    for path, message in sorted(_schema_walk(instance, schema), key=lambda error: error[0]):
+        out.append(prefix + "".join(f"[{p}]" if isinstance(p, int) else f".{p}" for p in path) + f": {message}")
+        if bad_keys is not None and path:
+            bad_keys.add(path[0])
     return out
 
 

@@ -5,19 +5,25 @@ Poisson mass at 400), the Rayleigh fading average of the secrecy, the
 highway nearest-neighbour search as a brute-force scan, the result
 tables and their cells one row and one cell at a time, and the identity
 hash chain as uncached walks on hashlib, on purpose sharing no code with
-the package, so tests compare two routes to every number.  The one
-exception is the negotiation's knob cycle, which drives the package's
-own link object: there the knob order and each knob's can-act test are
-what is checked, not the link model.
+the package, so tests compare two routes to every number.  Two
+exceptions: the negotiation's knob cycle drives the package's own link
+object, since there the knob order and each knob's can-act test are what
+is checked, not the link model; and the config schema check runs
+jsonschema's Draft 2020-12 engine with the package's number rules and
+decibel message, since there the keyword semantics are what is checked.
 """
 
 import csv
 import hashlib
 import io
 import re
+from numbers import Real
 
+import jsonschema
 import mpmath as mp
 import numpy as np
+
+from vscsim import units
 
 mp.mp.dps = 50
 
@@ -242,3 +248,52 @@ def knob_cycle_negotiation(rsc: float, knobs, link) -> tuple[bool, int, float]:
                 link.enable_relay()
                 break
     return False, knobs.max_iterations, vsc
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, Real) and not isinstance(value, bool)
+
+
+def _refusal(check, *args, **kwargs) -> str | None:
+    """The message of the ValueError a model check raises, else None."""
+    try:
+        check(*args, **kwargs)
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+# JSON Schema counts 0.0 as an integer; the models need a Python int.
+# json.load also accepts NaN, +-Infinity and ints of any size; a real
+# field takes only values that are finite as a float.
+_Validator = jsonschema.validators.extend(
+    jsonschema.Draft202012Validator,
+    type_checker=jsonschema.Draft202012Validator.TYPE_CHECKER.redefine_many(
+        {
+            "integer": lambda _, value: isinstance(value, int) and not isinstance(value, bool),
+            "number": lambda _, value: _is_number(value) and units.is_finite(value),
+            "decibel": lambda _, value: _is_number(value) and _refusal(units.db_to_linear, value) is None,
+        }
+    ),
+)
+
+
+def schema_errors(instance, schema, prefix: str, bad_keys: set | None = None) -> list[str]:
+    """config._schema_errors through jsonschema: messages for every schema
+    violation, sorted by path; the top-level keys they sit under are added
+    to bad_keys when given."""
+    validator = _Validator(schema)
+    out = []
+    for err in sorted(validator.iter_errors(instance), key=lambda e: list(e.absolute_path)):
+        path = prefix + "".join(
+            f"[{p}]" if isinstance(p, int) else f".{p}" for p in err.absolute_path
+        )
+        message = err.message
+        if err.validator == "type" and _is_number(err.instance) and not units.is_finite(err.instance):
+            message = "must be a finite number"
+        elif err.validator == "type" and err.validator_value == "decibel" and _is_number(err.instance):
+            message = _refusal(units.db_to_linear, err.instance)
+        out.append(f"{path}: {message}")
+        if bad_keys is not None and err.absolute_path:
+            bad_keys.add(err.absolute_path[0])
+    return out

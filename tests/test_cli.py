@@ -253,3 +253,15 @@ def test_entry_point_installed():
 def test_requires_subcommand():
     with pytest.raises(SystemExit):
         main([])
+
+
+def test_cli_import_leaves_jsonschema_unloaded():
+    # jsonschema is a test dependency only: config checks its schemas itself
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+    code = "import vscsim.cli, sys; assert 'jsonschema' not in sys.modules"
+    subprocess.run([sys.executable, "-c", code], env=env, check=True)

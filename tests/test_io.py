@@ -1,9 +1,11 @@
+import copy
 import functools
 import inspect
 import json
 import math
 import tracemalloc
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -784,3 +786,80 @@ def test_validate_config_reports_instead_of_raising(experiment, params):
     if errors:
         with pytest.raises(ConfigError):
             build_config(doc)
+
+
+# Every schema the config checks: its nested ones are found by _subschemas.
+_SCHEMAS = [
+    vscsim.config._TOP_SCHEMA, *vscsim.config._PARAMS_SCHEMAS.values(), *vscsim.config._FIELD_BOUNDS.values()
+]
+# The keywords config._schema_walk has a branch for.
+_WALKED_KEYWORDS = {
+    "type", "enum", "properties", "required", "additionalProperties", "minimum", "exclusiveMinimum", "maximum",
+    "items", "minItems", "maxItems", "minLength", "pattern",
+}
+
+
+def _subschemas(schema):
+    yield schema
+    for subschema in schema.get("properties", {}).values():
+        yield from _subschemas(subschema)
+    if "items" in schema:
+        yield from _subschemas(schema["items"])
+
+
+def test_every_schema_keyword_is_one_the_walker_checks():
+    for schema in _SCHEMAS:
+        for subschema in _subschemas(schema):
+            assert set(subschema) <= _WALKED_KEYWORDS, subschema
+            types = subschema.get("type", [])
+            assert set(types if isinstance(types, list) else [types]) <= set(vscsim.config._TYPES), subschema
+            # the walker reads additionalProperties as false, and compares enum members with ==
+            assert subschema.get("additionalProperties", False) is False, subschema
+            assert all(isinstance(member, str) for member in subschema.get("enum", [])), subschema
+
+
+# A mutation sets one of these (json.load reads NaN, +-Infinity and ints of any size) under a
+# key of some schema, or an unknown one.
+_MUTANT_VALUES = [True, False, 0.0, -1, 5e-324, 10**400, -(10**400), math.nan, math.inf, -math.inf,
+                  "", "x", [], {}, None]
+_MUTANT_KEYS = sorted(
+    {key for schema in _SCHEMAS for subschema in _subschemas(schema) for key in subschema.get("properties", {})}
+    | set(vscsim.config._FIELD_BOUNDS) | {"x"}
+)
+_MUTANT_DOCS = [get_preset(name) for name in list_presets()] + [{"experiment": e} for e in EXPERIMENTS]
+
+
+def _containers(node):
+    """Every dict and list in a document, itself first."""
+    if isinstance(node, (dict, list)):
+        yield node
+        for child in node.values() if isinstance(node, dict) else node:
+            yield from _containers(child)
+
+
+@st.composite
+def _mutants(draw):
+    """A preset or bare document with one to three keys or items replaced, deleted or added."""
+    doc = copy.deepcopy(draw(st.sampled_from(_MUTANT_DOCS)))
+    for _ in range(draw(st.integers(1, 3))):
+        node = draw(st.sampled_from(list(_containers(doc))))
+        keys = list(node) if isinstance(node, dict) else list(range(len(node)))
+        value = copy.deepcopy(draw(st.sampled_from(_MUTANT_VALUES)))
+        action = draw(st.sampled_from(["replace", "delete", "add"] if keys else ["add"]))
+        if action == "add" and isinstance(node, dict):
+            node[draw(st.sampled_from(_MUTANT_KEYS))] = value
+        elif action == "add":
+            node.append(value)
+        elif action == "replace":
+            node[draw(st.sampled_from(keys))] = value
+        else:
+            del node[draw(st.sampled_from(keys))]
+    return doc
+
+
+@settings(max_examples=600, deadline=None)
+@given(doc=_mutants())
+def test_validate_config_matches_the_jsonschema_oracle(doc):
+    with mock.patch.object(vscsim.config, "_schema_errors", oracles.schema_errors):
+        expected = validate_config(doc)
+    assert validate_config(doc) == expected
