@@ -8,6 +8,7 @@ so the converters here are the single place those units are handled.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import typing
 from dataclasses import dataclass, fields
@@ -94,10 +95,17 @@ def field_rules(cls) -> tuple[tuple[str, typing.Any], ...]:
     return tuple((f.name, hints[f.name]) for f in fields(cls) if hasattr(hints[f.name], "__metadata__"))
 
 
+@functools.cache
+def _rule_groups(cls) -> tuple[tuple[typing.Callable, tuple[str, ...]], ...]:
+    """(check, fields) of each run of consecutive fields that share one rule type, in field order."""
+    return tuple((rule.__metadata__[0], tuple(name for name, _ in run))
+                 for rule, run in itertools.groupby(field_rules(cls), key=lambda pair: pair[1]))
+
+
 def check_fields(obj) -> None:
     """Apply the declared field rules of a dataclass instance; the ValueError names the first bad field."""
-    for name, rule in field_rules(type(obj)):
-        rule.__metadata__[0](**{name: getattr(obj, name)})
+    for check, names in _rule_groups(type(obj)):
+        check(**{name: getattr(obj, name) for name in names})
 
 
 def linear_to_db(ratio: float) -> float:
