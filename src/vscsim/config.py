@@ -275,10 +275,15 @@ _TYPES = {
 }
 
 
+def _is_bounded(value) -> bool:
+    """A value the numeric keywords compare: a finite number, or an int past the float range."""
+    return _is_number(value) and (isinstance(value, int) or is_finite(value))
+
+
 def _schema_walk(instance, schema: dict, path: tuple = ()):
     """Yield (path, message) for each violation of schema by instance, keyword by keyword in
     schema order, with jsonschema's messages.  As in jsonschema, a failed type does not stop
-    the other keywords, and the numeric ones skip any value that is not a "number"."""
+    the other keywords.  The numeric ones compare a "number" or an int of any size."""
     for keyword, value in schema.items():
         if keyword == "type":
             types = value if isinstance(value, list) else [value]
@@ -309,13 +314,13 @@ def _schema_walk(instance, schema: dict, path: tuple = ()):
                     names, verb = ", ".join(map(repr, extras)), "was" if len(extras) == 1 else "were"
                     yield path, f"Additional properties are not allowed ({names} {verb} unexpected)"
         elif keyword == "minimum":
-            if _TYPES["number"](instance) and instance < value:
+            if _is_bounded(instance) and instance < value:
                 yield path, f"{instance!r} is less than the minimum of {value!r}"
         elif keyword == "exclusiveMinimum":
-            if _TYPES["number"](instance) and instance <= value:
+            if _is_bounded(instance) and instance <= value:
                 yield path, f"{instance!r} is less than or equal to the minimum of {value!r}"
         elif keyword == "maximum":
-            if _TYPES["number"](instance) and instance > value:
+            if _is_bounded(instance) and instance > value:
                 yield path, f"{instance!r} is greater than the maximum of {value!r}"
         elif keyword == "items":
             if isinstance(instance, list):

@@ -263,11 +263,25 @@ def _refusal(check, *args, **kwargs) -> str | None:
     return None
 
 
+# Stock Draft 2020-12 types, where every int is a number.
+_PLAIN = jsonschema.Draft202012Validator({})
+
+
+def _ints_too(keyword):
+    """jsonschema's numeric keyword, applied also to an int the redefined number type refuses."""
+    check = jsonschema.Draft202012Validator.VALIDATORS[keyword]
+    return lambda validator, bound, instance, schema: check(
+        _PLAIN if validator.is_type(instance, "integer") else validator, bound, instance, schema
+    )
+
+
 # JSON Schema counts 0.0 as an integer; the models need a Python int.
 # json.load also accepts NaN, +-Infinity and ints of any size; a real
-# field takes only values that are finite as a float.
+# field takes only values that are finite as a float, but a bound
+# applies to an int of any size.
 _Validator = jsonschema.validators.extend(
     jsonschema.Draft202012Validator,
+    validators={keyword: _ints_too(keyword) for keyword in ("minimum", "exclusiveMinimum", "maximum")},
     type_checker=jsonschema.Draft202012Validator.TYPE_CHECKER.redefine_many(
         {
             "integer": lambda _, value: isinstance(value, int) and not isinstance(value, bool),

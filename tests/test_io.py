@@ -165,6 +165,20 @@ def test_validate_rejects_non_finite_numbers(doc, path):
     assert validate_config(doc) == [f"{path}: must be a finite number"]
 
 
+@pytest.mark.parametrize(
+    "doc, error",
+    [
+        ({"experiment": "intersection", "params": {"case": 10**400}},
+         f"$.params.case: {10**400} is greater than the maximum of 6"),
+        ({"experiment": "highway_cluster", "params": {"n_nodes": -(10**400)}},
+         f"$.params.n_nodes: {-(10**400)} is less than the minimum of 2"),
+    ],
+    ids=["case", "n_nodes"],
+)
+def test_validate_checks_ints_past_the_float_range_against_their_bounds(doc, error):
+    assert validate_config(doc) == [error]
+
+
 def test_validate_highway_cluster_source_count():
     doc = {"experiment": "highway_cluster", "params": {"n_nodes": 3, "n_sources": 3}}
     assert any("n_sources" in e for e in validate_config(doc))
