@@ -128,7 +128,7 @@ def _model_defaults(experiment: str, *models) -> dict:
 
 
 PARAM_DEFAULTS: dict[str, dict] = {
-    "sweep": {"unit": "si", "series": [{"label": "cs", "overrides": {}}]},
+    "sweep": {"unit": SweepSpec.unit, "series": [{"label": l, "overrides": dict(o)} for l, o in SweepSpec.series]},
     "intersection": _model_defaults("intersection", run_intersection_case),
     "highway_cluster": _model_defaults("highway_cluster", HighwayWorld),
     "perturbation": _model_defaults("perturbation", HighwayWorld, run_perturbation_study),
@@ -275,15 +275,16 @@ _TYPES = {
 }
 
 
-def _is_bounded(value) -> bool:
-    """A value the numeric keywords compare: a finite number, or an int past the float range."""
-    return _is_number(value) and (isinstance(value, int) or is_finite(value))
+def _is_bounded(value, schema: dict) -> bool:
+    """A value the numeric keywords of schema compare: a finite number, or an int past the float
+    range at an "integer" node (a "number" node refuses it by type alone)."""
+    return _is_number(value) and (is_finite(value) or isinstance(value, int) and schema.get("type") == "integer")
 
 
 def _schema_walk(instance, schema: dict, path: tuple = ()):
     """Yield (path, message) for each violation of schema by instance, keyword by keyword in
     schema order, with jsonschema's messages.  As in jsonschema, a failed type does not stop
-    the other keywords.  The numeric ones compare a "number" or an int of any size."""
+    the other keywords.  The numeric ones compare a finite number, or any int at an "integer" node."""
     for keyword, value in schema.items():
         if keyword == "type":
             types = value if isinstance(value, list) else [value]
@@ -314,13 +315,13 @@ def _schema_walk(instance, schema: dict, path: tuple = ()):
                     names, verb = ", ".join(map(repr, extras)), "was" if len(extras) == 1 else "were"
                     yield path, f"Additional properties are not allowed ({names} {verb} unexpected)"
         elif keyword == "minimum":
-            if _is_bounded(instance) and instance < value:
+            if _is_bounded(instance, schema) and instance < value:
                 yield path, f"{instance!r} is less than the minimum of {value!r}"
         elif keyword == "exclusiveMinimum":
-            if _is_bounded(instance) and instance <= value:
+            if _is_bounded(instance, schema) and instance <= value:
                 yield path, f"{instance!r} is less than or equal to the minimum of {value!r}"
         elif keyword == "maximum":
-            if _is_bounded(instance) and instance > value:
+            if _is_bounded(instance, schema) and instance > value:
                 yield path, f"{instance!r} is greater than the maximum of {value!r}"
         elif keyword == "items":
             if isinstance(instance, list):

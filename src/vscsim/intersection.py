@@ -10,12 +10,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .channel import DEFAULT_ALPHA, DEFAULT_P_OVER_N0_DB, capacity_bits, link_snr
-from .units import (NonNegative, Point2D, check_fields, db_to_linear, is_finite, kmh_to_ms, require_finite,
-                    require_integer, require_positive)
+from .units import (NonNegative, Point2D, check_fields, db_to_linear, distance, is_finite, kmh_to_ms,
+                    require_finite, require_integer, require_positive)
 
 # A capacity sample counts as "nearly zero" below this fraction of the
 # run's peak capacity.
@@ -48,12 +49,11 @@ class Trajectory:
                 f"speed {self.speed!r} exceeds speed limit {self.speed_limit!r}"
             )
 
-    @property
+    @cached_property
     def path_length(self) -> float:
+        # The fields are frozen: measured on the first read, kept in the instance __dict__.
         pts = self.waypoints
-        return sum(
-            math.hypot(b.x - a.x, b.y - a.y) for a, b in zip(pts, pts[1:])
-        )
+        return sum(distance(a, b) for a, b in zip(pts, pts[1:]))
 
     def steps(self, dt: float) -> int:
         """Whole dt steps the path takes at the trajectory's speed."""
@@ -70,7 +70,7 @@ class Trajectory:
         s = min(self.speed * t, self.path_length)
         pts = self.waypoints
         for a, b in zip(pts, pts[1:]):
-            seg = math.hypot(b.x - a.x, b.y - a.y)
+            seg = distance(a, b)
             if seg > 0.0 and s <= seg:
                 f = s / seg
                 return Point2D(a.x + f * (b.x - a.x), a.y + f * (b.y - a.y))
@@ -175,11 +175,7 @@ def run_intersection_case(
     n_steps = case.host.steps(dt)
     c = db_to_linear(p_over_n0_db)
     times = np.arange(n_steps + 1) * dt
-    dists = np.empty(times.shape)
-    for i, t in enumerate(times):
-        hp = case.host.position(float(t))
-        tp = case.target.position(float(t))
-        dists[i] = math.hypot(hp.x - tp.x, hp.y - tp.y)
+    dists = np.array([distance(case.host.position(t), case.target.position(t)) for t in times.tolist()])
     caps = capacity_bits(link_snr(c, dists, alpha))
     peak = float(np.max(caps))
     try:

@@ -97,6 +97,38 @@ def ergodic_secrecy_rayleigh(power, sigma_b_sq, sigma_e_sq, on_off: bool) -> flo
     return float((_mean_log_rayleigh(g_b) - _mean_log_rayleigh(other)) / mp.log(2))
 
 
+def _gain_density(kind: str, shape):
+    """Density of a unit-mean squared gain: Rician with K-factor shape, or Nakagami with m = shape."""
+    s = mp.mpf(shape)
+    if kind == "rician":
+        return lambda x: (s + 1) * mp.exp(-s - (s + 1) * x) * mp.besseli(0, 2 * mp.sqrt(s * (s + 1) * x))
+    return lambda x: s**s * x ** (s - 1) * mp.exp(-s * x) / mp.gamma(s)
+
+
+def ergodic_secrecy_exp_wiretap(kind: str, shape, power, sigma_b_sq, sigma_e_sq, on_off: bool) -> float:
+    """Fading average of the pair secrecy in bits, the legitimate gain h_B Rician or Nakagami
+    (_gain_density) and the wiretap gain h_E ~ Exp(1), as one integral over h_B.  Always on,
+    E[ln(1 + g_B h_B)] - _mean_log_rayleigh(g_E).  On/off, the link is used where
+    h_E < u = h_B sigma_E^2 / sigma_B^2, so the mean is E[ln(1 + g_B h_B) (1 - e^-u) - G(u)]
+    with G(u) = E[ln(1 + g_E h_E); h_E < u] = e^(1/g_E) (E1(1/g_E) - E1(u + 1/g_E)) - e^-u ln(1 + g_E u)."""
+    with mp.workdps(20):
+        g_b, g_e = mp.mpf(power) / sigma_b_sq, mp.mpf(power) / sigma_e_sq
+        ratio = mp.mpf(sigma_e_sq) / sigma_b_sq
+        density = _gain_density(kind, shape)
+
+        def term(x):
+            if not on_off:
+                return mp.log1p(g_b * x)
+            u = ratio * x
+            wiretap = mp.exp(1 / g_e) * (mp.e1(1 / g_e) - mp.e1(u + 1 / g_e)) - mp.exp(-u) * mp.log1p(g_e * u)
+            return mp.log1p(g_b * x) * -mp.expm1(-u) - wiretap
+
+        value = mp.quad(lambda x: density(x) * term(x), [0, 1, 4, mp.inf])
+        if not on_off:
+            value -= _mean_log_rayleigh(g_e)
+        return float(value / mp.log(2))
+
+
 def nearest_neighbour(xs, ys, src: int, x_src: float, obu_range: float) -> tuple[int, float]:
     """Brute-force nearest other node within obu_range of source src
     evaluated at x_src: np.hypot over every node, ties to the lowest index
@@ -268,17 +300,19 @@ _PLAIN = jsonschema.Draft202012Validator({})
 
 
 def _ints_too(keyword):
-    """jsonschema's numeric keyword, applied also to an int the redefined number type refuses."""
+    """jsonschema's numeric keyword, applied also to an int the redefined number type refuses
+    where the node's type is integer."""
     check = jsonschema.Draft202012Validator.VALIDATORS[keyword]
     return lambda validator, bound, instance, schema: check(
-        _PLAIN if validator.is_type(instance, "integer") else validator, bound, instance, schema
+        _PLAIN if schema.get("type") == "integer" and validator.is_type(instance, "integer") else validator,
+        bound, instance, schema,
     )
 
 
 # JSON Schema counts 0.0 as an integer; the models need a Python int.
 # json.load also accepts NaN, +-Infinity and ints of any size; a real
-# field takes only values that are finite as a float, but a bound
-# applies to an int of any size.
+# field takes only values that are finite as a float, but a bound of
+# an integer field applies to an int of any size.
 _Validator = jsonschema.validators.extend(
     jsonschema.Draft202012Validator,
     validators={keyword: _ints_too(keyword) for keyword in ("minimum", "exclusiveMinimum", "maximum")},

@@ -166,17 +166,21 @@ def test_validate_rejects_non_finite_numbers(doc, path):
 
 
 @pytest.mark.parametrize(
-    "doc, error",
+    "doc, errors",
     [
         ({"experiment": "intersection", "params": {"case": 10**400}},
-         f"$.params.case: {10**400} is greater than the maximum of 6"),
+         [f"$.params.case: {10**400} is greater than the maximum of 6"]),
         ({"experiment": "highway_cluster", "params": {"n_nodes": -(10**400)}},
-         f"$.params.n_nodes: {-(10**400)} is less than the minimum of 2"),
+         [f"$.params.n_nodes: {-(10**400)} is less than the minimum of 2"]),
+        # a number node refuses the value by type alone: no second error with a 401-digit repr
+        ({"experiment": "ppp", "params": {"alpha": -(10**400)}}, ["$.params.alpha: must be a finite number"]),
+        ({"experiment": "intersection", "params": {"case": 0.0}},
+         ["$.params.case: 0.0 is not of type 'integer'", "$.params.case: 0.0 is less than the minimum of 1"]),
     ],
-    ids=["case", "n_nodes"],
+    ids=["case", "n_nodes", "alpha", "case_float"],
 )
-def test_validate_checks_ints_past_the_float_range_against_their_bounds(doc, error):
-    assert validate_config(doc) == [error]
+def test_validate_compares_ints_past_the_float_range_only_at_integer_nodes(doc, errors):
+    assert validate_config(doc) == errors
 
 
 def test_validate_highway_cluster_source_count():

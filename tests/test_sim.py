@@ -1,4 +1,5 @@
 import math
+from dataclasses import FrozenInstanceError
 
 import numpy as np
 import pytest
@@ -58,11 +59,27 @@ def test_trajectory_repeated_waypoints_leave_positions_unchanged():
     plain = Trajectory((a, b, c), speed=1.3, speed_limit=2.0)
     times = [0.25 * k for k in range(30)] + [3.0 / 1.3, 7.0 / 1.3, 1e9]
     for pts in [(a, a, b, c), (a, b, b, c), (a, b, c, c), (a, a, b, b, b, c, c)]:
+        cold = Trajectory(pts, speed=1.3, speed_limit=2.0)  # position() measures the path itself
+        cold_positions = [cold.position(t) for t in times]
         repeated = Trajectory(pts, speed=1.3, speed_limit=2.0)
         assert repeated.path_length == plain.path_length
-        assert [repeated.position(t) for t in times] == [plain.position(t) for t in times]
+        assert [repeated.position(t) for t in times] == [plain.position(t) for t in times] == cold_positions
     still = Trajectory((b, b, b), speed=1.3, speed_limit=2.0)
     assert [still.position(t) for t in times] == [b] * len(times)
+
+
+def test_trajectory_cached_path_length_keeps_equality_and_frozen_fields():
+    pts = (Point2D(0.0, 0.0), Point2D(3.0, 0.0), Point2D(3.0, 4.0))
+    read = Trajectory(pts, speed=1.0, speed_limit=1.0)
+    assert read.path_length == 7.0
+    fresh = Trajectory(pts, speed=1.0, speed_limit=1.0)
+    assert "path_length" in vars(read) and "path_length" not in vars(fresh)
+    assert read == fresh
+    assert hash(read) == hash(fresh)
+    for tr in (read, fresh):
+        with pytest.raises(FrozenInstanceError):
+            tr.path_length = 1.0
+    assert read.path_length == fresh.path_length == 7.0
 
 
 def test_case_geometries():

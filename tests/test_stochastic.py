@@ -308,6 +308,33 @@ def test_ergodic_rayleigh_matches_closed_form(power, sigma_b_sq, sigma_e_sq, on_
     assert abs(est.value - want) < 4 * est.stderr
 
 
+@pytest.mark.parametrize("on_off", [True, False])
+@pytest.mark.parametrize(
+    "legit, wiretap, kind, shape",
+    [
+        (FadingModel.rician(5.0), FadingModel.rayleigh(), "rician", 5.0),
+        (FadingModel.rician(1.5), FadingModel.rayleigh(), "rician", 1.5),
+        (FadingModel.nakagami(2.5), FadingModel.nakagami(1.0), "nakagami", 2.5),
+        (FadingModel.nakagami(0.7), FadingModel.nakagami(1.0), "nakagami", 0.7),
+    ],
+    ids=["rician5", "rician1.5", "nakagami2.5", "nakagami0.7"],
+)
+@pytest.mark.parametrize("power, sigma_b_sq, sigma_e_sq", [(100.0, 1.0, 1.0), (1000.0, 2.0, 0.5)])
+def test_ergodic_rician_and_nakagami_match_the_integral(legit, wiretap, kind, shape, power, sigma_b_sq, sigma_e_sq,
+                                                        on_off):
+    cfg = ErgodicConfig(power, sigma_b_sq, sigma_e_sq, sample_count=10**6, seed=3)
+    est = ergodic_secrecy_mc(cfg, legit, wiretap, restrict_to_advantage=on_off)
+    want = oracles.ergodic_secrecy_exp_wiretap(kind, shape, power, sigma_b_sq, sigma_e_sq, on_off)
+    assert abs(est.value - want) < 4 * est.stderr
+
+
+@pytest.mark.parametrize("on_off", [True, False])
+@pytest.mark.parametrize("power, sigma_b_sq, sigma_e_sq", [(10.0, 1.0, 1.0), (100.0, 1.0, 4.0), (1000.0, 2.0, 0.5)])
+def test_fading_integral_at_nakagami_1_is_the_rayleigh_closed_form(power, sigma_b_sq, sigma_e_sq, on_off):
+    got = oracles.ergodic_secrecy_exp_wiretap("nakagami", 1.0, power, sigma_b_sq, sigma_e_sq, on_off)
+    assert got == pytest.approx(oracles.ergodic_secrecy_rayleigh(power, sigma_b_sq, sigma_e_sq, on_off), abs=1e-12)
+
+
 def test_ergodic_deterministic_per_seed():
     cfg = ErgodicConfig(mean_power_budget=100.0, sample_count=10_000, seed=21)
     a = ergodic_secrecy_mc(cfg, FadingModel.rayleigh(), FadingModel.nakagami(2.0))
