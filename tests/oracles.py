@@ -1,7 +1,8 @@
 """Independent evaluators used to pin expected values.
 
 These reimplement the closed forms directly in mpmath at 50 digits (the
-Poisson mass at 400), the Rayleigh fading average of the secrecy, the
+Poisson mass at 400), the Rayleigh fading average of the secrecy (and
+the Rician and Nakagami ones as 20-digit quadratures), the
 highway nearest-neighbour search as a brute-force scan, the result
 tables and their cells one row and one cell at a time, and the identity
 hash chain as uncached walks on hashlib, on purpose sharing no code with
@@ -110,7 +111,8 @@ def ergodic_secrecy_exp_wiretap(kind: str, shape, power, sigma_b_sq, sigma_e_sq,
     (_gain_density) and the wiretap gain h_E ~ Exp(1), as one integral over h_B.  Always on,
     E[ln(1 + g_B h_B)] - _mean_log_rayleigh(g_E).  On/off, the link is used where
     h_E < u = h_B sigma_E^2 / sigma_B^2, so the mean is E[ln(1 + g_B h_B) (1 - e^-u) - G(u)]
-    with G(u) = E[ln(1 + g_E h_E); h_E < u] = e^(1/g_E) (E1(1/g_E) - E1(u + 1/g_E)) - e^-u ln(1 + g_E u)."""
+    with G(u) = E[ln(1 + g_E h_E); h_E < u] = e^(1/g_E) (E1(1/g_E) - E1(u + 1/g_E)) - e^-u ln(1 + g_E u).
+    At 20 digits, which keeps the quadrature to a fraction of a second."""
     with mp.workdps(20):
         g_b, g_e = mp.mpf(power) / sigma_b_sq, mp.mpf(power) / sigma_e_sq
         ratio = mp.mpf(sigma_e_sq) / sigma_b_sq
