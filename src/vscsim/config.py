@@ -24,7 +24,8 @@ from pathlib import Path
 
 from .channel import DEFAULT_ALPHA, DEFAULT_P_OVER_N0_DB, ChannelParams
 from .highway import HighwayWorld, check_delta, run_perturbation_study
-from .intersection import make_case, run_intersection_case
+from .intersection import CASE_IDS, make_case, run_intersection_case
+from .stochastic import sample_field
 from .sweeps import GRID_UNITS, SWEEP_FIELDS, SWEEP_SCENARIOS, SweepSpec, sweep_errors
 from .units import (Decibel, IntAtLeast0, IntAtLeast1, IntAtLeast2, NonNegative, Positive, db_to_linear,
                     field_rules, is_finite)
@@ -65,43 +66,24 @@ _TOP_SCHEMA = _object_schema(
     ["experiment"],
 )
 
-# Config key -> the HighwayWorld field it sets.
-_HIGHWAY_KEYS = {
-    "n_nodes": "n_nodes", "n_sources": "n_sources", "lanes": "lanes", "lane_width_m": "lane_width",
-    "length_m": "length", "duration_s": "duration", "dt_s": "dt", "speed_redraw_period_s": "speed_redraw_period",
-    "max_speed_kmh": "max_speed_kmh", "alpha": "alpha", "p_over_n0_db": "p_over_n0_db",
-    "eavesdropper_range_m": "eavesdropper_range", "obu_range_m": "obu_range",
-}
-_WORLD_RULES = dict(field_rules(HighwayWorld))
-_WORLD_KEYS = {key: (field, _RULE_BOUNDS[_WORLD_RULES[field]]) for key, field in _HIGHWAY_KEYS.items()}
-# Config key -> (keyword of the model it sets, JSON bounds), for the
-# experiments that configure a HighwayWorld, run_perturbation_study or
-# run_intersection_case.  Defaults are written once, on the models.
+# Config key -> JSON bounds, for the experiments that configure a HighwayWorld,
+# run_perturbation_study or run_intersection_case.  Each key is the keyword of the
+# model it sets, and defaults are written once, on the models.
+_WORLD_KEYS = {name: _RULE_BOUNDS[rule] for name, rule in field_rules(HighwayWorld) if name != "seed"}
 _MODEL_KEYS = {
     "highway_cluster": _WORLD_KEYS,
-    "perturbation": {
-        **_WORLD_KEYS,
-        "delta_m": ("delta", _NUMBER),
-        "allow_custom_delta": ("allow_custom_delta", _BOOLEAN),
-    },
+    "perturbation": {**_WORLD_KEYS, "delta_m": _NUMBER, "allow_custom_delta": _BOOLEAN},
     "intersection": {
-        "case": ("case_id", {"type": "integer", "minimum": 1, "maximum": 6}),
-        "dt_s": ("dt", _POSITIVE),
-        "speed_kmh": ("speed_kmh", _POSITIVE),
-        "alpha": ("alpha", _POSITIVE),
-        "p_over_n0_db": ("p_over_n0_db", _DECIBEL),
-        "lane_offset_m": ("lane_offset", _POSITIVE),
-        "host_span": ("host_span", _SPAN),
-        "target_span": ("target_span", _SPAN),
+        "case": {"type": "integer", "minimum": min(CASE_IDS), "maximum": max(CASE_IDS)},
+        "dt_s": _POSITIVE,
+        "speed_kmh": _POSITIVE,
+        "alpha": _POSITIVE,
+        "p_over_n0_db": _DECIBEL,
+        "lane_offset_m": _POSITIVE,
+        "host_span": _SPAN,
+        "target_span": _SPAN,
     },
 }
-MODEL_KEYWORDS = {key: kw for keys in _MODEL_KEYS.values() for key, (kw, _) in keys.items()}
-
-
-def model_kwargs(params: dict) -> dict:
-    """Defaulted highway_cluster, perturbation or intersection params
-    renamed to the keywords of the models they configure."""
-    return {MODEL_KEYWORDS[key]: value for key, value in params.items()}
 
 
 @functools.cache
@@ -124,7 +106,7 @@ def _model_defaults(experiment: str, *models) -> dict:
         for name, p in inspect.signature(model).parameters.items()
         if p.default is not p.empty
     }
-    return {key: defaults[kw] for key, (kw, _) in _MODEL_KEYS[experiment].items() if kw in defaults}
+    return {key: defaults[key] for key in _MODEL_KEYS[experiment] if key in defaults}
 
 
 PARAM_DEFAULTS: dict[str, dict] = {
@@ -135,7 +117,7 @@ PARAM_DEFAULTS: dict[str, dict] = {
     "ppp": {
         "lam": 6.0,
         "region_area_m2": 1000.0,
-        "ref_area_m2": 1000.0,
+        "ref_area_m2": inspect.signature(sample_field).parameters["ref_area_m2"].default,
         "alpha": DEFAULT_ALPHA,
         "p_over_n0_db": DEFAULT_P_OVER_N0_DB,
         "mode": "distance_curve",
@@ -183,10 +165,7 @@ _PARAMS_SCHEMAS = {
     ),
     # A key is required when its model keyword has no default.
     **{
-        experiment: _object_schema(
-            {key: bounds for key, (_, bounds) in keys.items()},
-            [key for key in keys if key not in PARAM_DEFAULTS[experiment]],
-        )
+        experiment: _object_schema(keys, [key for key in keys if key not in PARAM_DEFAULTS[experiment]])
         for experiment, keys in _MODEL_KEYS.items()
     },
     "ppp": _object_schema(
@@ -367,16 +346,16 @@ def validate_config(doc) -> list[str]:
         merged = {**PARAM_DEFAULTS[experiment], **params}
         if experiment == "sweep":
             errors += _sweep_extra_errors(merged)
-        kwargs = model_kwargs({k: v for k, v in merged.items() if k in _MODEL_KEYS.get(experiment, ())})
+        kwargs = {k: v for k, v in merged.items() if k in _MODEL_KEYS.get(experiment, ())}
         refusals = {}
         if experiment in ("highway_cluster", "perturbation"):
             shift, world = split_kwargs(check_delta, kwargs)
             refusals["$.params"] = _refusal(HighwayWorld, **world)
             if shift:
                 refusals["$.params.delta_m"] = _refusal(check_delta, **shift)
-        if experiment == "intersection" and "case_id" in kwargs:  # a missing case is a schema error
-            case, _ = split_kwargs(make_case, kwargs)
-            refusals["$.params"] = _refusal(lambda: make_case(**case).host.steps(kwargs["dt"]))
+        if experiment == "intersection" and "case" in kwargs:  # a missing case is a schema error
+            geometry, _ = split_kwargs(make_case, kwargs)
+            refusals["$.params"] = _refusal(lambda: make_case(**geometry).host.steps(kwargs["dt_s"]))
         errors += [f"{path}: {message}" for path, message in refusals.items() if message]
     return errors
 

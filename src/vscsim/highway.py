@@ -36,31 +36,36 @@ class HighwayWorld:
     n_nodes: IntAtLeast2 = 25
     n_sources: IntAtLeast1 = 2
     lanes: IntAtLeast1 = 6
-    lane_width: Positive = 10.0
-    length: Positive = 2500.0
-    duration: Positive = 100.0
-    dt: Positive = 0.1
-    speed_redraw_period: Positive = 1.0
+    lane_width_m: Positive = 10.0
+    length_m: Positive = 2500.0
+    duration_s: Positive = 100.0
+    dt_s: Positive = 0.1
+    speed_redraw_period_s: Positive = 1.0
     max_speed_kmh: Positive = 120.0
     alpha: Positive = DEFAULT_ALPHA
     p_over_n0_db: Decibel = DEFAULT_P_OVER_N0_DB
-    eavesdropper_range: Positive = 1000.0
-    obu_range: Positive = 2500.0
+    eavesdropper_range_m: Positive = 1000.0
+    obu_range_m: Positive = 2500.0
     seed: IntAtLeast0 = 0
 
     def __post_init__(self) -> None:
         check_fields(self)
+        try:  # the eavesdropper's SNR, which every link's secrecy subtracts
+            link_snr(db_to_linear(self.p_over_n0_db), self.eavesdropper_range_m, self.alpha)
+        except ValueError as exc:
+            raise ValueError(f"eavesdropper_range_m: {exc}") from None
         if self.n_sources >= self.n_nodes:
             raise ValueError("n_sources must leave at least one target")
-        if self.duration / self.dt <= 0.5:  # rounds to zero steps
-            raise ValueError("duration must cover at least one dt step")
-        if not is_finite(self.duration / self.dt):
-            raise ValueError("duration / dt overflows: the step count is not finite")
-        redraw_steps = self.speed_redraw_period / self.dt
+        steps = self.duration_s / self.dt_s
+        if steps <= 0.5:  # rounds to zero steps
+            raise ValueError("duration_s must cover at least one dt_s step")
+        if not is_finite(steps):
+            raise ValueError("duration_s / dt_s overflows: the step count is not finite")
+        redraw_steps = self.speed_redraw_period_s / self.dt_s
         if not is_finite(redraw_steps):
-            raise ValueError(f"speed_redraw_period must be finite in dt steps, got {redraw_steps!r}")
-        if round(self.duration / self.dt) * self.n_nodes * 16 > np.iinfo(np.intp).max:  # (n_steps, n_nodes, 2) float64
-            raise ValueError("n_nodes positions over duration / dt steps do not fit in one numpy array")
+            raise ValueError(f"speed_redraw_period_s must be finite in dt_s steps, got {redraw_steps!r}")
+        if round(steps) * self.n_nodes * 16 > np.iinfo(np.intp).max:  # (n_steps, n_nodes, 2) float64
+            raise ValueError("n_nodes positions over duration_s / dt_s steps do not fit in one numpy array")
 
 
 @dataclass
@@ -177,7 +182,7 @@ def _link_secrecy(world: HighwayWorld, dists: np.ndarray) -> np.ndarray:
     eavesdropper's capacity once, then log2(1 + SNR_B) - c_eve per link,
     the same float operations as secrecy_bits."""
     c = db_to_linear(world.p_over_n0_db)
-    c_eve = capacity_bits(link_snr(c, world.eavesdropper_range, world.alpha))
+    c_eve = capacity_bits(link_snr(c, world.eavesdropper_range_m, world.alpha))
     secrecy = [capacity_bits(link_snr(c, d, world.alpha)) - c_eve for d in dists.ravel().tolist()]
     return np.array(secrecy).reshape(dists.shape)
 
@@ -187,21 +192,21 @@ def run_highway_experiment(world: HighwayWorld) -> HighwayRunResult:
     rng = np.random.default_rng(world.seed)
     n = world.n_nodes
     lanes = rng.integers(0, world.lanes, n)
-    ys = (lanes + 0.5) * world.lane_width
-    xs = rng.uniform(0.0, world.length, n)
+    ys = (lanes + 0.5) * world.lane_width_m
+    xs = rng.uniform(0.0, world.length_m, n)
     speeds = np.zeros(n)
-    redraw_every = max(1, round(world.speed_redraw_period / world.dt))
-    n_steps = int(round(world.duration / world.dt))
-    times = np.arange(n_steps) * world.dt
+    redraw_every = max(1, round(world.speed_redraw_period_s / world.dt_s))
+    n_steps = int(round(world.duration_s / world.dt_s))
+    times = np.arange(n_steps) * world.dt_s
     positions = np.empty((n_steps, n, 2))
     positions[:, :, 1] = ys
     for k in range(n_steps):
         if k % redraw_every == 0:
             speeds = kmh_to_ms(1.0) * rng.uniform(0.0, world.max_speed_kmh, n)
         positions[k, :, 0] = xs
-        xs = (xs + speeds * world.dt) % world.length
+        xs = (xs + speeds * world.dt_s) % world.length_m
     all_xs = positions[:, :, 0]
-    target_idx, dists = _nearest_links(all_xs, ys, all_xs[:, : world.n_sources], world.obu_range)
+    target_idx, dists = _nearest_links(all_xs, ys, all_xs[:, : world.n_sources], world.obu_range_m)
     secr = _link_secrecy(world, dists)
     # After the arrays, which numpy refuses at once for an impossible n_nodes.
     node_ids = [f"n{i:02d}" for i in range(n)]
@@ -226,34 +231,34 @@ class PerturbationResult:
     dx_base: np.ndarray               # along-track offset to the baseline target
 
 
-def check_delta(delta: float, allow_custom_delta: bool = False) -> None:
+def check_delta(delta_m: float, allow_custom_delta: bool = False) -> None:
     """Raise ValueError for a zero source shift, or an uncalibrated one not allowed."""
-    if delta == 0.0:
-        raise ValueError("delta must be non-zero")
-    if abs(delta) != CALIBRATED_DELTA and not allow_custom_delta:
+    if delta_m == 0.0:
+        raise ValueError("delta_m must be non-zero")
+    if abs(delta_m) != CALIBRATED_DELTA and not allow_custom_delta:
         raise ValueError(f"perturbation is calibrated for +/-{CALIBRATED_DELTA:g} m; "
                          "set allow_custom_delta to override")
 
 
 def run_perturbation_study(
-    world: HighwayWorld, delta: float = CALIBRATED_DELTA, allow_custom_delta: bool = False
+    world: HighwayWorld, delta_m: float = CALIBRATED_DELTA, allow_custom_delta: bool = False
 ) -> PerturbationResult:
-    """Re-evaluate every source link with the source shifted by delta meters.
+    """Re-evaluate every source link with the source shifted by delta_m meters.
 
     The shifted copy does not wrap at the road end, so each step's
     comparison is pure plane geometry against identical neighbors.
-    check_delta says which delta the study is calibrated for.
+    check_delta says which delta_m the study is calibrated for.
     """
-    check_delta(delta, allow_custom_delta)
+    check_delta(delta_m, allow_custom_delta)
     base = run_highway_experiment(world)
     base_xs = base.positions[:, :, 0]
     ys = base.positions[0, :, 1]
-    shifted = base_xs[:, : world.n_sources] + delta
-    t_idx, d_pert = _nearest_links(base_xs, ys, shifted, world.obu_range)
+    shifted = base_xs[:, : world.n_sources] + delta_m
+    t_idx, d_pert = _nearest_links(base_xs, ys, shifted, world.obu_range_m)
     dx_base = np.take_along_axis(base_xs, base.target_idx, axis=1) - base_xs[:, : world.n_sources]
     return PerturbationResult(
         world=world,
-        delta=delta,
+        delta=delta_m,
         node_ids=base.node_ids,
         times=base.times,
         target_idx_base=base.target_idx,

@@ -55,10 +55,10 @@ class Trajectory:
         pts = self.waypoints
         return sum(distance(a, b) for a, b in zip(pts, pts[1:]))
 
-    def steps(self, dt: float) -> int:
-        """Whole dt steps the path takes at the trajectory's speed."""
-        require_positive(dt=dt, speed=self.speed)  # in m/s, which a tiny km/h speed rounds to 0
-        steps = self.path_length / self.speed / dt
+    def steps(self, dt_s: float) -> int:
+        """Whole dt_s steps the path takes at the trajectory's speed."""
+        require_positive(dt_s=dt_s, speed=self.speed)  # in m/s, which a tiny km/h speed rounds to 0
+        steps = self.path_length / self.speed / dt_s
         require_finite(step_count=steps)
         if steps >= np.iinfo(np.intp).max:  # a run samples steps + 1 times, in one array
             raise ValueError(f"step_count must be < {np.iinfo(np.intp).max}, got {steps!r}")
@@ -87,11 +87,11 @@ class IntersectionCase:
 
 
 def make_case(
-    case_id: int,
+    case: int,
     speed_kmh: float = SPEED_KMH,
     host_span: tuple[float, float] = HOST_SPAN,
     target_span: tuple[float, float] = TARGET_SPAN,
-    lane_offset: float = LANE_OFFSET,
+    lane_offset_m: float = LANE_OFFSET,
 ) -> IntersectionCase:
     """Build one of the six crossing geometries.
 
@@ -101,9 +101,9 @@ def make_case(
     the same lane (host follows at a constant gap), 6 oncoming ahead on
     the adjacent lane.
     """
-    require_integer(1, case_id=case_id)
-    if case_id not in CASE_IDS:
-        raise ValueError(f"case_id must be one of {CASE_IDS}, got {case_id!r}")
+    require_integer(1, case=case)
+    if case not in CASE_IDS:
+        raise ValueError(f"case must be one of {CASE_IDS}, got {case!r}")
     if host_span[1] <= host_span[0]:
         raise ValueError("host_span must be increasing")
     if target_span[1] <= target_span[0]:
@@ -115,27 +115,27 @@ def make_case(
     )
     lo, hi = target_span
     host_len = host_span[1] - host_span[0]
-    off = lane_offset
-    if case_id == 1:
+    off = lane_offset_m
+    if case == 1:
         pts = (Point2D(0.0, lo), Point2D(0.0, hi))
         desc = "target crosses the junction south to north"
-    elif case_id == 2:
+    elif case == 2:
         pts = (Point2D(0.0, hi), Point2D(0.0, lo))
         desc = "target crosses the junction north to south"
-    elif case_id == 3:
+    elif case == 3:
         pts = (Point2D(lo, off), Point2D(hi, off))
         desc = "target runs the adjacent lane in the host direction"
-    elif case_id == 4:
+    elif case == 4:
         pts = (Point2D(hi, off), Point2D(lo, off))
         desc = "target runs the adjacent lane against the host"
-    elif case_id == 5:
+    elif case == 5:
         pts = (Point2D(lo, 0.0), Point2D(lo + host_len, 0.0))
         desc = "host follows the target in the same lane"
     else:
         pts = (Point2D(hi, off), Point2D(hi - host_len, off))
         desc = "host closes on an oncoming target in the adjacent lane"
     target = Trajectory(pts, v, limit)
-    return IntersectionCase(case_id, host, target, desc)
+    return IntersectionCase(case, host, target, desc)
 
 
 @dataclass
@@ -160,22 +160,22 @@ def _cutoff_distance(p_over_n0: float, alpha: float, peak_capacity: float) -> fl
 
 
 def run_intersection_case(
-    case_id: int,
-    dt: float = 0.1,
+    case: int,
+    dt_s: float = 0.1,
     speed_kmh: float = SPEED_KMH,
     alpha: float = DEFAULT_ALPHA,
     p_over_n0_db: float = DEFAULT_P_OVER_N0_DB,
     host_span: tuple[float, float] = HOST_SPAN,
     target_span: tuple[float, float] = TARGET_SPAN,
-    lane_offset: float = LANE_OFFSET,
+    lane_offset_m: float = LANE_OFFSET,
 ) -> IntersectionResult:
-    """Sample distance and link capacity at dt steps over the host's run."""
+    """Sample distance and link capacity at dt_s steps over the host's run."""
     require_positive(alpha=alpha)
-    case = make_case(case_id, speed_kmh, host_span, target_span, lane_offset)
-    n_steps = case.host.steps(dt)
+    geometry = make_case(case, speed_kmh, host_span, target_span, lane_offset_m)
+    n_steps = geometry.host.steps(dt_s)
     c = db_to_linear(p_over_n0_db)
-    times = np.arange(n_steps + 1) * dt
-    dists = np.array([distance(case.host.position(t), case.target.position(t)) for t in times.tolist()])
+    times = np.arange(n_steps + 1) * dt_s
+    dists = np.array([distance(geometry.host.position(t), geometry.target.position(t)) for t in times.tolist()])
     caps = capacity_bits(link_snr(c, dists, alpha))
     peak = float(np.max(caps))
     try:
@@ -187,8 +187,8 @@ def run_intersection_case(
         cutoff = math.inf
     near = caps < NEAR_ZERO_FRACTION * peak
     return IntersectionResult(
-        case_id=case_id,
-        dt=dt,
+        case_id=case,
+        dt=dt_s,
         alpha=alpha,
         p_over_n0=c,
         times=times,

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import RunConfig, model_kwargs, ppp_kwargs, split_kwargs, sweep_spec
+from .config import RunConfig, ppp_kwargs, split_kwargs, sweep_spec
 from .highway import HighwayWorld, check_delta, run_highway_experiment, run_perturbation_study
 from .intersection import run_intersection_case
 from .sweeps import run_ppp_distance_curve, run_ppp_field_dump, run_sweep
@@ -22,7 +22,7 @@ def _sweep_table(params: dict) -> ResultTable:
 
 
 def _intersection_table(params: dict) -> ResultTable:
-    res = run_intersection_case(**model_kwargs(params))
+    res = run_intersection_case(**params)
     return ResultTable(
         ["t_s", "distance_m", "capacity"],
         [res.times.tolist(), res.distances.tolist(), res.capacities.tolist()],
@@ -46,14 +46,14 @@ def _link_table(columns: list[str], res, targets: list, values: list) -> ResultT
 
 
 def _highway_table(params: dict, seed: int) -> ResultTable:
-    res = run_highway_experiment(HighwayWorld(seed=seed, **model_kwargs(params)))
+    res = run_highway_experiment(HighwayWorld(seed=seed, **params))
     return _link_table(["t_s", "source_id", "target_id", "distance_m", "secrecy"],
                        res, [res.target_idx], [res.distances, res.secrecy])
 
 
 def _perturbation_table(params: dict, seed: int) -> ResultTable:
     # check_delta names the shift keywords: a tracer may rebind run_perturbation_study to a wrapper.
-    shift, world = split_kwargs(check_delta, model_kwargs(params))
+    shift, world = split_kwargs(check_delta, params)
     res = run_perturbation_study(HighwayWorld(seed=seed, **world), **shift)
     return _link_table(
         ["t_s", "source_id", "target_base", "target_pert", "distance_base_m",

@@ -218,11 +218,19 @@ MODEL_REFUSALS = [
                  id="intersection-steps-past-array-size"),
     pytest.param("highway_cluster",
                  {"n_nodes": 4, "duration_s": 1e-9, "dt_s": 1e-10, "speed_redraw_period_s": 1e300},
-                 "speed_redraw_period must be finite in dt steps, got inf", id="highway-redraw-overflows"),
+                 "speed_redraw_period_s must be finite in dt_s steps, got inf", id="highway-redraw-overflows"),
     # numpy's array size limit, which the run would otherwise hit with a message naming no field
     pytest.param("highway_cluster", {"n_nodes": 10**400},
-                 "n_nodes positions over duration / dt steps do not fit in one numpy array",
+                 "n_nodes positions over duration_s / dt_s steps do not fit in one numpy array",
                  id="highway-fleet-past-array-size"),
+    # every link's secrecy subtracts the eavesdropper's capacity
+    pytest.param("highway_cluster", {"n_nodes": 4, "duration_s": 1.0, "eavesdropper_range_m": 1e-300},
+                 "eavesdropper_range_m: distance 1e-300 m is too short: d**(-2*alpha) overflows",
+                 id="highway-eavesdropper-snr-overflows"),
+    pytest.param("perturbation",
+                 {"n_nodes": 4, "duration_s": 1.0, "eavesdropper_range_m": 1e-108, "p_over_n0_db": 100.0},
+                 "eavesdropper_range_m: distance 1e-108 m is too short: the SNR overflows",
+                 id="perturbation-eavesdropper-snr-overflows"),
 ]
 
 

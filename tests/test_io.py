@@ -22,12 +22,11 @@ from vscsim.config import (
     RunConfig,
     build_config,
     load_config,
-    model_kwargs,
     sweep_spec,
     validate_config,
 )
 from vscsim.channel import ChannelParams
-from vscsim.highway import HighwayWorld, run_highway_experiment, run_perturbation_study
+from vscsim.highway import HighwayWorld, check_delta, run_highway_experiment, run_perturbation_study
 from vscsim.intersection import run_intersection_case
 from vscsim.presets import PRESETS, get_preset, list_presets
 from vscsim.runner import OUT_DIR_ENV, build_table, resolve_out_dir, run
@@ -208,7 +207,7 @@ def test_validate_rejects_floats_in_integer_fields(doc, path):
 @pytest.mark.parametrize("experiment", ["highway_cluster", "perturbation"])
 def test_validate_rejects_zero_step_runs(experiment):
     doc = {"experiment": experiment, "params": {"duration_s": 0.01}}
-    assert validate_config(doc) == ["$.params: duration must cover at least one dt step"]
+    assert validate_config(doc) == ["$.params: duration_s must cover at least one dt_s step"]
     doc["params"]["dt_s"] = 0.01
     assert validate_config(doc) == []
 
@@ -217,7 +216,7 @@ def test_validate_rejects_zero_step_runs(experiment):
 def test_validate_rejects_overflowing_step_count(experiment):
     doc = {"experiment": experiment, "params": {"duration_s": 1e300, "dt_s": 1e-10}}
     assert validate_config(doc) == [
-        "$.params: duration / dt overflows: the step count is not finite"
+        "$.params: duration_s / dt_s overflows: the step count is not finite"
     ]
 
 
@@ -243,7 +242,7 @@ def test_validate_reports_a_bad_world_and_a_bad_shift():
     doc = {"experiment": "perturbation", "params": {"n_nodes": 3, "n_sources": 3, "delta_m": 0.0}}
     assert validate_config(doc) == [
         "$.params: n_sources must leave at least one target",
-        "$.params.delta_m: delta must be non-zero",
+        "$.params.delta_m: delta_m must be non-zero",
     ]
 
 
@@ -273,12 +272,40 @@ def test_param_defaults_are_pinned():
 
 def test_highway_cluster_defaults_map_to_default_world():
     cfg = build_config({"experiment": "highway_cluster"})
-    assert HighwayWorld(seed=cfg.seed, **model_kwargs(cfg.params)) == HighwayWorld()
+    assert HighwayWorld(seed=cfg.seed, **cfg.params) == HighwayWorld()
+
+
+# Experiment -> the models whose keywords its params are, and the models that default them.
+KEYWORD_MODELS = {
+    "highway_cluster": ((HighwayWorld,), (HighwayWorld,)),
+    "perturbation": ((HighwayWorld, check_delta), (HighwayWorld, run_perturbation_study)),
+    "intersection": ((run_intersection_case,), (run_intersection_case,)),
+}
+
+
+@pytest.mark.parametrize("experiment", list(KEYWORD_MODELS))
+def test_each_config_key_is_the_keyword_of_the_model_it_sets(experiment):
+    models, defaulting = KEYWORD_MODELS[experiment]
+    keywords = {name for model in models for name in inspect.signature(model).parameters} - {"seed"}
+    assert set(vscsim.config._PARAMS_SCHEMAS[experiment]["properties"]) == keywords
+    # Every keyword set to its model's default, as a JSON document holds it, runs as the defaults do.
+    required = {"case": 3} if experiment == "intersection" else {}
+    params = {
+        name: list(p.default) if isinstance(p.default, tuple) else p.default
+        for model in defaulting
+        for name, p in inspect.signature(model).parameters.items()
+        if name in keywords and p.default is not p.empty
+    }
+    assert set(params) | set(required) == keywords
+    doc = {"experiment": experiment, "params": {**params, **required}}
+    assert validate_config(doc) == []
+    got = build_table(build_config(doc))
+    assert got.rows == build_table(build_config({"experiment": experiment, "params": required})).rows
 
 
 def test_intersection_defaults_map_to_default_case():
     cfg = build_config({"experiment": "intersection", "params": {"case": 3}})
-    got = run_intersection_case(**model_kwargs(cfg.params))
+    got = run_intersection_case(**cfg.params)
     want = run_intersection_case(3)
     assert got.capacities.tobytes() == want.capacities.tobytes()
     assert got.distances.tobytes() == want.distances.tobytes()
@@ -312,7 +339,7 @@ def test_each_model_keyword_reaches_one_call_that_takes_it(monkeypatch, doc):
         passed = [kw for _, kws in calls for kw in kws]
         assert len(passed) == len(set(passed)), calls
         assert all(kws <= set(inspect.signature(model).parameters) for model, kws in calls)
-    assert sorted(passed) == sorted(model_kwargs(cfg.params))  # the run passes every keyword
+    assert sorted(passed) == sorted(cfg.params)  # the run passes every keyword
 
 
 @pytest.mark.parametrize("mode", ["distance_curve", "field_dump"])
@@ -395,7 +422,7 @@ def _sweep_case(kind, name, value):
 def _highway_case(key, value):
     params = {"n_nodes": 6, "duration_s": 1.0, key: value}
     doc = {"experiment": "highway_cluster", "params": params}
-    return doc, f"$.params.{key}", _takes(lambda: HighwayWorld(**model_kwargs(params)))
+    return doc, f"$.params.{key}", _takes(lambda: HighwayWorld(**params))
 
 
 FIELD_CASES = [
@@ -561,11 +588,11 @@ def test_link_tables_match_row_by_row_layout(experiment):
         "seed": 5,
     }
     config = build_config(doc)
-    kwargs = model_kwargs(config.params)
+    kwargs = dict(config.params)
     if experiment == "highway_cluster":
         want = oracles.highway_rows(run_highway_experiment(HighwayWorld(seed=5, **kwargs)))
     else:
-        delta, allow = kwargs.pop("delta"), kwargs.pop("allow_custom_delta")
+        delta, allow = kwargs.pop("delta_m"), kwargs.pop("allow_custom_delta")
         res = run_perturbation_study(HighwayWorld(seed=5, **kwargs), delta, allow)
         want = oracles.perturbation_rows(res)
     got = build_table(config).rows

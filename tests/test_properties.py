@@ -180,10 +180,10 @@ RANGE_PROBES = [
                  id="intersection(speed_kmh=0)"),
     pytest.param("speed", lambda: run_intersection_case(1, speed_kmh=5e-324),
                  id="intersection(speed_kmh=5e-324)"),
-    pytest.param("dt", lambda: run_intersection_case(1, dt=-0.1), id="intersection(dt=-0.1)"),
-    pytest.param("speed_redraw_period",
-                 lambda: HighwayWorld(n_nodes=4, duration=1e-9, dt=1e-10, speed_redraw_period=1e300),
-                 id="HighwayWorld(speed_redraw_period=1e300)"),
+    pytest.param("dt_s", lambda: run_intersection_case(1, dt_s=-0.1), id="intersection(dt_s=-0.1)"),
+    pytest.param("speed_redraw_period_s",
+                 lambda: HighwayWorld(n_nodes=4, duration_s=1e-9, dt_s=1e-10, speed_redraw_period_s=1e300),
+                 id="HighwayWorld(speed_redraw_period_s=1e300)"),
     pytest.param("target_distance_m", lambda: _field_dump(NAN), id="ppp_field_dump(target=nan)"),
     pytest.param("target_distance_m", lambda: _field_dump(-1.0), id="ppp_field_dump(target=-1)"),
     pytest.param("speed_step", lambda: SecrecyKnobs(NAN, 1.0), id="SecrecyKnobs(speed_step=nan)"),
@@ -289,7 +289,7 @@ TYPE_PROBES = [
     pytest.param("sender_id", lambda: CsiRecord(0.0, "", 1.0), id="CsiRecord(sender_id=empty)"),
     pytest.param("chain_element", lambda: CsiRecord(0.0, "a", 1.0, 5), id="CsiRecord(chain_element=int)"),
     pytest.param("chain_element", lambda: CsiRecord(0.0, "a", 1.0, b"ab"), id="CsiRecord(chain_element=bytes)"),
-    pytest.param("dt", lambda: run_intersection_case(1, dt="0.1"), id="intersection(dt=str)"),
+    pytest.param("dt_s", lambda: run_intersection_case(1, dt_s="0.1"), id="intersection(dt_s=str)"),
     pytest.param("n", lambda: poisson_pmf("2", 1.0), id="poisson_pmf(n=str)"),
     pytest.param("k", lambda: FadingModel.rician("1"), id="rician(k=str)"),
     pytest.param("unit_time", lambda: windowed_stream(RECORDS, "1"), id="windowed_stream(unit_time=str)"),
@@ -297,8 +297,8 @@ TYPE_PROBES = [
     pytest.param("sample_count", lambda: ErgodicConfig(1.0, sample_count=2.5),
                  id="ErgodicConfig(sample_count=2.5)"),
     pytest.param("size", lambda: sample_fading(R, 0, 2.5), id="sample_fading(size=2.5)"),
-    pytest.param("case_id", lambda: make_case(1.0), id="make_case(1.0)"),
-    pytest.param("case_id", lambda: make_case(True), id="make_case(True)"),
+    pytest.param("case", lambda: make_case(1.0), id="make_case(1.0)"),
+    pytest.param("case", lambda: make_case(True), id="make_case(True)"),
     pytest.param("n", lambda: poisson_pmf(2.0, 1.0), id="poisson_pmf(n=2.0)"),
     pytest.param("m", lambda: FadingModel.nakagami(HUGE), id="nakagami(m=huge)"),
     pytest.param("seed", lambda: HighwayWorld(seed=-1), id="HighwayWorld(seed=-1)"),

@@ -175,7 +175,7 @@ def test_intersection_collision_detected():
 
 def test_intersection_rejects_bad_dt():
     with pytest.raises(ValueError):
-        run_intersection_case(1, dt=0.0)
+        run_intersection_case(1, dt_s=0.0)
 
 
 def test_intersection_rejects_overflowing_step_count():
@@ -205,21 +205,21 @@ def test_intersection_cutoff_past_the_float_range_is_inf():
 
 
 def _small_world(**kw):
-    defaults = dict(duration=5.0, seed=3)
+    defaults = dict(duration_s=5.0, seed=3)
     defaults.update(kw)
     return HighwayWorld(**defaults)
 
 
 def _link_table_rows(experiment, world):
     """Rows of the runner's table for a world with the default dt and the given duration and seed."""
-    doc = {"experiment": experiment, "params": {"duration_s": world.duration}, "seed": world.seed}
+    doc = {"experiment": experiment, "params": {"duration_s": world.duration_s}, "seed": world.seed}
     return build_table(build_config(doc)).rows
 
 
 def test_highway_shapes_and_ids():
     world = _small_world()
     res = run_highway_experiment(world)
-    n_steps = int(round(world.duration / world.dt))
+    n_steps = int(round(world.duration_s / world.dt_s))
     assert res.times.shape == (n_steps,)
     assert res.positions.shape == (n_steps, world.n_nodes, 2)
     assert res.target_idx.shape == (n_steps, world.n_sources)
@@ -244,8 +244,8 @@ def test_highway_positions_stay_on_road():
     res = run_highway_experiment(world)
     xs = res.positions[:, :, 0]
     ys = res.positions[:, :, 1]
-    assert np.all((xs >= 0.0) & (xs < world.length))
-    centers = (np.arange(world.lanes) + 0.5) * world.lane_width
+    assert np.all((xs >= 0.0) & (xs < world.length_m))
+    centers = (np.arange(world.lanes) + 0.5) * world.lane_width_m
     assert set(np.unique(ys)).issubset(set(centers))
 
 
@@ -253,8 +253,8 @@ def test_highway_speed_bounds_and_redraw():
     world = _small_world()
     res = run_highway_experiment(world)
     xs = res.positions[:, :, 0]
-    step = np.diff(xs, axis=0) % world.length
-    v_max = world.max_speed_kmh / 3.6 * world.dt
+    step = np.diff(xs, axis=0) % world.length_m
+    v_max = world.max_speed_kmh / 3.6 * world.dt_s
     assert np.all(step <= v_max + 1e-9)
     # within one redraw period each node moves at constant speed
     first_block = step[0:9]
@@ -262,7 +262,7 @@ def test_highway_speed_bounds_and_redraw():
 
 
 def test_highway_targets_are_nearest():
-    world = _small_world(duration=2.0)
+    world = _small_world(duration_s=2.0)
     res = run_highway_experiment(world)
     for k in range(res.times.size):
         xs = res.positions[k, :, 0]
@@ -277,19 +277,19 @@ def test_highway_targets_are_nearest():
 
 
 def test_highway_secrecy_matches_pair_form():
-    world = _small_world(duration=1.0)
+    world = _small_world(duration_s=1.0)
     res = run_highway_experiment(world)
     c = 10.0 ** (world.p_over_n0_db / 10.0)
     for k in (0, 5, 9):
         for s in range(world.n_sources):
             want = oracles.pair_secrecy(
-                c, world.alpha, res.distances[k, s], world.eavesdropper_range
+                c, world.alpha, res.distances[k, s], world.eavesdropper_range_m
             )
             assert res.secrecy[k, s] == pytest.approx(want, rel=1e-11)
 
 
 def test_highway_out_of_range_raises():
-    world = _small_world(obu_range=0.001)
+    world = _small_world(obu_range_m=0.001)
     with pytest.raises(ValueError):
         run_highway_experiment(world)
 
@@ -300,7 +300,7 @@ def test_highway_world_validation():
     with pytest.raises(ValueError):
         HighwayWorld(n_sources=25)
     with pytest.raises(ValueError):
-        HighwayWorld(dt=0.0)
+        HighwayWorld(dt_s=0.0)
     with pytest.raises(ValueError):
         HighwayWorld(lanes=0)
 
@@ -313,16 +313,17 @@ def test_highway_world_validation():
         ("lanes", 6.0),
         ("seed", 0.0),
         ("n_nodes", True),
-        ("length", math.nan),
-        ("duration", math.inf),
-        ("dt", math.nan),
+        ("length_m", math.nan),
+        ("duration_s", math.inf),
+        ("dt_s", math.nan),
         ("alpha", -math.inf),
-        ("obu_range", math.nan),
+        ("obu_range_m", math.nan),
         ("p_over_n0_db", math.inf),
         ("p_over_n0_db", 4000),
         ("p_over_n0_db", -4000.0),
-        ("lane_width", "10"),
-        ("length", 10**400),
+        ("lane_width_m", "10"),
+        ("length_m", 10**400),
+        ("eavesdropper_range_m", 1e-300),  # the eavesdropper's SNR overflows
     ],
 )
 def test_highway_world_rejects_wrong_types_and_non_finite(field, value):
@@ -332,9 +333,9 @@ def test_highway_world_rejects_wrong_types_and_non_finite(field, value):
 
 @pytest.mark.parametrize("duration", [0.01, 0.05])
 def test_highway_world_rejects_zero_step_runs(duration):
-    with pytest.raises(ValueError, match="duration must cover at least one dt step"):
-        HighwayWorld(duration=duration, dt=0.1)
-    assert run_highway_experiment(HighwayWorld(duration=0.06, dt=0.1)).times.size == 1
+    with pytest.raises(ValueError, match="duration_s must cover at least one dt_s step"):
+        HighwayWorld(duration_s=duration, dt_s=0.1)
+    assert run_highway_experiment(HighwayWorld(duration_s=0.06, dt_s=0.1)).times.size == 1
 
 
 def test_highway_world_refuses_positions_past_numpy_array_size():
@@ -343,14 +344,14 @@ def test_highway_world_refuses_positions_past_numpy_array_size():
     with pytest.raises(ValueError, match="array is too big"):
         np.empty((1000, max_nodes + 1, 2))
     for n_nodes in (max_nodes + 1, 10**400):
-        with pytest.raises(ValueError, match="^n_nodes positions over duration / dt steps do not fit"):
+        with pytest.raises(ValueError, match="^n_nodes positions over duration_s / dt_s steps do not fit"):
             HighwayWorld(n_nodes=n_nodes)
     assert HighwayWorld(n_nodes=max_nodes).n_nodes == max_nodes
 
 
 def test_highway_world_rejects_overflowing_step_count():
-    with pytest.raises(ValueError, match="duration / dt overflows"):
-        HighwayWorld(duration=1e300, dt=1e-10)
+    with pytest.raises(ValueError, match="duration_s / dt_s overflows"):
+        HighwayWorld(duration_s=1e300, dt_s=1e-10)
 
 
 def _oracle_links(xs, ys, queries, obu_range):
@@ -446,14 +447,14 @@ def test_nearest_links_chunks_agree(monkeypatch, grid, rows_per_chunk):
 
 @pytest.mark.parametrize("delta", [5.0, -5.0, 3000.0, -3000.0])
 def test_engine_links_match_brute_force(delta):
-    world = HighwayWorld(n_nodes=60, n_sources=12, lanes=4, duration=2.0, seed=5)
+    world = HighwayWorld(n_nodes=60, n_sources=12, lanes=4, duration_s=2.0, seed=5)
     base = run_highway_experiment(world)
     xs, ys = base.positions[:, :, 0], base.positions[0, :, 1]
-    want = _oracle_links(xs, ys, xs[:, :12], world.obu_range)
+    want = _oracle_links(xs, ys, xs[:, :12], world.obu_range_m)
     assert np.array_equal(base.target_idx, want[0])
     assert base.distances.tobytes() == want[1].tobytes()
     try:
-        want = _oracle_links(xs, ys, xs[:, :12] + delta, world.obu_range)
+        want = _oracle_links(xs, ys, xs[:, :12] + delta, world.obu_range_m)
     except ValueError:
         with pytest.raises(ValueError, match="no node within radio range"):
             run_perturbation_study(world, delta, allow_custom_delta=True)
@@ -464,19 +465,19 @@ def test_engine_links_match_brute_force(delta):
 
 
 def test_perturbation_delta_guard():
-    world = _small_world(duration=1.0)
+    world = _small_world(duration_s=1.0)
     with pytest.raises(ValueError):
-        run_perturbation_study(world, delta=0.0)
+        run_perturbation_study(world, delta_m=0.0)
     with pytest.raises(ValueError):
-        run_perturbation_study(world, delta=3.0)
-    res = run_perturbation_study(world, delta=3.0, allow_custom_delta=True)
+        run_perturbation_study(world, delta_m=3.0)
+    res = run_perturbation_study(world, delta_m=3.0, allow_custom_delta=True)
     assert res.delta == 3.0
-    res = run_perturbation_study(world, delta=-5.0)
+    res = run_perturbation_study(world, delta_m=-5.0)
     assert res.delta == -5.0
 
 
 def test_perturbation_baseline_matches_plain_run():
-    world = _small_world(duration=2.0)
+    world = _small_world(duration_s=2.0)
     base = run_highway_experiment(world)
     pert = run_perturbation_study(world)
     assert np.array_equal(pert.distances_base, base.distances)
@@ -487,7 +488,7 @@ def test_perturbation_baseline_matches_plain_run():
 def test_perturbation_sign_relation_on_stable_targets():
     # shifting the source +delta moves it toward targets further than
     # delta/2 ahead and away from the rest; secrecy follows inversely
-    world = _small_world(duration=5.0)
+    world = _small_world(duration_s=5.0)
     res = run_perturbation_study(world)
     same = res.target_idx_base == res.target_idx_pert
     ahead = res.dx_base > res.delta / 2.0
@@ -505,7 +506,7 @@ def test_perturbation_sign_relation_on_stable_targets():
 def test_perturbation_reselection_never_hurts_distance():
     # when the shifted source picks a different target it does so because
     # that target is now strictly nearer than the baseline one
-    world = _small_world(duration=5.0)
+    world = _small_world(duration_s=5.0)
     res = run_perturbation_study(world)
     changed = res.target_idx_base != res.target_idx_pert
     if np.any(changed):
@@ -521,7 +522,7 @@ def test_perturbation_reselection_never_hurts_distance():
 
 
 def test_perturbation_rows_shape():
-    world = _small_world(duration=1.0)
+    world = _small_world(duration_s=1.0)
     res = run_perturbation_study(world)
     rows = _link_table_rows("perturbation", world)
     assert len(rows) == res.times.size * world.n_sources
