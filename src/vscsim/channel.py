@@ -41,9 +41,12 @@ class ChannelParams:
 def capacity_bits(snr):
     """log2(1 + SNR) in bits/s/Hz: math.log2 for a float, np.log2 for an
     ndarray.  The two differ in the last bit on some inputs, and each
-    caller's artifacts are pinned to the one its argument type selects."""
+    caller's artifacts are pinned to the one its argument type selects.
+    An array gets one new buffer, 1 + SNR, and the log is taken into it
+    (for a 0-d array 1 + SNR is a numpy scalar, which cannot take it)."""
     if isinstance(snr, np.ndarray):
-        return np.log2(1.0 + snr)
+        out = 1.0 + snr
+        return np.log2(out, out=out) if out.ndim else np.log2(out)
     return math.log2(1.0 + snr)
 
 
@@ -160,12 +163,18 @@ def sample_fading(model: FadingModel, seed, size: int | None = None):
         out = rng.exponential(1.0, n)
     elif model.kind == "rician":
         # LOS amplitude sqrt(K/(K+1)), scattered complex Gaussian with
-        # variance 1/(K+1): the squared envelope keeps unit mean.
+        # variance 1/(K+1): the squared envelope keeps unit mean.  In place
+        # on the two draws, bit for bit (los + sigma * N)**2 + (sigma * N)**2.
         los = math.sqrt(model.k / (model.k + 1.0))
         sigma = math.sqrt(1.0 / (2.0 * (model.k + 1.0)))
-        re = los + sigma * rng.standard_normal(n)
-        im = sigma * rng.standard_normal(n)
-        out = re * re + im * im
+        out = rng.standard_normal(n)
+        out *= sigma
+        out += los
+        im = rng.standard_normal(n)
+        im *= sigma
+        out *= out
+        im *= im
+        out += im
     else:  # nakagami
         out = rng.gamma(shape=model.m, scale=1.0 / model.m, size=n)
     return float(out[0]) if size is None else out

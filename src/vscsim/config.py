@@ -25,8 +25,8 @@ from pathlib import Path
 from .channel import DEFAULT_ALPHA, DEFAULT_P_OVER_N0_DB, ChannelParams
 from .highway import HighwayWorld, check_delta, run_perturbation_study
 from .intersection import CASE_IDS, make_case, run_intersection_case
-from .stochastic import sample_field
-from .sweeps import GRID_UNITS, SWEEP_FIELDS, SWEEP_SCENARIOS, SweepSpec, sweep_errors
+from .stochastic import expected_count, sample_field, square_region
+from .sweeps import FIELD_HOST, GRID_UNITS, SWEEP_FIELDS, SWEEP_SCENARIOS, SweepSpec, sweep_errors, target_snr
 from .units import (Decibel, IntAtLeast0, IntAtLeast1, IntAtLeast2, NonNegative, Positive, db_to_linear,
                     field_rules, is_finite)
 
@@ -347,16 +347,23 @@ def validate_config(doc) -> list[str]:
         if experiment == "sweep":
             errors += _sweep_extra_errors(merged)
         kwargs = {k: v for k, v in merged.items() if k in _MODEL_KEYS.get(experiment, ())}
-        refusals = {}
+        refusals = []
         if experiment in ("highway_cluster", "perturbation"):
             shift, world = split_kwargs(check_delta, kwargs)
-            refusals["$.params"] = _refusal(HighwayWorld, **world)
+            refusals.append(("$.params", _refusal(HighwayWorld, **world)))
             if shift:
-                refusals["$.params.delta_m"] = _refusal(check_delta, **shift)
+                refusals.append(("$.params.delta_m", _refusal(check_delta, **shift)))
         if experiment == "intersection" and "case" in kwargs:  # a missing case is a schema error
             geometry, _ = split_kwargs(make_case, kwargs)
-            refusals["$.params"] = _refusal(lambda: make_case(**geometry).host.steps(kwargs["dt_s"]))
-        errors += [f"{path}: {message}" for path, message in refusals.items() if message]
+            refusals.append(("$.params", _refusal(lambda: make_case(**geometry).host.steps(kwargs["dt_s"]))))
+        if experiment == "ppp":  # the run's checks that need no draw
+            run = ppp_kwargs(merged)
+            refusals.append(("$.params", _refusal(lambda: expected_count(
+                run["lam"], square_region(FIELD_HOST, run["region_area_m2"]), run["ref_area_m2"]))))
+            if "target_distance_m" in run:
+                refusals.append(("$.params", _refusal(target_snr, run["p_over_n0"], run["alpha"],
+                                                      run["target_distance_m"])))
+        errors += [f"{path}: {message}" for path, message in refusals if message]
     return errors
 
 

@@ -135,20 +135,32 @@ class PppField:
         return dists
 
 
-def sample_field(lam: float, region: Rect, seed, ref_area_m2: float = 1000.0) -> PppField:
-    """Draw a field: count ~ Poisson(lam * area / ref_area), positions uniform."""
+# The largest mean numpy's Generator.poisson draws from (its POISSON_LAM_MAX, about 9.2e18);
+# past it the draw raises a bare "lam value too large".
+_POISSON_MEAN_MAX = np.iinfo(np.int64).max - 10.0 * math.sqrt(np.iinfo(np.int64).max)
+
+
+def expected_count(lam: float, region: Rect, ref_area_m2: float = 1000.0) -> float:
+    """The mean point count lam * area / ref_area of a field; a mean too large to draw
+    raises ValueError naming lam."""
     require_non_negative(lam=lam)
     require_positive(ref_area_m2=ref_area_m2)
+    expected = lam * region.area / ref_area_m2
+    if not expected <= _POISSON_MEAN_MAX:
+        raise ValueError(f"lam gives {expected!r} expected points, too many to draw")
+    return expected
+
+
+def sample_field(lam: float, region: Rect, seed, ref_area_m2: float = 1000.0) -> PppField:
+    """Draw a field: count ~ Poisson(expected_count), positions uniform."""
+    expected = expected_count(lam, region, ref_area_m2)
     require_integer(0, seed=seed)
     rng = np.random.default_rng(seed)
-    expected = lam * region.area / ref_area_m2
-    try:
-        n = int(rng.poisson(expected))
-    except ValueError:  # numpy's bare "lam value too large", past about 9.2e18
-        raise ValueError(f"lam gives {expected!r} expected points, too many to draw") from None
-    xs = rng.uniform(region.x_min, region.x_max, n)
-    ys = rng.uniform(region.y_min, region.y_max, n)
-    return PppField(lam, ref_area_m2, region, np.stack((xs, ys), axis=1))
+    n = int(rng.poisson(expected))
+    xy = np.empty((n, 2))
+    xy[:, 0] = rng.uniform(region.x_min, region.x_max, n)
+    xy[:, 1] = rng.uniform(region.y_min, region.y_max, n)
+    return PppField(lam, ref_area_m2, region, xy)
 
 
 def _eavesdropper_snrs(host: Point2D, field: PppField, params: ChannelParams) -> np.ndarray:
@@ -234,17 +246,25 @@ def ergodic_secrecy_mc(
     """
     rng = np.random.default_rng(cfg.seed)
     n = cfg.sample_count
+    power, sigma_b_sq, sigma_e_sq = cfg.mean_power_budget, cfg.sigma_b_sq, cfg.sigma_e_sq
     h_ab = sample_fading(h_ab_model, rng, n)
     h_ae = sample_fading(h_ae_model, rng, n)
-    g_b = cfg.mean_power_budget * h_ab / cfg.sigma_b_sq
-    g_e = cfg.mean_power_budget * h_ae / cfg.sigma_e_sq
-    terms = secrecy_bits(g_b, g_e)
-    in_set = h_ab / cfg.sigma_b_sq > h_ae / cfg.sigma_e_sq
-    in_set_count = int(np.count_nonzero(in_set))
-    if restrict_to_advantage:
-        if in_set_count == 0:
+    # Each gain buffer becomes its SNR power * h / sigma^2 in place, after the advantage set
+    # has read the gains; an SNR that overflows is refused below, from the estimate.
+    with np.errstate(over="ignore", invalid="ignore"):
+        in_set = h_ab / sigma_b_sq > h_ae / sigma_e_sq
+        in_set_count = int(np.count_nonzero(in_set))
+        if restrict_to_advantage and in_set_count == 0:
             return ErgodicEstimate(0.0, 0.0, n, 0, True)
-        terms = np.where(in_set, terms, 0.0)
-    value = float(np.mean(terms))
-    stderr = float(np.std(terms, ddof=1) / math.sqrt(n)) if n > 1 else 0.0
+        for h, sigma_sq in ((h_ab, sigma_b_sq), (h_ae, sigma_e_sq)):
+            np.multiply(h, power, out=h)
+            np.divide(h, sigma_sq, out=h)
+        terms = secrecy_bits(h_ab, h_ae)
+        if restrict_to_advantage:
+            np.copyto(terms, 0.0, where=~in_set)
+        value = float(np.mean(terms))
+        stderr = float(np.std(terms, ddof=1) / math.sqrt(n)) if n > 1 else 0.0
+    if not (math.isfinite(value) and math.isfinite(stderr)):
+        raise ValueError(f"the SNR mean_power_budget * |h|^2 / sigma^2 overflows at mean_power_budget={power!r}, "
+                         f"sigma_b_sq={sigma_b_sq!r}, sigma_e_sq={sigma_e_sq!r}")
     return ErgodicEstimate(value, stderr, n, in_set_count, False)

@@ -159,6 +159,20 @@ def run_sweep(spec: SweepSpec) -> TableData:
     return TableData(columns, tuple(rows))
 
 
+# The host of the ppp runs, at the center of their field.
+FIELD_HOST = Point2D(0.0, 0.0)
+
+
+def target_snr(p_over_n0: float, alpha: float, target_distance_m: float) -> float:
+    """SNR of the field dump's target link; a distance too short for it raises ValueError
+    naming target_distance_m."""
+    require_positive(target_distance_m=target_distance_m)
+    try:
+        return link_snr(p_over_n0, target_distance_m, alpha)
+    except ValueError as exc:
+        raise ValueError(f"target_distance_m: {exc}") from None
+
+
 def run_ppp_distance_curve(
     lam: float,
     region_area_m2: float,
@@ -170,7 +184,7 @@ def run_ppp_distance_curve(
 ) -> TableData:
     """Secrecy versus target distance expressed as a fraction of the
     nearest eavesdropper range R_min, on a single sampled field."""
-    host = Point2D(0.0, 0.0)
+    host = FIELD_HOST
     field = sample_field(lam, square_region(host, region_area_m2), seed, ref_area_m2)
     if len(field) == 0:
         raise ValueError("sampled field is empty; change seed or raise lam")
@@ -206,12 +220,11 @@ def run_ppp_field_dump(
     seed,
 ) -> TableData:
     """Per-eavesdropper positions and pair secrecy for one sampled field."""
-    require_positive(target_distance_m=target_distance_m)
-    host = Point2D(0.0, 0.0)
-    field = sample_field(lam, square_region(host, region_area_m2), seed, ref_area_m2)
     params = ChannelParams(p_over_n0, alpha)
     # secrecy_bits(snr_ab, snr_e) with the target's capacity taken once.
-    c_ab = capacity_bits(link_snr(params.p_over_n0, target_distance_m, params.alpha))
+    c_ab = capacity_bits(target_snr(params.p_over_n0, params.alpha, target_distance_m))
+    host = FIELD_HOST
+    field = sample_field(lam, square_region(host, region_area_m2), seed, ref_area_m2)
     rows = []
     for (x, y), d_e in zip(field.xy.tolist(), field.distances(host).tolist()):
         rows.append((x, y, d_e, c_ab - capacity_bits(link_snr(params.p_over_n0, d_e, params.alpha))))

@@ -6,17 +6,22 @@ the Rician and Nakagami ones as 20-digit quadratures), the
 highway nearest-neighbour search as a brute-force scan, the result
 tables and their cells one row and one cell at a time, and the identity
 hash chain as uncached walks on hashlib, on purpose sharing no code with
-the package, so tests compare two routes to every number.  Two
+the package, so tests compare two routes to every number.  Three
 exceptions: the negotiation's knob cycle drives the package's own link
 object, since there the knob order and each knob's can-act test are what
-is checked, not the link model; and the config schema check runs
+is checked, not the link model; the config schema check runs
 jsonschema's Draft 2020-12 engine with the package's number rules and
-decibel message, since there the keyword semantics are what is checked.
+decibel message, since there the keyword semantics are what is checked;
+and the out-of-place references of the Monte Carlo kernels (the fading
+draws, the ergodic estimate, the field positions and log2(1 + SNR) of an
+array) repeat the package's numpy operations, one fresh array per step,
+since there the bits of the in-place kernels are what is checked.
 """
 
 import csv
 import hashlib
 import io
+import math
 import re
 from numbers import Real
 
@@ -129,6 +134,58 @@ def ergodic_secrecy_exp_wiretap(kind: str, shape, power, sigma_b_sq, sigma_e_sq,
         if not on_off:
             value -= _mean_log_rayleigh(g_e)
         return float(value / mp.log(2))
+
+
+def log2_capacity(snr):
+    """np.log2(1.0 + snr) out of place: the reference for channel.capacity_bits of an array."""
+    return np.log2(1.0 + snr)
+
+
+def fading_gains(model, rng, n: int) -> np.ndarray:
+    """n unit-mean squared fading gains of a FadingModel from rng, one fresh array per
+    step: the reference for channel.sample_fading."""
+    if model.kind == "path_loss_only":
+        return np.ones(n)
+    if model.kind == "rayleigh":
+        return rng.exponential(1.0, n)
+    if model.kind == "rician":
+        los = math.sqrt(model.k / (model.k + 1.0))
+        sigma = math.sqrt(1.0 / (2.0 * (model.k + 1.0)))
+        re = los + sigma * rng.standard_normal(n)
+        im = sigma * rng.standard_normal(n)
+        return re * re + im * im
+    return rng.gamma(shape=model.m, scale=1.0 / model.m, size=n)
+
+
+def ergodic_secrecy_mc(power, sigma_b_sq, sigma_e_sq, n: int, seed: int, legit, wiretap, restrict: bool) -> tuple:
+    """(value, stderr, sample_count, in_set_count, empty_set) of the on/off Monte Carlo
+    estimate, one fresh array per step: the reference for stochastic.ergodic_secrecy_mc.
+    legit and wiretap are the FadingModels of the two links."""
+    rng = np.random.default_rng(seed)
+    h_ab = fading_gains(legit, rng, n)
+    h_ae = fading_gains(wiretap, rng, n)
+    g_b = power * h_ab / sigma_b_sq
+    g_e = power * h_ae / sigma_e_sq
+    terms = log2_capacity(g_b) - log2_capacity(g_e)
+    in_set = h_ab / sigma_b_sq > h_ae / sigma_e_sq
+    in_set_count = int(np.count_nonzero(in_set))
+    if restrict:
+        if in_set_count == 0:
+            return 0.0, 0.0, n, 0, True
+        terms = np.where(in_set, terms, 0.0)
+    value = float(np.mean(terms))
+    stderr = float(np.std(terms, ddof=1) / math.sqrt(n)) if n > 1 else 0.0
+    return value, stderr, n, in_set_count, False
+
+
+def field_xy(expected: float, x_min, y_min, x_max, y_max, seed: int) -> np.ndarray:
+    """Positions of a field with the given mean count, x and y drawn apart and stacked:
+    the reference for stochastic.sample_field."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.poisson(expected))
+    xs = rng.uniform(x_min, x_max, n)
+    ys = rng.uniform(y_min, y_max, n)
+    return np.stack((xs, ys), axis=1)
 
 
 def nearest_neighbour(xs, ys, src: int, x_src: float, obu_range: float) -> tuple[int, float]:

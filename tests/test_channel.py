@@ -205,6 +205,37 @@ def test_capacity_bits_array_is_the_numpy_result():
     assert got.tobytes() == np.log2(1.0 + SNRS).tobytes()
 
 
+@pytest.mark.parametrize(
+    "snr",
+    [SNRS, SNRS.astype(np.float32), np.array(3.5), np.array(3.5, dtype=np.float32), SNRS[:0]],
+    ids=["float64", "float32", "0-d", "0-d-float32", "empty"],
+)
+def test_capacity_bits_array_matches_the_out_of_place_reference(snr):
+    # the log is taken into the 1 + SNR buffer; value, type and dtype are
+    # those of np.log2(1.0 + snr), and the input is left as it was
+    before = snr.tobytes()
+    got, want = capacity_bits(snr), oracles.log2_capacity(snr)
+    assert type(got) is type(want)
+    assert got.dtype == want.dtype
+    assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+    assert snr.tobytes() == before
+
+
+FADING_MODELS = [FadingModel.path_loss_only(), FadingModel.rayleigh(), FadingModel.rician(3.0),
+                 FadingModel.nakagami(2.5)]
+
+
+@pytest.mark.parametrize("n", [1, 2, 4097])
+@pytest.mark.parametrize("model", FADING_MODELS, ids=lambda model: model.kind)
+def test_fading_draws_match_the_out_of_place_reference(model, n):
+    want = oracles.fading_gains(model, np.random.default_rng(41), n)
+    assert sample_fading(model, seed=41, size=n).tobytes() == want.tobytes()
+    # size=None is the first draw, as a float
+    single = sample_fading(model, seed=41)
+    assert type(single) is float
+    assert single == float(oracles.fading_gains(model, np.random.default_rng(41), 1)[0])
+
+
 def test_secrecy_bits_scalar_and_broadcast():
     for a, b in zip(SNRS[:500].tolist(), SNRS[500:1000].tolist()):
         assert secrecy_bits(a, b) == math.log2(1.0 + a) - math.log2(1.0 + b)

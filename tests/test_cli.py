@@ -231,6 +231,12 @@ MODEL_REFUSALS = [
                  {"n_nodes": 4, "duration_s": 1.0, "eavesdropper_range_m": 1e-108, "p_over_n0_db": 100.0},
                  "eavesdropper_range_m: distance 1e-108 m is too short: the SNR overflows",
                  id="perturbation-eavesdropper-snr-overflows"),
+    # numpy's Poisson draw refuses a mean past about 9.2e18
+    pytest.param("ppp", {"lam": 1e300}, "lam gives 1e+300 expected points, too many to draw",
+                 id="ppp-field-too-large-to-draw"),
+    pytest.param("ppp", {"mode": "field_dump", "target_distance_m": 1e-300},
+                 "target_distance_m: distance 1e-300 m is too short: d**(-2*alpha) overflows",
+                 id="ppp-target-snr-overflows"),
 ]
 
 

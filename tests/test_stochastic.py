@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -7,10 +9,12 @@ from vscsim.stochastic import (
     COLLUDING,
     NON_COLLUDING,
     ErgodicConfig,
+    ErgodicEstimate,
     PppField,
     Rect,
     average_secrecy,
     ergodic_secrecy_mc,
+    expected_count,
     poisson_pmf,
     ppp_secrecy,
     sample_field,
@@ -341,6 +345,84 @@ def test_ergodic_deterministic_per_seed():
     b = ergodic_secrecy_mc(cfg, FadingModel.rayleigh(), FadingModel.nakagami(2.0))
     assert a.value == b.value
     assert a.stderr == b.stderr
+
+
+FADING_MODELS = [FadingModel.path_loss_only(), FadingModel.rayleigh(), FadingModel.rician(3.0),
+                 FadingModel.nakagami(2.5)]
+
+
+@pytest.mark.parametrize("n", [1, 2, 4097])
+@pytest.mark.parametrize("on_off", [True, False])
+@pytest.mark.parametrize("sigma_b_sq, sigma_e_sq", [(1.0, 1.0), (0.5, 3.0)])
+@pytest.mark.parametrize("wiretap", FADING_MODELS, ids=lambda model: model.kind)
+@pytest.mark.parametrize("legit", FADING_MODELS, ids=lambda model: model.kind)
+def test_ergodic_in_place_kernel_matches_the_out_of_place_reference(legit, wiretap, sigma_b_sq, sigma_e_sq,
+                                                                     on_off, n):
+    cfg = ErgodicConfig(30.0, sigma_b_sq, sigma_e_sq, sample_count=n, seed=13)
+    want = oracles.ergodic_secrecy_mc(30.0, sigma_b_sq, sigma_e_sq, n, 13, legit, wiretap, on_off)
+    assert ergodic_secrecy_mc(cfg, legit, wiretap, on_off) == ErgodicEstimate(*want)
+
+
+@pytest.mark.parametrize("on_off", [True, False])
+@pytest.mark.parametrize("model", FADING_MODELS, ids=lambda model: model.kind)
+def test_ergodic_peak_memory_is_at_most_five_sample_buffers(model, on_off):
+    # the gains become SNRs in place and the log terms reuse 1 + SNR; sigma_b_sq
+    # 0.5 keeps path_loss_only's advantage set full, so every step runs
+    n = 200_000
+    cfg = ErgodicConfig(30.0, sigma_b_sq=0.5, sample_count=n, seed=3)
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        ergodic_secrecy_mc(cfg, model, model, on_off)
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert peak <= 5 * 8 * n
+
+
+@pytest.mark.parametrize(
+    "cfg",
+    [ErgodicConfig(1e308, sample_count=1000, seed=1), ErgodicConfig(1.0, sigma_b_sq=1e-320, sample_count=1000, seed=1),
+     ErgodicConfig(1e308, sigma_b_sq=1e-300, sample_count=1, seed=1)],
+    ids=["power", "sigma_b_sq", "one-sample"],
+)
+@pytest.mark.parametrize("on_off", [True, False])
+def test_ergodic_refuses_an_snr_that_overflows(cfg, on_off):
+    with pytest.raises(ValueError, match=r"mean_power_budget=.*sigma_b_sq=.*sigma_e_sq="):
+        ergodic_secrecy_mc(cfg, FadingModel.rayleigh(), FadingModel.rayleigh(), on_off)
+
+
+def test_ergodic_keeps_a_large_snr_that_does_not_overflow():
+    est = ergodic_secrecy_mc(ErgodicConfig(1e300, sample_count=1000, seed=1), FadingModel.rayleigh(),
+                             FadingModel.rayleigh())
+    assert np.isfinite([est.value, est.stderr]).all()
+
+
+@pytest.mark.parametrize("lam", [0.0, 6.0, 1e3])
+@pytest.mark.parametrize("seed", [0, 7])
+def test_sample_field_positions_match_the_stacked_reference(lam, seed):
+    field = sample_field(lam, REGION, seed)
+    want = oracles.field_xy(lam * REGION.area / 1000.0, REGION.x_min, REGION.y_min, REGION.x_max, REGION.y_max, seed)
+    assert field.xy.shape == want.shape
+    assert field.xy.tobytes() == want.tobytes()
+
+
+def test_expected_count_refuses_exactly_the_means_numpy_cannot_draw():
+    # numpy's Generator.poisson takes means up to its POISSON_LAM_MAX, about 9.2e18
+    unit = Rect(0.0, 0.0, 1.0, 1.0)
+    for lam in (9.223372006484771e18, np.nextafter(9.223372006484771e18, np.inf), 1e300):
+        numpy_draws = _refusal(np.random.default_rng(0).poisson, lam) is None
+        assert (_refusal(expected_count, lam, unit, 1.0) is None) == numpy_draws
+    assert _refusal(np.random.default_rng(0).poisson, 9.223372006484771e18) is None
+    assert _refusal(expected_count, 1e300, unit, 1.0) == "lam gives 1e+300 expected points, too many to draw"
+
+
+def _refusal(check, *args):
+    try:
+        check(*args)
+    except ValueError as exc:
+        return str(exc)
+    return None
 
 
 def test_target_too_close_raises_value_error():
