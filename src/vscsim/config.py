@@ -22,15 +22,17 @@ from dataclasses import dataclass
 from numbers import Real
 from pathlib import Path
 
+import numpy as np
+
+from . import highway, intersection, sweeps
 from .channel import DEFAULT_ALPHA, DEFAULT_P_OVER_N0_DB, ChannelParams
-from .highway import HighwayWorld, check_delta, run_perturbation_study
-from .intersection import CASE_IDS, make_case, run_intersection_case
+from .highway import HighwayWorld, check_delta
+from .intersection import CASE_IDS, make_case
 from .stochastic import expected_count, sample_field, square_region
 from .sweeps import FIELD_HOST, GRID_UNITS, SWEEP_FIELDS, SWEEP_SCENARIOS, SweepSpec, sweep_errors, target_snr
+from .tables import ResultTable
 from .units import (Decibel, IntAtLeast0, IntAtLeast1, IntAtLeast2, NonNegative, Positive, db_to_linear,
                     field_rules, is_finite)
-
-EXPERIMENTS = ("sweep", "intersection", "highway_cluster", "perturbation", "ppp")
 
 # JSON bounds that many fields share.  A "number" is finite, a "decibel" one db_to_linear takes.
 _NUMBER = {"type": "number"}
@@ -54,78 +56,6 @@ def _object_schema(properties: dict, required: list | None = None) -> dict:
     }
 
 
-_TOP_SCHEMA = _object_schema(
-    {
-        "name": {"type": "string", "pattern": r"^[A-Za-z0-9_.-]+$"},
-        "experiment": {"enum": list(EXPERIMENTS)},
-        "params": {"type": "object"},
-        "seed": {"type": "integer", "minimum": 0},
-        "out_dir": {"type": ["string", "null"]},
-        "emit": _object_schema({"csv": _BOOLEAN, "plot_data": _BOOLEAN}),
-    },
-    ["experiment"],
-)
-
-# Config key -> JSON bounds, for the experiments that configure a HighwayWorld,
-# run_perturbation_study or run_intersection_case.  Each key is the keyword of the
-# model it sets, and defaults are written once, on the models.
-_WORLD_KEYS = {name: _RULE_BOUNDS[rule] for name, rule in field_rules(HighwayWorld) if name != "seed"}
-_MODEL_KEYS = {
-    "highway_cluster": _WORLD_KEYS,
-    "perturbation": {**_WORLD_KEYS, "delta_m": _NUMBER, "allow_custom_delta": _BOOLEAN},
-    "intersection": {
-        "case": {"type": "integer", "minimum": min(CASE_IDS), "maximum": max(CASE_IDS)},
-        "dt_s": _POSITIVE,
-        "speed_kmh": _POSITIVE,
-        "alpha": _POSITIVE,
-        "p_over_n0_db": _DECIBEL,
-        "lane_offset_m": _POSITIVE,
-        "host_span": _SPAN,
-        "target_span": _SPAN,
-    },
-}
-
-
-@functools.cache
-def _parameters(model) -> frozenset[str]:
-    return frozenset(inspect.signature(model).parameters)  # costs about a sixth of a validate_config
-
-
-def split_kwargs(model, kwargs: dict) -> tuple[dict, dict]:
-    """The keywords that are parameters of model, and the rest."""
-    own = {k: kwargs[k] for k in _parameters(model) & kwargs.keys()}
-    return own, {k: v for k, v in kwargs.items() if k not in own}
-
-
-def _model_defaults(experiment: str, *models) -> dict:
-    """The config defaults that the models' keyword defaults stand for,
-    with tuples as the lists a JSON document holds."""
-    defaults = {
-        name: list(p.default) if isinstance(p.default, tuple) else p.default
-        for model in models
-        for name, p in inspect.signature(model).parameters.items()
-        if p.default is not p.empty
-    }
-    return {key: defaults[key] for key in _MODEL_KEYS[experiment] if key in defaults}
-
-
-PARAM_DEFAULTS: dict[str, dict] = {
-    "sweep": {"unit": SweepSpec.unit, "series": [{"label": l, "overrides": dict(o)} for l, o in SweepSpec.series]},
-    "intersection": _model_defaults("intersection", run_intersection_case),
-    "highway_cluster": _model_defaults("highway_cluster", HighwayWorld),
-    "perturbation": _model_defaults("perturbation", HighwayWorld, run_perturbation_study),
-    "ppp": {
-        "lam": 6.0,
-        "region_area_m2": 1000.0,
-        "ref_area_m2": inspect.signature(sample_field).parameters["ref_area_m2"].default,
-        "alpha": DEFAULT_ALPHA,
-        "p_over_n0_db": DEFAULT_P_OVER_N0_DB,
-        "mode": "distance_curve",
-        "d_fracs": [0.1, 0.3, 0.5],
-        "target_distance_m": 10.0,
-    },
-}
-
 # Scenario field -> its config name, where the two differ: a *_db value is in decibels.
 _CONFIG_NAMES = {"p_over_n0": "p_over_n0_db"}
 _SCENARIO_NAMES = {name: field for field, name in _CONFIG_NAMES.items()}
@@ -141,45 +71,6 @@ _FIELD_BOUNDS = {
 _SCENARIO_FIELDS = {
     kind: {_CONFIG_NAMES.get(f, f): required for f, required in fields.items()}
     for kind, fields in SWEEP_FIELDS.items()
-}
-
-_PARAMS_SCHEMAS = {
-    "sweep": _object_schema(
-        {
-            "kind": {"enum": list(SWEEP_FIELDS)},
-            "base": {"type": "object"},
-            "param": {"type": "string", "minLength": 1},
-            "grid": {"type": "array", "minItems": 1, "items": _NUMBER},
-            "unit": {"enum": list(GRID_UNITS)},
-            "param_label": {"type": "string", "minLength": 1},
-            "series": {
-                "type": "array",
-                "minItems": 1,
-                "items": _object_schema(
-                    {"label": {"type": "string", "minLength": 1}, "overrides": {"type": "object"}},
-                    ["label"],
-                ),
-            },
-        },
-        ["kind", "base", "param", "grid"],
-    ),
-    # A key is required when its model keyword has no default.
-    **{
-        experiment: _object_schema(keys, [key for key in keys if key not in PARAM_DEFAULTS[experiment]])
-        for experiment, keys in _MODEL_KEYS.items()
-    },
-    "ppp": _object_schema(
-        {
-            "lam": _NON_NEGATIVE,
-            "region_area_m2": _POSITIVE,
-            "ref_area_m2": _POSITIVE,
-            "alpha": _POSITIVE,
-            "p_over_n0_db": _DECIBEL,
-            "mode": {"enum": ["distance_curve", "field_dump"]},
-            "d_fracs": {"type": "array", "minItems": 1, "items": _POSITIVE},
-            "target_distance_m": _POSITIVE,
-        }
-    ),
 }
 
 TOP_DEFAULTS = {
@@ -237,6 +128,12 @@ def _refusal(check, *args, **kwargs) -> str | None:
     except ValueError as exc:
         return str(exc)
     return None
+
+
+def _refused(path: str, check, *args, **kwargs) -> list[str]:
+    """The refusal of a model check as a config error at path, if it refuses."""
+    message = _refusal(check, *args, **kwargs)
+    return [] if message is None else [f"{path}: {message}"]
 
 
 # The JSON types the schemas name.  JSON Schema counts 0.0 as an integer; the models need a
@@ -339,59 +236,25 @@ def validate_config(doc) -> list[str]:
     experiment = doc.get("experiment")
     params = doc.get("params", {})
     if experiment in EXPERIMENTS and isinstance(params, dict):
+        record = EXPERIMENT_RECORDS[experiment]
         bad_keys: set = set()
-        errors += _schema_errors(params, _PARAMS_SCHEMAS[experiment], "$.params", bad_keys)
-        # Cross-field checks and the run's models read only the fields that passed the schema.
-        params = {k: v for k, v in params.items() if k not in bad_keys}
-        merged = {**PARAM_DEFAULTS[experiment], **params}
-        if experiment == "sweep":
-            errors += _sweep_extra_errors(merged)
-        kwargs = {k: v for k, v in merged.items() if k in _MODEL_KEYS.get(experiment, ())}
-        refusals = []
-        if experiment in ("highway_cluster", "perturbation"):
-            shift, world = split_kwargs(check_delta, kwargs)
-            refusals.append(("$.params", _refusal(HighwayWorld, **world)))
-            if shift:
-                refusals.append(("$.params.delta_m", _refusal(check_delta, **shift)))
-        if experiment == "intersection" and "case" in kwargs:  # a missing case is a schema error
-            geometry, _ = split_kwargs(make_case, kwargs)
-            refusals.append(("$.params", _refusal(lambda: make_case(**geometry).host.steps(kwargs["dt_s"]))))
-        if experiment == "ppp":  # the run's checks that need no draw
-            run = ppp_kwargs(merged)
-            refusals.append(("$.params", _refusal(lambda: expected_count(
-                run["lam"], square_region(FIELD_HOST, run["region_area_m2"]), run["ref_area_m2"]))))
-            if "target_distance_m" in run:
-                refusals.append(("$.params", _refusal(target_snr, run["p_over_n0"], run["alpha"],
-                                                      run["target_distance_m"])))
-        errors += [f"{path}: {message}" for path, message in refusals if message]
+        errors += _schema_errors(params, record.schema, "$.params", bad_keys)
+        # The plan reads only the experiment's keys that passed the schema, defaulted.
+        params = {k: v for k, v in params.items() if k in record.keys and k not in bad_keys}
+        errors += record.plan({**PARAM_DEFAULTS[experiment], **params})[0]
     return errors
 
 
-def _sweep_extra_errors(params: dict) -> list[str]:
-    """Cross-field checks of the defaulted sweep params that passed the schema."""
-    kind, param, base, unit = params.get("kind"), params.get("param"), params.get("base"), params["unit"]
-    if kind is None:
-        return []
-    fields, grid = _SCENARIO_FIELDS[kind], params.get("grid", [])
-    series = [(entry["label"], entry.get("overrides", {})) for entry in params["series"]]
-    # Bounds only: sweep_errors reports a key that is not a field of the kind.
-    schema = {"properties": {name: _FIELD_BOUNDS[name] for name in fields}}
-    errors = [] if base is None else _schema_errors(base, schema, "$.params.base")
-    # The run's column for the swept value is its scenario name.
-    column = params.get("param_label") or (param and _SCENARIO_NAMES.get(param, param))
-    rule = sweep_errors(kind, fields, base, param, grid, series, column)
-    errors += [f"$.params.{path}: {message}" for path, message in rule]
-    if param in fields and param in _SCENARIO_NAMES and unit != "db":
-        errors.append(f"$.params.unit: sweeping {param!r} needs unit 'db'")
-    bounds = _DECIBEL if unit == "db" else _FIELD_BOUNDS[param] if param in fields else None
-    if bounds is not None:
-        # The run reads a value of any other unit in SI units, where a tiny one rounds
-        # to 0; one <= 0 is checked as written (the factor keeps its sign).
-        values = grid if unit == "db" else [GRID_UNITS[unit](g) if g > 0 else g for g in grid]
-        errors += _schema_errors(values, {"items": bounds}, "$.params.grid")
-    for i, (_, overrides) in enumerate(series):
-        errors += _schema_errors(overrides, schema, f"$.params.series[{i}].overrides")
-    return errors
+def _signature_defaults(keys: dict, *models) -> dict:
+    """The defaults of the keys that are defaulted keywords of the models, with tuples as
+    the lists a JSON document holds."""
+    defaults = {
+        name: list(p.default) if isinstance(p.default, tuple) else p.default
+        for model in models
+        for name, p in inspect.signature(model).parameters.items()
+        if p.default is not p.empty
+    }
+    return {key: defaults[key] for key in keys if key in defaults}
 
 
 def _scenario_values(values: dict) -> dict:
@@ -399,19 +262,220 @@ def _scenario_values(values: dict) -> dict:
     return {_SCENARIO_NAMES.get(k, k): db_to_linear(v) if k in _SCENARIO_NAMES else v for k, v in values.items()}
 
 
-def sweep_spec(params: dict) -> SweepSpec:
-    """The SweepSpec of defaulted sweep params, in scenario fields and linear values."""
-    series = tuple((entry["label"], _scenario_values(entry.get("overrides", {}))) for entry in params["series"])
-    param = _SCENARIO_NAMES.get(params["param"], params["param"])
-    return SweepSpec(params["kind"], _scenario_values(params["base"]), param, tuple(params["grid"]), params["unit"],
-                     params.get("param_label"), series)
+class Experiment:
+    """The record of one experiment: each config key with its JSON bounds; the defaults, where None
+    leaves an optional key unset and a key with none is required; plan(params) -> (config errors,
+    model inputs), every check of the run that needs no random draw; build(inputs, seed) -> table,
+    which looks each model up on its home module at call time, where a tracer may rebind it."""
+
+    keys: dict
+    defaults: dict
+
+    @functools.cached_property
+    def schema(self) -> dict:
+        return _object_schema(self.keys, [key for key in self.keys if key not in self.defaults])
 
 
-def ppp_kwargs(params: dict) -> dict:
-    """Defaulted ppp params as keywords of the run_ppp_* model of their mode, in scenario
-    fields and linear values: d_fracs goes to distance_curve, target_distance_m to field_dump."""
-    other = "target_distance_m" if params["mode"] == "distance_curve" else "d_fracs"
-    return _scenario_values({k: v for k, v in params.items() if k not in ("mode", other)})
+class _Sweep(Experiment):
+    keys = {
+        "kind": {"enum": list(SWEEP_FIELDS)},
+        "base": {"type": "object"},
+        "param": {"type": "string", "minLength": 1},
+        "grid": {"type": "array", "minItems": 1, "items": _NUMBER},
+        "unit": {"enum": list(GRID_UNITS)},
+        "param_label": {"type": "string", "minLength": 1},
+        "series": {
+            "type": "array",
+            "minItems": 1,
+            "items": _object_schema(
+                {"label": {"type": "string", "minLength": 1}, "overrides": {"type": "object"}},
+                ["label"],
+            ),
+        },
+    }
+    defaults = {"unit": SweepSpec.unit, "param_label": SweepSpec.param_label,
+                "series": [{"label": label, "overrides": dict(o)} for label, o in SweepSpec.series]}
+
+    def plan(self, params: dict) -> tuple[list[str], SweepSpec | None]:
+        """The cross-field checks; the run's SweepSpec, in scenario fields and linear values."""
+        kind, param, base, unit = params.get("kind"), params.get("param"), params.get("base"), params["unit"]
+        if kind is None:
+            return [], None
+        fields, grid = _SCENARIO_FIELDS[kind], params.get("grid", [])
+        series = [(entry["label"], entry.get("overrides", {})) for entry in params["series"]]
+        # Bounds only: sweep_errors reports a key that is not a field of the kind.
+        schema = {"properties": {name: _FIELD_BOUNDS[name] for name in fields}}
+        errors = [] if base is None else _schema_errors(base, schema, "$.params.base")
+        # The run's column for the swept value is its scenario name.
+        column = params.get("param_label") or (param and _SCENARIO_NAMES.get(param, param))
+        rule = sweep_errors(kind, fields, base, param, grid, series, column)
+        errors += [f"$.params.{path}: {message}" for path, message in rule]
+        if param in fields and param in _SCENARIO_NAMES and unit != "db":
+            errors.append(f"$.params.unit: sweeping {param!r} needs unit 'db'")
+        bounds = _DECIBEL if unit == "db" else _FIELD_BOUNDS[param] if param in fields else None
+        if bounds is not None:
+            # The run reads a value of any other unit in SI units, where a tiny one rounds
+            # to 0; one <= 0 is checked as written (the factor keeps its sign).
+            values = grid if unit == "db" else [GRID_UNITS[unit](g) if g > 0 else g for g in grid]
+            errors += _schema_errors(values, {"items": bounds}, "$.params.grid")
+        for i, (_, overrides) in enumerate(series):
+            errors += _schema_errors(overrides, schema, f"$.params.series[{i}].overrides")
+        if errors or param is None or base is None or not grid:
+            return errors, None
+        return [], SweepSpec(kind, _scenario_values(base), _SCENARIO_NAMES.get(param, param), tuple(grid), unit,
+                             params.get("param_label"), tuple((label, _scenario_values(o)) for label, o in series))
+
+    def build(self, spec: SweepSpec, seed: int) -> ResultTable:
+        data = sweeps.run_sweep(spec)
+        return ResultTable.from_rows(data.columns, data.rows)
+
+
+class _Intersection(Experiment):
+    # make_case, Trajectory.steps and run_intersection_case check these inline; no field type declares them.
+    keys = {
+        "case": {"type": "integer", "minimum": min(CASE_IDS), "maximum": max(CASE_IDS)},
+        "dt_s": _POSITIVE,
+        "speed_kmh": _POSITIVE,
+        "alpha": _POSITIVE,
+        "p_over_n0_db": _DECIBEL,
+        "lane_offset_m": _POSITIVE,
+        "host_span": _SPAN,
+        "target_span": _SPAN,
+    }
+    defaults = _signature_defaults(keys, intersection.run_intersection_case)
+    geometry_keys = frozenset(inspect.signature(make_case).parameters)
+
+    def plan(self, params: dict) -> tuple[list[str], dict]:
+        """The case's geometry and step count; the run takes the params as they are."""
+        if "case" not in params:  # a schema error
+            return [], params
+        geometry = {key: params[key] for key in self.geometry_keys}
+        return _refused("$.params", lambda: make_case(**geometry).host.steps(params["dt_s"])), params
+
+    def build(self, params: dict, seed: int) -> ResultTable:
+        res = intersection.run_intersection_case(**params)
+        return ResultTable(
+            ["t_s", "distance_m", "capacity"],
+            [res.times.tolist(), res.distances.tolist(), res.capacities.tolist()],
+        )
+
+
+def _link_table(columns: list[str], res, targets: list, values: list) -> ResultTable:
+    """One row per (step, source) in step-major order: the time, the source
+    id, the node id of each target index array, then each value array."""
+    n_sources = res.world.n_sources
+    ids = np.array(res.node_ids)
+    return ResultTable(
+        columns,
+        [
+            np.repeat(res.times, n_sources).tolist(),
+            np.tile(ids[:n_sources], res.times.size).tolist(),
+            *(ids[idx.ravel()].tolist() for idx in targets),
+            *(arr.ravel().tolist() for arr in values),
+        ],
+    )
+
+
+class _HighwayCluster(Experiment):
+    keys = {name: _RULE_BOUNDS[rule] for name, rule in field_rules(HighwayWorld) if name != "seed"}
+    defaults = _signature_defaults(keys, HighwayWorld)
+
+    def plan(self, params: dict) -> tuple[list[str], dict]:
+        return _refused("$.params", HighwayWorld, **params), params
+
+    def build(self, params: dict, seed: int) -> ResultTable:
+        res = highway.run_highway_experiment(HighwayWorld(seed=seed, **params))
+        return _link_table(["t_s", "source_id", "target_id", "distance_m", "secrecy"],
+                           res, [res.target_idx], [res.distances, res.secrecy])
+
+
+class _Perturbation(_HighwayCluster):
+    # The keywords of check_delta, which checks them inline, and of run_perturbation_study.
+    shift_keys = {"delta_m": _NUMBER, "allow_custom_delta": _BOOLEAN}
+    keys = {**_HighwayCluster.keys, **shift_keys}
+    defaults = _signature_defaults(keys, HighwayWorld, highway.run_perturbation_study)
+
+    def plan(self, params: dict) -> tuple[list[str], tuple[dict, dict]]:
+        world = {k: v for k, v in params.items() if k not in self.shift_keys}
+        shift = {k: params[k] for k in self.shift_keys}
+        return super().plan(world)[0] + _refused("$.params.delta_m", check_delta, **shift), (world, shift)
+
+    def build(self, run: tuple[dict, dict], seed: int) -> ResultTable:
+        world, shift = run
+        res = highway.run_perturbation_study(HighwayWorld(seed=seed, **world), **shift)
+        return _link_table(
+            ["t_s", "source_id", "target_base", "target_pert", "distance_base_m",
+             "distance_pert_m", "secrecy_base", "secrecy_pert", "dx_base_m"],
+            res,
+            [res.target_idx_base, res.target_idx_pert],
+            [res.distances_base, res.distances_pert, res.secrecy_base, res.secrecy_pert, res.dx_base],
+        )
+
+
+class _Ppp(Experiment):
+    # sample_field (expected_count, square_region), run_ppp_distance_curve and target_snr check
+    # these inline; alpha and p_over_n0_db are the fields of the ChannelParams of the run.
+    keys = {
+        "lam": _NON_NEGATIVE,
+        "region_area_m2": _POSITIVE,
+        "ref_area_m2": _POSITIVE,
+        "alpha": _FIELD_BOUNDS["alpha"],
+        "p_over_n0_db": _FIELD_BOUNDS["p_over_n0_db"],
+        "mode": {"enum": ["distance_curve", "field_dump"]},
+        "d_fracs": {"type": "array", "minItems": 1, "items": _POSITIVE},
+        "target_distance_m": _POSITIVE,
+    }
+    defaults = {
+        "lam": 6.0,
+        "region_area_m2": 1000.0,
+        "ref_area_m2": inspect.signature(sample_field).parameters["ref_area_m2"].default,
+        "alpha": DEFAULT_ALPHA,
+        "p_over_n0_db": DEFAULT_P_OVER_N0_DB,
+        "mode": "distance_curve",
+        "d_fracs": [0.1, 0.3, 0.5],
+        "target_distance_m": 10.0,
+    }
+
+    def plan(self, params: dict) -> tuple[list[str], tuple[str, dict]]:
+        """The field's expected point count and the target's SNR; the mode, and the keywords of its
+        run_ppp_* model in scenario fields and linear values: d_fracs goes to distance_curve,
+        target_distance_m to field_dump."""
+        other = "target_distance_m" if params["mode"] == "distance_curve" else "d_fracs"
+        run = _scenario_values({k: v for k, v in params.items() if k not in ("mode", other)})
+        errors = _refused("$.params", lambda: expected_count(
+            run["lam"], square_region(FIELD_HOST, run["region_area_m2"]), run["ref_area_m2"]))
+        if "target_distance_m" in run:
+            errors += _refused("$.params", target_snr, run["p_over_n0"], run["alpha"], run["target_distance_m"])
+        return errors, (params["mode"], run)
+
+    def build(self, run: tuple[str, dict], seed: int) -> ResultTable:
+        mode, kwargs = run
+        model = sweeps.run_ppp_distance_curve if mode == "distance_curve" else sweeps.run_ppp_field_dump
+        data = model(seed=seed, **kwargs)
+        return ResultTable.from_rows(data.columns, data.rows)
+
+
+EXPERIMENT_RECORDS = {
+    "sweep": _Sweep(), "intersection": _Intersection(), "highway_cluster": _HighwayCluster(),
+    "perturbation": _Perturbation(), "ppp": _Ppp(),
+}
+EXPERIMENTS = tuple(EXPERIMENT_RECORDS)
+PARAM_DEFAULTS: dict[str, dict] = {
+    experiment: {key: value for key, value in record.defaults.items() if value is not None}
+    for experiment, record in EXPERIMENT_RECORDS.items()
+}
+
+_TOP_SCHEMA = _object_schema(
+    {
+        "name": {"type": "string", "pattern": r"^[A-Za-z0-9_.-]+$"},
+        "experiment": {"enum": list(EXPERIMENTS)},
+        "params": {"type": "object"},
+        "seed": {"type": "integer", "minimum": 0},
+        "out_dir": {"type": ["string", "null"]},
+        "emit": _object_schema({"csv": _BOOLEAN, "plot_data": _BOOLEAN}),
+    },
+    ["experiment"],
+)
 
 
 def build_config(doc: dict) -> RunConfig:

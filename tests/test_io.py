@@ -14,7 +14,9 @@ from hypothesis import strategies as st
 
 import oracles
 import vscsim.config
-import vscsim.runner
+import vscsim.highway
+import vscsim.intersection
+import vscsim.sweeps
 from vscsim.config import (
     EXPERIMENTS,
     PARAM_DEFAULTS,
@@ -22,7 +24,6 @@ from vscsim.config import (
     RunConfig,
     build_config,
     load_config,
-    sweep_spec,
     validate_config,
 )
 from vscsim.channel import ChannelParams
@@ -287,7 +288,7 @@ KEYWORD_MODELS = {
 def test_each_config_key_is_the_keyword_of_the_model_it_sets(experiment):
     models, defaulting = KEYWORD_MODELS[experiment]
     keywords = {name for model in models for name in inspect.signature(model).parameters} - {"seed"}
-    assert set(vscsim.config._PARAMS_SCHEMAS[experiment]["properties"]) == keywords
+    assert set(vscsim.config.EXPERIMENT_RECORDS[experiment].keys) == keywords
     # Every keyword set to its model's default, as a JSON document holds it, runs as the defaults do.
     required = {"case": 3} if experiment == "intersection" else {}
     params = {
@@ -330,28 +331,33 @@ def test_each_model_keyword_reaches_one_call_that_takes_it(monkeypatch, doc):
 
     for name in ("HighwayWorld", "check_delta", "make_case"):
         record(vscsim.config, name)
-    for name in ("HighwayWorld", "run_perturbation_study", "run_intersection_case"):
-        record(vscsim.runner, name)
+    record(vscsim.highway, "run_perturbation_study")
+    record(vscsim.intersection, "run_intersection_case")
     cfg = build_config(doc)
-    for phase in (lambda: validate_config(doc), lambda: build_table(cfg)):
+    experiment = vscsim.config.EXPERIMENT_RECORDS[cfg.experiment]
+    _, planned = experiment.plan(cfg.params)
+    reached = set()
+    # The plan's checks (validate_config), then the models the builder runs on the plan.
+    for phase in (lambda: validate_config(doc), lambda: experiment.build(planned, cfg.seed)):
         calls.clear()
         phase()
         passed = [kw for _, kws in calls for kw in kws]
         assert len(passed) == len(set(passed)), calls
         assert all(kws <= set(inspect.signature(model).parameters) for model, kws in calls)
-    assert sorted(passed) == sorted(cfg.params)  # the run passes every keyword
+        reached.update(passed)
+    assert reached == set(cfg.params)  # every keyword reaches a model
 
 
 @pytest.mark.parametrize("mode", ["distance_curve", "field_dump"])
 def test_ppp_params_reach_the_model_of_their_mode_by_keyword(monkeypatch, mode):
     calls = []
-    model = getattr(vscsim.runner, f"run_ppp_{mode}")
+    model = getattr(vscsim.sweeps, f"run_ppp_{mode}")
 
     def bare(*args, **kwargs):  # no signature of its own, as a tracer's wrapper
         calls.append((args, kwargs))
         return model(*args, **kwargs)
 
-    monkeypatch.setattr(vscsim.runner, f"run_ppp_{mode}", bare)
+    monkeypatch.setattr(vscsim.sweeps, f"run_ppp_{mode}", bare)
     build_table(build_config({"experiment": "ppp", "params": {"mode": mode, "p_over_n0_db": 60.0}}))
     [(args, kwargs)] = calls
     assert args == ()
@@ -411,7 +417,7 @@ def _sweep_case(kind, name, value):
     params = {"kind": kind, "base": base, "param": param, "grid": [SWEEP_VALUES[param]]}
 
     def build():  # the scenario of one grid point, as the run builds it
-        kwargs = {**sweep_spec({**PARAM_DEFAULTS["sweep"], **params}).base, param: SWEEP_VALUES[param]}
+        kwargs = {**vscsim.config._scenario_values(base), param: SWEEP_VALUES[param]}
         if kind == "relay":
             return SWEEP_SCENARIOS[kind](**kwargs)
         return SWEEP_SCENARIOS[kind](ChannelParams(kwargs.pop("p_over_n0"), kwargs.pop("alpha")), **kwargs)
@@ -835,7 +841,8 @@ def test_validate_config_reports_instead_of_raising(experiment, params):
 
 # Every schema the config checks: its nested ones are found by _subschemas.
 _SCHEMAS = [
-    vscsim.config._TOP_SCHEMA, *vscsim.config._PARAMS_SCHEMAS.values(), *vscsim.config._FIELD_BOUNDS.values()
+    vscsim.config._TOP_SCHEMA, *(record.schema for record in vscsim.config.EXPERIMENT_RECORDS.values()),
+    *vscsim.config._FIELD_BOUNDS.values(),
 ]
 # The keywords config._schema_walk has a branch for.
 _WALKED_KEYWORDS = {

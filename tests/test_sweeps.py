@@ -150,7 +150,11 @@ def _sweep_docs(draw):
               "series": [{"label": label, "overrides": o} for label, o in zip(labels, overrides)]}
     if param_label is not None:
         params["param_label"] = param_label
-    return {"experiment": "sweep", "params": params}, config.sweep_spec(params)
+    # The spec as the sweep's plan builds it, without the plan's checks.
+    series = tuple((label, config._scenario_values(o)) for label, o in zip(labels, overrides))
+    spec = SweepSpec(kind, config._scenario_values(base), config._SCENARIO_NAMES.get(param, param), tuple(grid),
+                     unit, param_label, series)
+    return {"experiment": "sweep", "params": params}, spec
 
 
 @settings(max_examples=300, deadline=None)
