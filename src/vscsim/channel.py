@@ -55,21 +55,34 @@ def secrecy_bits(snr_b, snr_e):
     return capacity_bits(snr_b) - capacity_bits(snr_e)
 
 
+def _finite(name: str, value: float, **inputs) -> float:
+    """value, when finite; else a ValueError naming it and the inputs it was computed from."""
+    if not math.isfinite(value):
+        given = ", ".join(f"{key}={arg!r}" for key, arg in inputs.items())
+        raise ValueError(f"{name} must be finite, got {value!r} from {given}")
+    return value
+
+
 def link_snr(p_over_n0, d, alpha):
     """Path-loss SNR (P/N0) * d^(-2*alpha) for a float or ndarray distance.
-    A distance so short that the SNR overflows raises ValueError."""
+    A distance so short that the SNR overflows raises ValueError, and so does
+    an SNR that is not a number, such as zero power times a gain that overflows."""
     if isinstance(d, np.ndarray):
-        with np.errstate(over="ignore", divide="ignore"):
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
             snr = p_over_n0 * d ** (-2.0 * alpha)
-        if np.isinf(snr).any():
-            raise ValueError(f"distance {float(d.min())!r} m is too short: d**(-2*alpha) overflows")
+        if not np.isfinite(snr).all():
+            if np.isinf(snr).any():
+                raise ValueError(f"distance {float(d.min())!r} m is too short: d**(-2*alpha) overflows")
+            _finite("snr", math.nan, p_over_n0=p_over_n0, d=float(d[np.isnan(snr)][0]), alpha=alpha)  # no inf: nan
         return snr
     try:
         snr = p_over_n0 * d ** (-2.0 * alpha)
     except (OverflowError, ZeroDivisionError):
         raise ValueError(f"distance {d!r} m is too short: d**(-2*alpha) overflows") from None
-    if snr == math.inf:
-        raise ValueError(f"distance {d!r} m is too short: the SNR overflows")
+    if not snr < math.inf:  # +inf or nan, in one comparison on the per-link path
+        if snr == math.inf:
+            raise ValueError(f"distance {d!r} m is too short: the SNR overflows")
+        _finite("snr", snr, p_over_n0=p_over_n0, d=d, alpha=alpha)
     return snr
 
 
@@ -77,7 +90,7 @@ def shannon_capacity(bandwidth_hz: float, snr: float) -> float:
     """Channel capacity W * log2(1 + SNR) in bits/s."""
     require_positive(bandwidth_hz=bandwidth_hz)
     require_non_negative(snr=snr)
-    return bandwidth_hz * capacity_bits(snr)
+    return _finite("capacity", bandwidth_hz * capacity_bits(snr), bandwidth_hz=bandwidth_hz, snr=snr)
 
 
 def gaussian_wiretap_secrecy(power: float, noise_main: float, noise_wiretap: float) -> float:
@@ -87,7 +100,8 @@ def gaussian_wiretap_secrecy(power: float, noise_main: float, noise_wiretap: flo
     channel is less noisy than the wiretap channel.
     """
     require_positive(power=power, noise_main=noise_main, noise_wiretap=noise_wiretap)
-    return 0.5 * secrecy_bits(power / noise_main, power / noise_wiretap)
+    return _finite("secrecy", 0.5 * secrecy_bits(power / noise_main, power / noise_wiretap),
+                   power=power, noise_main=noise_main, noise_wiretap=noise_wiretap)
 
 
 def path_loss_coeff_sq(distance_m: float, alpha: float) -> float:
@@ -103,7 +117,7 @@ def fading_secrecy_pair(params: ChannelParams, h_ab_sq: float, h_ae_sq: float) -
     """
     require_non_negative(h_ab_sq=h_ab_sq, h_ae_sq=h_ae_sq)
     c = params.p_over_n0
-    return secrecy_bits(c * h_ab_sq, c * h_ae_sq)
+    return _finite("secrecy", secrecy_bits(c * h_ab_sq, c * h_ae_sq), p_over_n0=c, h_ab_sq=h_ab_sq, h_ae_sq=h_ae_sq)
 
 
 def clamped(secrecy_bits: float) -> float:
@@ -160,7 +174,7 @@ def sample_fading(model: FadingModel, seed, size: int | None = None):
     if model.kind == "path_loss_only":
         out = np.ones(n)
     elif model.kind == "rayleigh":
-        out = rng.exponential(1.0, n)
+        out = rng.standard_exponential(n)
     elif model.kind == "rician":
         # LOS amplitude sqrt(K/(K+1)), scattered complex Gaussian with
         # variance 1/(K+1): the squared envelope keeps unit mean.  In place

@@ -71,8 +71,10 @@ class UrbanScenario:
 
 
 def _legitimate_range(w: float, x: float) -> float:
-    # Target 2w + x past the corner, host w - x before it.
-    return math.sqrt(5.0 * w * w + 2.0 * w * x + 2.0 * x * x)
+    # Target 2w + x past the corner, host w - x before it.  Where the expanded sum of
+    # squares overflows (inf, or 2w * x as inf * 0), hypot, which does not square.
+    r = math.sqrt(5.0 * w * w + 2.0 * w * x + 2.0 * x * x)
+    return r if r < math.inf else math.hypot(2.0 * w + x, w - x)
 
 
 def urban_fixed_secrecy(s: UrbanScenario) -> float:

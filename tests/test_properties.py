@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import oracles
 import pytest
 from hypothesis import given, settings
@@ -12,6 +13,7 @@ from vscsim.channel import (
     FadingModel,
     fading_secrecy_pair,
     gaussian_wiretap_secrecy,
+    link_snr,
     path_loss_coeff_sq,
     sample_fading,
     shannon_capacity,
@@ -35,7 +37,8 @@ from vscsim.cluster import (
 from vscsim.highway import HighwayWorld
 from vscsim.intersection import make_case, run_intersection_case
 from vscsim.kinematics import braking_distance, coupled_distance, safety_distance
-from vscsim.scenarios import HighwayScenario, RelayScenario, UrbanScenario, relay_secrecy
+from vscsim.scenarios import (HighwayScenario, RelayScenario, UrbanScenario, relay_secrecy, urban_fixed_secrecy,
+                              urban_moving_secrecy)
 from vscsim.stochastic import ErgodicConfig, Rect, ergodic_secrecy_mc, poisson_pmf, sample_field
 from vscsim.sweeps import SweepSpec, run_ppp_field_dump, run_sweep
 from vscsim.units import Point2D, db_to_linear, kmh_to_ms, linear_to_db, ms_to_kmh
@@ -197,6 +200,15 @@ RANGE_PROBES = [
                  id="windowed_stream(unit_time=nan)"),
     pytest.param("unit_time", lambda: windowed_stream(RECORDS, unit_time=0.0),
                  id="windowed_stream(unit_time=0)"),
+    # Finite inputs whose result is not finite: zero power times a gain that overflows, a
+    # bandwidth or power past the float range, and two SNRs that overflow to inf - inf.
+    pytest.param("snr", lambda: link_snr(0.0, 0.5, 1.7e308), id="link_snr(0 * inf)"),
+    pytest.param("snr", lambda: link_snr(0.0, np.array([0.5, 2.0]), 1.7e308), id="link_snr(array, 0 * inf)"),
+    pytest.param("capacity", lambda: shannon_capacity(1.7e308, 3.0), id="shannon_capacity(overflows)"),
+    pytest.param("secrecy", lambda: gaussian_wiretap_secrecy(1e300, 1e-10, 1.0),
+                 id="gaussian_wiretap_secrecy(overflows)"),
+    pytest.param("secrecy", lambda: fading_secrecy_pair(ChannelParams(1e300, 1.0), 1e10, 1e10),
+                 id="fading_secrecy_pair(inf - inf)"),
 ]
 
 
@@ -204,6 +216,15 @@ RANGE_PROBES = [
 def test_out_of_range_inputs_raise_value_error_naming_the_field(field, call):
     with pytest.raises(ValueError, match=rf"^{field} must be finite"):
         call()
+
+
+@pytest.mark.parametrize("secrecy, scenario", [
+    (urban_fixed_secrecy, UrbanScenario(ChannelParams(1.0, 1.4), 1e308, 0.0, 0.0, 1e308)),
+    (urban_moving_secrecy, UrbanScenario(ChannelParams(1.0, 5e-324), 1.7e308, 0.0, 1e-300, 1.0)),
+], ids=["urban_fixed", "urban_moving"])
+def test_urban_secrecy_is_finite_where_the_squared_range_overflows(secrecy, scenario):
+    # 5 w**2 overflows, and 2 w * x is inf * 0 at x = 0: the range is measured without squaring.
+    assert math.isfinite(secrecy(scenario))
 
 
 def _outcome(call):
