@@ -118,7 +118,8 @@ class RunConfig:
 
 
 def _is_number(value) -> bool:
-    return isinstance(value, Real) and not isinstance(value, bool)
+    # float and int first: isinstance against the Real ABC is the walker's costliest call.
+    return type(value) in (float, int) or isinstance(value, Real) and not isinstance(value, bool)
 
 
 def _refusal(check, *args, **kwargs) -> str | None:
