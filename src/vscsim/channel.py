@@ -73,7 +73,8 @@ def link_snr(p_over_n0, d, alpha):
         if not np.isfinite(snr).all():
             if np.isinf(snr).any():
                 raise ValueError(f"distance {float(d.min())!r} m is too short: d**(-2*alpha) overflows")
-            _finite("snr", math.nan, p_over_n0=p_over_n0, d=float(d[np.isnan(snr)][0]), alpha=alpha)  # no inf: nan
+            first = float(d[np.isnan(snr)][0])  # no element is inf, so each non-finite one is nan
+            _finite("snr", math.nan, p_over_n0=p_over_n0, d=first, alpha=alpha)
         return snr
     try:
         snr = p_over_n0 * d ** (-2.0 * alpha)

@@ -1,8 +1,13 @@
 """Run configuration: JSON documents validated against a strict schema.
 
+Each experiment is defined in one place, its record in EXPERIMENT_RECORDS:
+its config keys with their JSON bounds, their defaults, a plan that makes
+every check of the run needing no random draw, and the builder of its table.
+EXPERIMENTS, PARAM_DEFAULTS and the params schemas are read off the records.
+
 Validation is exhaustive: every schema violation is reported at once, with
-its JSON path, then the first refusal of each model input the run builds.
-Unknown keys are rejected everywhere.
+its JSON path, then each refusal of the experiment's plan.  Unknown keys
+are rejected everywhere.
 
 The schemas are JSON Schema (draft 2020-12) dicts in a keyword subset that
 this module checks itself, with jsonschema's messages: `type` (with the
