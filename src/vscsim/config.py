@@ -269,17 +269,18 @@ def _scenario_values(values: dict) -> dict:
 
 
 class Experiment:
-    """The record of one experiment: each config key with its JSON bounds; the defaults, where None
-    leaves an optional key unset and a key with none is required; plan(params) -> (config errors,
+    """The record of one experiment: each config key with its JSON bounds; the defaults, and the
+    optional keys, left unset (a key with neither is required); plan(params) -> (config errors,
     model inputs), every check of the run that needs no random draw; build(inputs, seed) -> table,
     which looks each model up on its home module at call time, where a tracer may rebind it."""
 
     keys: dict
     defaults: dict
+    optional: tuple = ()
 
     @functools.cached_property
     def schema(self) -> dict:
-        return _object_schema(self.keys, [key for key in self.keys if key not in self.defaults])
+        return _object_schema(self.keys, [k for k in self.keys if k not in {*self.defaults, *self.optional}])
 
 
 class _Sweep(Experiment):
@@ -299,8 +300,9 @@ class _Sweep(Experiment):
             ),
         },
     }
-    defaults = {"unit": SweepSpec.unit, "param_label": SweepSpec.param_label,
+    defaults = {"unit": SweepSpec.unit,
                 "series": [{"label": label, "overrides": dict(o)} for label, o in SweepSpec.series]}
+    optional = ("param_label",)  # unset, the column is the swept scenario field
 
     def plan(self, params: dict) -> tuple[list[str], SweepSpec | None]:
         """The cross-field checks; the run's SweepSpec, in scenario fields and linear values."""
@@ -466,10 +468,7 @@ EXPERIMENT_RECORDS = {
     "perturbation": _Perturbation(), "ppp": _Ppp(),
 }
 EXPERIMENTS = tuple(EXPERIMENT_RECORDS)
-PARAM_DEFAULTS: dict[str, dict] = {
-    experiment: {key: value for key, value in record.defaults.items() if value is not None}
-    for experiment, record in EXPERIMENT_RECORDS.items()
-}
+PARAM_DEFAULTS: dict[str, dict] = {experiment: record.defaults for experiment, record in EXPERIMENT_RECORDS.items()}
 
 _TOP_SCHEMA = _object_schema(
     {

@@ -336,7 +336,6 @@ def test_each_model_keyword_reaches_one_call_that_takes_it(monkeypatch, doc):
     cfg = build_config(doc)
     experiment = vscsim.config.EXPERIMENT_RECORDS[cfg.experiment]
     _, planned = experiment.plan(cfg.params)
-    reached = set()
     # The plan's checks (validate_config), then the models the builder runs on the plan.
     for phase in (lambda: validate_config(doc), lambda: experiment.build(planned, cfg.seed)):
         calls.clear()
@@ -344,8 +343,7 @@ def test_each_model_keyword_reaches_one_call_that_takes_it(monkeypatch, doc):
         passed = [kw for _, kws in calls for kw in kws]
         assert len(passed) == len(set(passed)), calls
         assert all(kws <= set(inspect.signature(model).parameters) for model, kws in calls)
-        reached.update(passed)
-    assert reached == set(cfg.params)  # every keyword reaches a model
+    assert sorted(passed) == sorted(cfg.params)  # the run passes every keyword
 
 
 @pytest.mark.parametrize("mode", ["distance_curve", "field_dump"])
