@@ -15,8 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .units import (Positive, check_fields, db_to_linear, is_finite, require_integer, require_non_negative,
-                    require_positive)
+from .units import (Positive, check_fields, db_to_linear, finite_result, is_finite, require_integer,
+                    require_non_negative, require_positive)
 
 # Defaults used by the simulation harness when a config does not pin them.
 DEFAULT_ALPHA = 1.4
@@ -55,14 +55,6 @@ def secrecy_bits(snr_b, snr_e):
     return capacity_bits(snr_b) - capacity_bits(snr_e)
 
 
-def _finite(name: str, value: float, **inputs) -> float:
-    """value, when finite; else a ValueError naming it and the inputs it was computed from."""
-    if not math.isfinite(value):
-        given = ", ".join(f"{key}={arg!r}" for key, arg in inputs.items())
-        raise ValueError(f"{name} must be finite, got {value!r} from {given}")
-    return value
-
-
 def link_snr(p_over_n0, d, alpha):
     """Path-loss SNR (P/N0) * d^(-2*alpha) for a float or ndarray distance.
     A distance so short that the SNR overflows raises ValueError, and so does
@@ -74,7 +66,7 @@ def link_snr(p_over_n0, d, alpha):
             if np.isinf(snr).any():
                 raise ValueError(f"distance {float(d.min())!r} m is too short: d**(-2*alpha) overflows")
             first = float(d[np.isnan(snr)][0])  # no element is inf, so each non-finite one is nan
-            _finite("snr", math.nan, p_over_n0=p_over_n0, d=first, alpha=alpha)
+            finite_result("snr", math.nan, p_over_n0=p_over_n0, d=first, alpha=alpha)
         return snr
     try:
         snr = p_over_n0 * d ** (-2.0 * alpha)
@@ -83,7 +75,7 @@ def link_snr(p_over_n0, d, alpha):
     if not snr < math.inf:  # +inf or nan, in one comparison on the per-link path
         if snr == math.inf:
             raise ValueError(f"distance {d!r} m is too short: the SNR overflows")
-        _finite("snr", snr, p_over_n0=p_over_n0, d=d, alpha=alpha)
+        finite_result("snr", snr, p_over_n0=p_over_n0, d=d, alpha=alpha)
     return snr
 
 
@@ -91,7 +83,7 @@ def shannon_capacity(bandwidth_hz: float, snr: float) -> float:
     """Channel capacity W * log2(1 + SNR) in bits/s."""
     require_positive(bandwidth_hz=bandwidth_hz)
     require_non_negative(snr=snr)
-    return _finite("capacity", bandwidth_hz * capacity_bits(snr), bandwidth_hz=bandwidth_hz, snr=snr)
+    return finite_result("capacity", bandwidth_hz * capacity_bits(snr), bandwidth_hz=bandwidth_hz, snr=snr)
 
 
 def gaussian_wiretap_secrecy(power: float, noise_main: float, noise_wiretap: float) -> float:
@@ -101,8 +93,8 @@ def gaussian_wiretap_secrecy(power: float, noise_main: float, noise_wiretap: flo
     channel is less noisy than the wiretap channel.
     """
     require_positive(power=power, noise_main=noise_main, noise_wiretap=noise_wiretap)
-    return _finite("secrecy", 0.5 * secrecy_bits(power / noise_main, power / noise_wiretap),
-                   power=power, noise_main=noise_main, noise_wiretap=noise_wiretap)
+    return finite_result("secrecy", 0.5 * secrecy_bits(power / noise_main, power / noise_wiretap),
+                         power=power, noise_main=noise_main, noise_wiretap=noise_wiretap)
 
 
 def path_loss_coeff_sq(distance_m: float, alpha: float) -> float:
@@ -118,7 +110,8 @@ def fading_secrecy_pair(params: ChannelParams, h_ab_sq: float, h_ae_sq: float) -
     """
     require_non_negative(h_ab_sq=h_ab_sq, h_ae_sq=h_ae_sq)
     c = params.p_over_n0
-    return _finite("secrecy", secrecy_bits(c * h_ab_sq, c * h_ae_sq), p_over_n0=c, h_ab_sq=h_ab_sq, h_ae_sq=h_ae_sq)
+    return finite_result("secrecy", secrecy_bits(c * h_ab_sq, c * h_ae_sq),
+                         p_over_n0=c, h_ab_sq=h_ab_sq, h_ae_sq=h_ae_sq)
 
 
 def clamped(secrecy_bits: float) -> float:

@@ -5,7 +5,9 @@ the secrecy of that link, plus a position-perturbation study on top.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -19,7 +21,7 @@ CALIBRATED_DELTA = 5.0
 # Node-steps the nearest-neighbour search takes at once.  It bounds the
 # search's temporaries, which would otherwise raise the peak memory of
 # large runs: with 100 sources and 100 steps, a search allocates at most
-# about 1.3 MB at 1000 nodes and 0.6 MB at 10^4 nodes besides its result
+# about 1.2 MB at both 1000 and 10^4 nodes besides its result
 # (tracemalloc peak).
 _SEARCH_NODE_STEPS = 2**15
 
@@ -88,57 +90,79 @@ def _nearest_links(
     n_sources) holds the x each source s (node s) is evaluated at.  Returns
     (target_idx, distances), both (n_steps, n_sources): the lowest index
     at the smallest np.hypot(xs[j] - query, ys[j] - ys[s]) with j != s,
-    as a brute-force argmin over every node gives.  Nodes sharing a y form
-    a lane; the search goes lane by lane, keeping one lane's temporaries
-    alive at a time, and keeps the best link.
+    as a brute-force argmin over every node gives.
+
+    Nodes sharing a y form a lane, and each lane is sorted once per chunk
+    of steps.  Every (step, source) searches its own lane first.  It then
+    searches another lane only if that lane's |dy| is at most the best
+    distance found so far: np.hypot(dx, dy) >= |dy| (hypot is faithfully
+    rounded and |dy| is a float), so no node of a lane past the bound can
+    be nearer, and at the bound a node at dx = 0 can still tie with a
+    lower index.  A source with no node in range in its own lane keeps an
+    infinite bound and searches every lane.  The best link is the lowest
+    (distance, index) over the lanes searched, whatever their order.
     """
     n_steps, n_nodes = xs.shape
     n_sources = queries.shape[1]
     target_idx = np.empty((n_steps, n_sources), dtype=int)
     dists = np.empty((n_steps, n_sources))
-    lanes = [np.flatnonzero(ys == y) for y in np.unique(ys)]
+    lane_ys, lane_of = np.unique(ys, return_inverse=True)
+    lanes = [np.flatnonzero(lane_of == lane) for lane in range(lane_ys.size)]
+    source_lane, source_y = lane_of[:n_sources], ys[:n_sources]
+    # |dy| from each lane to each source, the bound the second pass prunes by.
+    gap = np.abs(lane_ys[:, None] - source_y)
+    own = source_lane == np.arange(lane_ys.size)[:, None]
     per_chunk = max(1, _SEARCH_NODE_STEPS // n_nodes)
     for k0 in range(0, n_steps, per_chunk):
         x, q = xs[k0 : k0 + per_chunk], queries[k0 : k0 + per_chunk]
+        sorted_lanes = [_sort_lane(x, members, n_nodes) for members in lanes]
         best_d = np.full(q.shape, np.inf)
         best_j = np.full(q.shape, n_nodes)
-        for members in lanes:
-            lane_d, lane_j = _lane_nearest(x, ys, q, members, obu_range)
-            closer = (lane_d < best_d) | ((lane_d == best_d) & (lane_j < best_j))
-            best_d = np.where(closer, lane_d, best_d)
-            best_j = np.where(closer, lane_j, best_j)
+        for first_pass in (True, False):
+            for lane, sort in enumerate(sorted_lanes):
+                if first_pass:
+                    rows, sources = np.nonzero(np.broadcast_to(own[lane], q.shape))
+                else:
+                    rows, sources = np.nonzero((gap[lane] <= best_d) & ~own[lane])
+                if not rows.size:
+                    continue
+                lane_d, lane_j = _lane_nearest(sort, rows, q[rows, sources], sources,
+                                               lane_ys[lane] - source_y[sources], obu_range)
+                cur_d, cur_j = best_d[rows, sources], best_j[rows, sources]
+                closer = (lane_d < cur_d) | ((lane_d == cur_d) & (lane_j < cur_j))
+                rows, sources = rows[closer], sources[closer]
+                best_d[rows, sources], best_j[rows, sources] = lane_d[closer], lane_j[closer]
         if not np.isfinite(best_d).all():
-            raise ValueError("no node within radio range of the source")
+            step, source = np.argwhere(~np.isfinite(best_d))[0]
+            raise ValueError(f"no node within radio range of the source: obu_range_m = {obu_range!r} "
+                             f"leaves source {source} without a link at step {k0 + step}")
+        del sorted_lanes  # so that two chunks' sorted lanes are never held at once
         target_idx[k0 : k0 + len(x)] = best_j
         dists[k0 : k0 + len(x)] = best_d
     return target_idx, dists
 
 
-def _lane_nearest(
-    x: np.ndarray, ys: np.ndarray, q: np.ndarray, members: np.ndarray, obu_range: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """Nearest node of one lane to each query, as (distance, index) with
-    inf for none in range and len(ys) for no index.
+class _SortedLane(NamedTuple):
+    """One lane's nodes sorted by x at each step (row) of a chunk, as flat
+    row-major arrays."""
 
-    Inside a lane the distance grows with |dx|, so the nearest node sits
-    next to the query in the lane's x order.  Each row of the lane's
-    nodes is sorted by x with numpy's default (unstable) kind; a row with
-    no equal x has one sorted order, and a row with equal x is sorted
-    again stably, so equal x stay in index order.
+    width: int                       # sentinels and nodes per row: the lane's node count + 3
+    keys: np.ndarray                 # (rows * width,) complex: row + 1j * x
+    x: np.ndarray                    # the x of keys: each row's sorted x between its sentinels
+    j: np.ndarray                    # node index of each x, n_nodes at a sentinel
+    group_first: np.ndarray | None   # position of the first x equal to each x; None without equal x
 
-    One searchsorted over complex keys (real part the row, imaginary part
-    the sorted x; numpy orders complex by real, then imaginary part)
-    gives every query's insertion point p, the count of the row's nodes
-    below its x.  The candidates are the first node of the group of equal
-    x just below p, the node after it, the first node of the group
-    before, and the nodes at p and p + 1: enough to skip the source
-    itself.  Without equal x in the chunk each group is one node.
-    Vehicles of one lane at different x whose distances round to the
-    same float (micrometres apart at most) are the one tie a full scan
-    may break differently.
+
+def _sort_lane(x: np.ndarray, members: np.ndarray, n_nodes: int) -> _SortedLane:
+    """Sort one lane's nodes by x in each row of the chunk x.
+
+    Each row is sorted with numpy's default (unstable) kind; a row with no
+    equal x has one sorted order, and a row with equal x is sorted again
+    stably, so equal x stay in index order.  One sentinel at x = -inf goes
+    before the sorted lane and two at x = inf after it: a candidate past
+    either end lands on one and is never nearest.
     """
-    rows, n_sources = q.shape
-    m, n_nodes = members.size, ys.size
+    rows, m = x.shape[0], members.size
     lane_x = x[:, members]
     order = np.argsort(lane_x, axis=1)
     sorted_x = np.take_along_axis(lane_x, order, axis=1)
@@ -147,44 +171,78 @@ def _lane_nearest(
     any_tied = tied.any()
     if any_tied:
         order[tied] = np.argsort(lane_x[tied], axis=1, kind="stable")
-    row = np.arange(rows)[:, None]
-    keys = np.empty((rows, m), dtype=complex)
-    keys.real, keys.imag = row, sorted_x
-    qkeys = np.empty(q.shape, dtype=complex)
-    qkeys.real, qkeys.imag = row, q
-    p = np.searchsorted(keys.ravel(), qkeys.ravel()).reshape(q.shape) - m * row
-    # One sentinel at x = inf before the sorted lane and two after it: a
-    # candidate past either end lands on one and is never nearest.
-    padded_x = np.full((rows, m + 3), np.inf)
+    keys = np.empty((rows, m + 3), dtype=complex)
+    keys.real = np.arange(rows)[:, None]
+    padded_x = keys.imag
+    padded_x[:, 0], padded_x[:, 1:-2], padded_x[:, -2:] = -np.inf, sorted_x, np.inf
     padded_j = np.full((rows, m + 3), n_nodes)
-    padded_x[:, 1:-2], padded_j[:, 1:-2] = sorted_x, members[order]
+    padded_j[:, 1:-2] = members[order]
+    group_first = None
     if any_tied:
         starts = np.ones(padded_x.shape, dtype=bool)
         starts[:, 1:] = padded_x[:, 1:] != padded_x[:, :-1]
-        group_first = np.maximum.accumulate(np.where(starts, np.arange(m + 3), 0), axis=1)
-        below = np.take_along_axis(group_first, p, axis=1)
-        before = np.take_along_axis(group_first, np.maximum(below - 1, 0), axis=1)
+        group_first = np.maximum.accumulate(np.where(starts, np.arange(m + 3), 0), axis=1).ravel()
+    keys = keys.ravel()
+    return _SortedLane(m + 3, keys, keys.imag, padded_j.ravel(), group_first)
+
+
+def _lane_nearest(
+    lane: _SortedLane, rows: np.ndarray, qx: np.ndarray, sources: np.ndarray, dy: np.ndarray,
+    obu_range: float,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Nearest node of one sorted lane to each query (row, x, source, dy),
+    as (distance, index) with inf for none in range.
+
+    Inside a lane the distance grows with |dx|, so the nearest node sits
+    next to the query in the lane's x order.  One searchsorted over the
+    complex keys (numpy orders complex by real, then imaginary part)
+    gives every query's insertion point.  Less the row's start and the
+    sentinel before the lane, that is p, the count of the row's nodes
+    below its x, which is also the position of the last of them in the
+    row.  The candidates are the first node of the group of equal x just
+    below p, the node after it, the first node of the group before, and
+    the nodes at p and p + 1: enough to skip the source itself.  Without
+    equal x in the chunk each group is one node.  Vehicles of one lane
+    at different x whose distances round to the same float (micrometres
+    apart at most) are the one tie a full scan may break differently.
+    """
+    qkeys = np.empty(rows.size, dtype=complex)
+    qkeys.real, qkeys.imag = rows, qx
+    start = lane.width * rows
+    p = np.searchsorted(lane.keys, qkeys) - start - 1
+    if lane.group_first is not None:
+        below = lane.group_first[start + p]
+        before = lane.group_first[start + np.maximum(below - 1, 0)]
     else:
         below, before = p, np.maximum(p - 1, 0)
-    # Candidates on the first axis, as flat indices into the padded rows,
-    # so the reductions over them run on contiguous arrays.
-    cand = np.stack([before, below, below + 1, p + 1, p + 2]) + (m + 3) * row
-    cx, cj = padded_x.ravel()[cand], padded_j.ravel()[cand]
-    d = np.hypot(cx - q, ys[members[0]] - ys[:n_sources])
-    d[(cj == np.arange(n_sources)) | (d > obu_range)] = np.inf
+    # Candidates on the first axis, so the reductions over them run on contiguous arrays.
+    cand = np.stack([before, below, below + 1, p + 1, p + 2]) + start
+    cx, cj = lane.x[cand], lane.j[cand]
+    d = np.hypot(cx - qx, dy)
+    d[(cj == sources) | (d > obu_range)] = np.inf
     lane_d = d.min(axis=0)
-    return lane_d, np.where(d == lane_d, cj, n_nodes).min(axis=0)
+    no_index = lane.j[0]  # n_nodes, the index at a sentinel
+    return lane_d, np.where(d == lane_d, cj, no_index).min(axis=0)
 
 
 def _link_secrecy(world: HighwayWorld, dists: np.ndarray) -> np.ndarray:
     """Per-link secrecy against the fixed-range eavesdropper, in scalar
     arithmetic per link (the ndarray path rounds differently): the
-    eavesdropper's capacity once, then log2(1 + SNR_B) - c_eve per link,
-    the same float operations as secrecy_bits."""
+    eavesdropper's capacity once, then log2(1 + c * d**(-2 alpha)) - c_eve
+    per link, written out with the float operations of
+    capacity_bits(link_snr(c, d, alpha)), so the bits are those of
+    secrecy_bits.  When a link overflows or is not finite the links go
+    through the checked calls instead, which raise link_snr's ValueError."""
     c = db_to_linear(world.p_over_n0_db)
     c_eve = capacity_bits(link_snr(c, world.eavesdropper_range_m, world.alpha))
-    secrecy = [capacity_bits(link_snr(c, d, world.alpha)) - c_eve for d in dists.ravel().tolist()]
-    return np.array(secrecy).reshape(dists.shape)
+    links, e, log2 = dists.ravel().tolist(), -2.0 * world.alpha, math.log2
+    try:
+        secrecy = np.array([log2(1.0 + c * d ** e) - c_eve for d in links])
+    except (OverflowError, ZeroDivisionError):
+        secrecy = None
+    if secrecy is None or not np.isfinite(secrecy).all():
+        secrecy = np.array([capacity_bits(link_snr(c, d, world.alpha)) - c_eve for d in links])
+    return secrecy.reshape(dists.shape)
 
 
 def run_highway_experiment(world: HighwayWorld) -> HighwayRunResult:

@@ -54,6 +54,14 @@ def require_finite(**values: float) -> None:
             raise ValueError(f"{name} must be finite, got {value!r}")
 
 
+def finite_result(name: str, value: float, **inputs) -> float:
+    """value, when finite; else a ValueError naming it and the inputs it was computed from."""
+    if not math.isfinite(value):
+        given = ", ".join(f"{key}={arg!r}" for key, arg in inputs.items())
+        raise ValueError(f"{name} must be finite, got {value!r} from {given}")
+    return value
+
+
 def require_integer(minimum: int, /, **values: int) -> None:
     """Raise ValueError naming the first value that is not an integer >= minimum; bool is not one."""
     for name, value in values.items():

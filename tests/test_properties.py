@@ -209,6 +209,14 @@ RANGE_PROBES = [
                  id="gaussian_wiretap_secrecy(overflows)"),
     pytest.param("secrecy", lambda: fading_secrecy_pair(ChannelParams(1e300, 1.0), 1e10, 1e10),
                  id="fading_secrecy_pair(inf - inf)"),
+    # Kinematic distances past the float range: a product, a square, and a division by a subnormal.
+    pytest.param("coupled_distance", lambda: coupled_distance(1.7e308, 10.0), id="coupled_distance(overflows)"),
+    pytest.param("safety_distance", lambda: safety_distance(1.7e308, 1.0, 1.0, 3.0, 1.0),
+                 id="safety_distance(overflows)"),
+    pytest.param("safety_distance", lambda: safety_distance(1.7e308, 1.7e308, 1.0, 1.0, 0.0),
+                 id="safety_distance(inf - inf)"),
+    pytest.param("braking_distance", lambda: braking_distance(1.0, 1e-300, 3.0, 3.0, 5e-324),
+                 id="braking_distance(overflows)"),
 ]
 
 

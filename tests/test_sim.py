@@ -1,4 +1,5 @@
 import math
+import re
 from dataclasses import FrozenInstanceError
 
 import numpy as np
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 
 import oracles
 from vscsim import highway
+from vscsim.channel import link_snr, secrecy_bits
 from vscsim.config import build_config
 from vscsim.highway import (
     HighwayWorld,
@@ -288,6 +290,26 @@ def test_highway_secrecy_matches_pair_form():
             assert res.secrecy[k, s] == pytest.approx(want, rel=1e-11)
 
 
+def test_link_secrecy_is_secrecy_bits_per_link_bit_for_bit():
+    world = HighwayWorld(alpha=1.7, p_over_n0_db=65.0, eavesdropper_range_m=300.0)
+    c = 10.0 ** (world.p_over_n0_db / 10.0)
+    rng = np.random.default_rng(41)
+    dists = np.concatenate([rng.uniform(0.1, 2500.0, 300), np.logspace(-80.0, 300.0, 60)]).reshape(40, 9)
+    snr_eve = link_snr(c, world.eavesdropper_range_m, world.alpha)
+    want = [secrecy_bits(link_snr(c, d, world.alpha), snr_eve) for d in dists.ravel().tolist()]
+    assert highway._link_secrecy(world, dists).tobytes() == np.array(want).reshape(dists.shape).tobytes()
+
+
+@pytest.mark.parametrize("d, message", [
+    (0.0, "distance 0.0 m is too short: d**(-2*alpha) overflows"),
+    (1e-200, "distance 1e-200 m is too short: d**(-2*alpha) overflows"),
+    (1e-109, "distance 1e-109 m is too short: the SNR overflows"),
+])
+def test_link_secrecy_keeps_the_checked_refusal(d, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        highway._link_secrecy(HighwayWorld(), np.array([[3.0, d], [d, 4.0]]))
+
+
 def test_highway_out_of_range_raises():
     world = _small_world(obu_range_m=0.001)
     with pytest.raises(ValueError):
@@ -443,6 +465,78 @@ def test_nearest_links_chunks_agree(monkeypatch, grid, rows_per_chunk):
     chunked = _nearest_links(xs, ys, xs[:, :9] + 5.0, 2500.0)
     assert np.array_equal(whole[0], chunked[0])
     assert whole[1].tobytes() == chunked[1].tobytes()
+
+
+def test_nearest_links_search_every_lane_for_a_source_alone_in_its_lane():
+    # Source 0 has no other node in its lane; its nearest node is five lanes away.
+    xs = np.array([[1000.0, 0.0, 2000.0, 1000.0, 2500.0]])
+    ys = np.array([5.0, 15.0, 25.0, 55.0, 35.0])
+    _assert_same_links(xs, ys, xs[:, :1])
+    assert _nearest_links(xs, ys, xs[:, :1], 2500.0)[0].tolist() == [[3]]
+
+
+def test_nearest_links_keep_a_tie_at_the_lane_offset_with_a_lower_index():
+    # The own-lane best (node 2, dx = 10) equals the next lane's |dy| exactly, and that
+    # lane's node 1 sits at dx = 0: both are 10 m away and the lower index wins.
+    xs = np.array([[100.0, 100.0, 110.0], [100.0, 100.0, 90.0]])
+    ys = np.array([5.0, 15.0, 5.0])
+    _assert_same_links(xs, ys, xs[:, :1])
+    target, dist = _nearest_links(xs, ys, xs[:, :1], 2500.0)
+    assert target.tolist() == [[1], [1]] and dist.tolist() == [[10.0], [10.0]]
+
+
+@pytest.mark.parametrize("obu_range", [3.0, 9.999999999999998])
+def test_nearest_links_with_a_range_below_the_lane_width(obu_range):
+    # Nodes 2k and 2k + 1 share a lane and are 0.5 to 3 m apart, so every source has a
+    # link in its own lane and none in another.
+    rng = np.random.default_rng(31)
+    ys = (np.repeat(rng.integers(0, 6, 50), 2) + 0.5) * 10.0
+    xs = np.repeat(rng.uniform(0.0, 2500.0, (4, 50)), 2, axis=1)
+    xs[:, 1::2] += rng.uniform(0.5, 3.0, (4, 50))
+    _assert_same_links(xs, ys, xs[:, :40], obu_range)
+    _assert_same_links(xs, ys, xs[:, :40] + 5.0, obu_range)
+
+
+@pytest.mark.parametrize("rows_per_chunk", [1, 4])
+def test_nearest_links_name_the_range_and_the_first_source_without_a_link(monkeypatch, rows_per_chunk):
+    # Source 1 loses its only neighbour at step 2; source 0 keeps one throughout.
+    xs = np.array([[0.0, 500.0, 1.0, 501.0]] * 4)
+    xs[2:, 3] = 600.0
+    ys = np.full(4, 5.0)
+    monkeypatch.setattr(highway, "_SEARCH_NODE_STEPS", rows_per_chunk * 4)
+    message = r"^no node within radio range of the source: obu_range_m = 50\.0 leaves source 1 without a link at step 2$"
+    with pytest.raises(ValueError, match=message):
+        _nearest_links(xs, ys, xs[:, :2], 50.0)
+
+
+def test_highway_no_link_refusal_names_the_range_key():
+    doc = {"experiment": "highway_cluster", "params": {"obu_range_m": 0.001}}
+    with pytest.raises(ValueError, match=r"^no node within radio range of the source: obu_range_m = 0\.001 "):
+        build_table(build_config(doc))
+
+
+# Signed extremes of the float range, subnormals to the largest finite floats.
+_EXTREMES = [0.0, 5e-324, 1e-310, 1e-300, 1e-10, 0.5, 1.0, 3.0, 1e10, 1e300, 1.7e308]
+_EXTREMES += [-v for v in _EXTREMES]
+_ANY_FINITE = st.one_of(st.sampled_from(_EXTREMES), st.floats(allow_nan=False, allow_infinity=False))
+
+
+def _hypot_at_least_lateral_offset(dx, dy):
+    with np.errstate(over="ignore"):  # near the float max hypot is inf, still >= |dy|
+        return (np.hypot(dx, dy) >= np.abs(dy)).all()
+
+
+def test_hypot_is_at_least_the_lateral_offset_on_the_extremes():
+    # The premise of the lane pruning in _nearest_links, on this host's libm.
+    dx, dy = np.meshgrid(_EXTREMES, _EXTREMES)
+    assert _hypot_at_least_lateral_offset(dx, dy)
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.lists(st.tuples(_ANY_FINITE, _ANY_FINITE), min_size=1, max_size=20))
+def test_hypot_is_at_least_the_lateral_offset(pairs):
+    dx, dy = np.array(pairs).T
+    assert _hypot_at_least_lateral_offset(dx, dy)
 
 
 @pytest.mark.parametrize("delta", [5.0, -5.0, 3000.0, -3000.0])
