@@ -147,8 +147,7 @@ class _SortedLane(NamedTuple):
     row-major arrays."""
 
     width: int                       # sentinels and nodes per row: the lane's node count + 3
-    keys: np.ndarray                 # (rows * width,) complex: row + 1j * x
-    x: np.ndarray                    # the x of keys: each row's sorted x between its sentinels
+    keys: np.ndarray                 # (rows * width,) complex: row + 1j * x, each row's x sorted
     j: np.ndarray                    # node index of each x, n_nodes at a sentinel
     group_first: np.ndarray | None   # position of the first x equal to each x; None without equal x
 
@@ -182,8 +181,7 @@ def _sort_lane(x: np.ndarray, members: np.ndarray, n_nodes: int) -> _SortedLane:
         starts = np.ones(padded_x.shape, dtype=bool)
         starts[:, 1:] = padded_x[:, 1:] != padded_x[:, :-1]
         group_first = np.maximum.accumulate(np.where(starts, np.arange(m + 3), 0), axis=1).ravel()
-    keys = keys.ravel()
-    return _SortedLane(m + 3, keys, keys.imag, padded_j.ravel(), group_first)
+    return _SortedLane(m + 3, keys.ravel(), padded_j.ravel(), group_first)
 
 
 def _lane_nearest(
@@ -199,7 +197,7 @@ def _lane_nearest(
     gives every query's insertion point.  Less the row's start and the
     sentinel before the lane, that is p, the count of the row's nodes
     below its x, which is also the position of the last of them in the
-    row.  The candidates are the first node of the group of equal x just
+    padded row.  The candidates are the first node of the group of equal x just
     below p, the node after it, the first node of the group before, and
     the nodes at p and p + 1: enough to skip the source itself.  Without
     equal x in the chunk each group is one node.  Vehicles of one lane
@@ -217,7 +215,7 @@ def _lane_nearest(
         below, before = p, np.maximum(p - 1, 0)
     # Candidates on the first axis, so the reductions over them run on contiguous arrays.
     cand = np.stack([before, below, below + 1, p + 1, p + 2]) + start
-    cx, cj = lane.x[cand], lane.j[cand]
+    cx, cj = lane.keys.imag[cand], lane.j[cand]
     d = np.hypot(cx - qx, dy)
     d[(cj == sources) | (d > obu_range)] = np.inf
     lane_d = d.min(axis=0)
@@ -237,11 +235,11 @@ def _link_secrecy(world: HighwayWorld, dists: np.ndarray) -> np.ndarray:
     c_eve = capacity_bits(link_snr(c, world.eavesdropper_range_m, world.alpha))
     links, e, log2 = dists.ravel().tolist(), -2.0 * world.alpha, math.log2
     try:
-        secrecy = np.array([log2(1.0 + c * d ** e) - c_eve for d in links])
+        secrecy = np.fromiter((log2(1.0 + c * d ** e) - c_eve for d in links), float, len(links))
     except (OverflowError, ZeroDivisionError):
         secrecy = None
     if secrecy is None or not np.isfinite(secrecy).all():
-        secrecy = np.array([capacity_bits(link_snr(c, d, world.alpha)) - c_eve for d in links])
+        secrecy = np.fromiter((capacity_bits(link_snr(c, d, world.alpha)) - c_eve for d in links), float, len(links))
     return secrecy.reshape(dists.shape)
 
 

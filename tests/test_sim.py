@@ -485,7 +485,7 @@ def test_nearest_links_keep_a_tie_at_the_lane_offset_with_a_lower_index():
     assert target.tolist() == [[1], [1]] and dist.tolist() == [[10.0], [10.0]]
 
 
-@pytest.mark.parametrize("obu_range", [3.0, 9.999999999999998])
+@pytest.mark.parametrize("obu_range", [3.0, 9.9])
 def test_nearest_links_with_a_range_below_the_lane_width(obu_range):
     # Nodes 2k and 2k + 1 share a lane and are 0.5 to 3 m apart, so every source has a
     # link in its own lane and none in another.
@@ -504,8 +504,8 @@ def test_nearest_links_name_the_range_and_the_first_source_without_a_link(monkey
     xs[2:, 3] = 600.0
     ys = np.full(4, 5.0)
     monkeypatch.setattr(highway, "_SEARCH_NODE_STEPS", rows_per_chunk * 4)
-    message = r"^no node within radio range of the source: obu_range_m = 50\.0 leaves source 1 without a link at step 2$"
-    with pytest.raises(ValueError, match=message):
+    message = "no node within radio range of the source: obu_range_m = 50.0 leaves source 1 without a link at step 2"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         _nearest_links(xs, ys, xs[:, :2], 50.0)
 
 
