@@ -18,12 +18,19 @@ from .units import (Decibel, IntAtLeast0, IntAtLeast1, IntAtLeast2, Positive, ch
 # Source shift, in meters, that the perturbation study is calibrated for.
 CALIBRATED_DELTA = 5.0
 
-# Node-steps the nearest-neighbour search takes at once.  It bounds the
-# search's temporaries, which would otherwise raise the peak memory of
-# large runs: with 100 sources and 100 steps, a search allocates at most
-# about 1.2 MB at both 1000 and 10^4 nodes besides its result
-# (tracemalloc peak).
-_SEARCH_NODE_STEPS = 2**15
+# Array items a chunk holds: node-steps for the stepping and the lane
+# search, step-source-node triples for the scan.  It bounds their
+# temporaries, which would otherwise raise the peak memory of large runs:
+# over 100 steps the stepping allocates at most about 0.9 MB at 1000 and
+# 10^4 nodes, a lane search with 100 sources about 1.2 MB besides its
+# result, and a scan of 100 nodes about 0.9 MB (tracemalloc peaks).
+_CHUNK_ITEMS = 2**15
+
+# The most nodes _nearest_links scans in full; above it the lane search is
+# faster.  Over 1000 steps on 6 lanes of 2500 m, the lane search took 2.9x
+# the scan's time at 100 nodes x 2 sources and 1.05x at 100 x 50, but
+# 0.78x at 150 x 20 and 0.18x at 400 x 100.
+_SCAN_MAX_NODES = 100
 
 
 @dataclass(frozen=True)
@@ -66,6 +73,19 @@ class HighwayWorld:
         redraw_steps = self.speed_redraw_period_s / self.dt_s
         if not is_finite(redraw_steps):
             raise ValueError(f"speed_redraw_period_s must be finite in dt_s steps, got {redraw_steps!r}")
+        # The furthest a node gets before it wraps, with the run's own operations: steps grow
+        # from kmh_to_ms(1.0) * speed * dt_s with speed < max_speed_kmh, and rounding is monotone.
+        reach = self.length_m + kmh_to_ms(1.0) * self.max_speed_kmh * self.dt_s
+        if not is_finite(reach):
+            raise ValueError(f"max_speed_kmh must be finite in metres per dt_s step past length_m: "
+                             f"length_m + max_speed_kmh / 3.6 * dt_s is {reach!r}")
+        try:
+            outer_y = (self.lanes - 0.5) * self.lane_width_m
+        except OverflowError:  # lanes past the float range
+            outer_y = math.inf
+        if not is_finite(outer_y):
+            raise ValueError(f"lane_width_m must be finite at the centre of the outer lane: "
+                             f"(lanes - 0.5) * lane_width_m is {outer_y!r}")
         if round(steps) * self.n_nodes * 16 > np.iinfo(np.intp).max:  # (n_steps, n_nodes, 2) float64
             raise ValueError("n_nodes positions over duration_s / dt_s steps do not fit in one numpy array")
 
@@ -90,7 +110,48 @@ def _nearest_links(
     n_sources) holds the x each source s (node s) is evaluated at.  Returns
     (target_idx, distances), both (n_steps, n_sources): the lowest index
     at the smallest np.hypot(xs[j] - query, ys[j] - ys[s]) with j != s,
-    as a brute-force argmin over every node gives.
+    as a brute-force argmin over every node gives.  Up to _SCAN_MAX_NODES
+    nodes that argmin is what runs (_scan_links); above it each lane is
+    sorted and searched (_lane_links), which is cheaper when a source has
+    many nodes to pass over.  Raises ValueError naming the range and the
+    first (step, source) without a node in range.
+    """
+    search = _scan_links if xs.shape[1] <= _SCAN_MAX_NODES else _lane_links
+    target_idx, dists = search(xs, ys, queries, obu_range)
+    if not np.isfinite(dists).all():
+        step, source = np.argwhere(~np.isfinite(dists))[0]
+        raise ValueError(f"no node within radio range of the source: obu_range_m = {obu_range!r} "
+                         f"leaves source {source} without a link at step {step}")
+    return target_idx, dists
+
+
+def _scan_links(
+    xs: np.ndarray, ys: np.ndarray, queries: np.ndarray, obu_range: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """_nearest_links by measuring every node, a chunk of (step, source,
+    node) triples at a time; inf where no node is in range."""
+    n_steps, n_nodes = xs.shape
+    n_sources = queries.shape[1]
+    target_idx = np.empty((n_steps, n_sources), dtype=int)
+    dists = np.empty((n_steps, n_sources))
+    dy = ys - ys[:n_sources, None]
+    sources = np.arange(n_sources)
+    per_chunk = max(1, _CHUNK_ITEMS // (n_sources * n_nodes))
+    for k0 in range(0, n_steps, per_chunk):
+        d = np.hypot(xs[k0 : k0 + per_chunk, None, :] - queries[k0 : k0 + per_chunk, :, None], dy)
+        d[:, sources, sources] = np.inf
+        d[d > obu_range] = np.inf
+        j = d.argmin(axis=2)
+        target_idx[k0 : k0 + len(d)] = j
+        dists[k0 : k0 + len(d)] = np.take_along_axis(d, j[:, :, None], axis=2)[:, :, 0]
+    return target_idx, dists
+
+
+def _lane_links(
+    xs: np.ndarray, ys: np.ndarray, queries: np.ndarray, obu_range: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """_nearest_links by sorting each lane, a chunk of steps at a time; inf
+    where no node is in range.
 
     Nodes sharing a y form a lane, and each lane is sorted once per chunk
     of steps.  Every (step, source) searches its own lane first.  It then
@@ -112,7 +173,7 @@ def _nearest_links(
     # |dy| from each lane to each source, the bound the second pass prunes by.
     gap = np.abs(lane_ys[:, None] - source_y)
     own = source_lane == np.arange(lane_ys.size)[:, None]
-    per_chunk = max(1, _SEARCH_NODE_STEPS // n_nodes)
+    per_chunk = max(1, _CHUNK_ITEMS // n_nodes)
     for k0 in range(0, n_steps, per_chunk):
         x, q = xs[k0 : k0 + per_chunk], queries[k0 : k0 + per_chunk]
         sorted_lanes = [_sort_lane(x, members, n_nodes) for members in lanes]
@@ -132,10 +193,6 @@ def _nearest_links(
                 closer = (lane_d < cur_d) | ((lane_d == cur_d) & (lane_j < cur_j))
                 rows, sources = rows[closer], sources[closer]
                 best_d[rows, sources], best_j[rows, sources] = lane_d[closer], lane_j[closer]
-        if not np.isfinite(best_d).all():
-            step, source = np.argwhere(~np.isfinite(best_d))[0]
-            raise ValueError(f"no node within radio range of the source: obu_range_m = {obu_range!r} "
-                             f"leaves source {source} without a link at step {k0 + step}")
         del sorted_lanes  # so that two chunks' sorted lanes are never held at once
         target_idx[k0 : k0 + len(x)] = best_j
         dists[k0 : k0 + len(x)] = best_d
@@ -202,7 +259,8 @@ def _lane_nearest(
     the nodes at p and p + 1: enough to skip the source itself.  Without
     equal x in the chunk each group is one node.  Vehicles of one lane
     at different x whose distances round to the same float (micrometres
-    apart at most) are the one tie a full scan may break differently.
+    apart at most) are the one tie where the lane search and a full scan
+    (_scan_links) may pick different nodes.
     """
     qkeys = np.empty(rows.size, dtype=complex)
     qkeys.real, qkeys.imag = rows, qx
@@ -243,6 +301,43 @@ def _link_secrecy(world: HighwayWorld, dists: np.ndarray) -> np.ndarray:
     return secrecy.reshape(dists.shape)
 
 
+def _step_xs(x: np.ndarray, steps: np.ndarray, redraw_every: int, length_m: float, out: np.ndarray) -> None:
+    """Fill out (n_steps, n_nodes) with the x of every node before each
+    step: out[0] = x and out[k + 1] = (out[k] + steps[k // redraw_every])
+    % length_m, the IEEE adds and % of a per-step loop, chunk by chunk.
+
+    np.add.accumulate runs each column's adds in step order.  x % length_m
+    is x itself below length_m, so a column's sums hold up to its first
+    wrap, the first sum at or past length_m.  There the column restarts
+    from that sum % length_m, as zeros, the restart value and the later
+    steps accumulated again, which adds the same floats in the same order
+    (0.0 + v is v).  The restarts repeat until no column wraps.  Sums past
+    a wrap are dropped, so one that overflows does no harm.
+    """
+    n_steps, n_nodes = out.shape
+    per_chunk = max(1, _CHUNK_ITEMS // n_nodes)
+    with np.errstate(over="ignore"):
+        for k0 in range(0, n_steps, per_chunk):
+            redraw = np.arange(k0, min(k0 + per_chunk, n_steps)) // redraw_every
+            acc = np.empty((redraw.size + 1, n_nodes))  # the chunk's rows and the next chunk's x
+            acc[0] = x
+            np.take(steps, redraw, axis=0, out=acc[1:])
+            np.add.accumulate(acc, axis=0, out=acc)
+            # Steps are >= 0, so the sums never fall: a column wraps iff its last sum does.
+            cols = np.flatnonzero(acc[-1] >= length_m)
+            while cols.size:
+                first = (acc[1:, cols] >= length_m).argmax(axis=0) + 1  # acc row of the first wrap
+                r0 = first.min()
+                rows = np.arange(r0, len(acc))[:, None]
+                redo = np.where(rows > first, steps[redraw[r0 - 1 :, None], cols], 0.0)
+                redo[first - r0, np.arange(cols.size)] = acc[first, cols] % length_m
+                np.add.accumulate(redo, axis=0, out=redo)
+                acc[r0:, cols] = np.where(rows >= first, redo, acc[r0:, cols])
+                cols = cols[acc[-1, cols] >= length_m]
+            out[k0 : k0 + redraw.size] = acc[:-1]
+            x = acc[-1]
+
+
 def run_highway_experiment(world: HighwayWorld) -> HighwayRunResult:
     """Step the world and log each source's nearest-neighbor link."""
     rng = np.random.default_rng(world.seed)
@@ -250,18 +345,17 @@ def run_highway_experiment(world: HighwayWorld) -> HighwayRunResult:
     lanes = rng.integers(0, world.lanes, n)
     ys = (lanes + 0.5) * world.lane_width_m
     xs = rng.uniform(0.0, world.length_m, n)
-    speeds = np.zeros(n)
-    redraw_every = max(1, round(world.speed_redraw_period_s / world.dt_s))
     n_steps = int(round(world.duration_s / world.dt_s))
+    redraw_every = min(max(1, round(world.speed_redraw_period_s / world.dt_s)), n_steps)
+    # Every speed redraw at once (the same stream as one draw per redraw), in metres per step.
+    n_redraws = -(-n_steps // redraw_every)
+    steps = kmh_to_ms(1.0) * rng.uniform(0.0, world.max_speed_kmh, (n_redraws, n)) * world.dt_s
     times = np.arange(n_steps) * world.dt_s
     positions = np.empty((n_steps, n, 2))
     positions[:, :, 1] = ys
-    for k in range(n_steps):
-        if k % redraw_every == 0:
-            speeds = kmh_to_ms(1.0) * rng.uniform(0.0, world.max_speed_kmh, n)
-        positions[k, :, 0] = xs
-        xs = (xs + speeds * world.dt_s) % world.length_m
     all_xs = positions[:, :, 0]
+    _step_xs(xs, steps, redraw_every, world.length_m, all_xs)
+    del steps  # so that the search does not hold the speed table
     target_idx, dists = _nearest_links(all_xs, ys, all_xs[:, : world.n_sources], world.obu_range_m)
     secr = _link_secrecy(world, dists)
     # After the arrays, which numpy refuses at once for an impossible n_nodes.

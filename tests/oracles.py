@@ -3,7 +3,8 @@
 These reimplement the closed forms directly in mpmath at 50 digits (the
 Poisson mass at 400), the Rayleigh fading average of the secrecy (and
 the Rician and Nakagami ones as 20-digit quadratures), the
-highway nearest-neighbour search as a brute-force scan, the result
+highway nearest-neighbour search as a brute-force scan and its stepping
+as a per-step loop, the result
 tables and their cells one row and one cell at a time, and the identity
 hash chain as uncached walks on hashlib, on purpose sharing no code with
 the package, so tests compare two routes to every number.  Three
@@ -199,6 +200,26 @@ def nearest_neighbour(xs, ys, src: int, x_src: float, obu_range: float) -> tuple
     if not np.isfinite(d[j]):
         raise ValueError("no node within radio range of the source")
     return j, float(d[j])
+
+
+def highway_xs(world) -> np.ndarray:
+    """x of every vehicle before each step of a highway run, (n_steps,
+    n_nodes), stepped one step at a time: the world's draws in the
+    engine's order (lanes, start positions, then one speed draw per
+    redraw period), and x = (x + speed * dt_s) % length_m per step."""
+    rng = np.random.default_rng(world.seed)
+    n = world.n_nodes
+    rng.integers(0, world.lanes, n)
+    xs = rng.uniform(0.0, world.length_m, n)
+    redraw_every = max(1, round(world.speed_redraw_period_s / world.dt_s))
+    n_steps = int(round(world.duration_s / world.dt_s))
+    out = np.empty((n_steps, n))
+    for k in range(n_steps):
+        if k % redraw_every == 0:
+            speeds = (1.0 / 3.6) * rng.uniform(0.0, world.max_speed_kmh, n)
+        out[k] = xs
+        xs = (xs + speeds * world.dt_s) % world.length_m
+    return out
 
 
 def csv_cell(value) -> str:

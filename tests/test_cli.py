@@ -219,6 +219,13 @@ MODEL_REFUSALS = [
     pytest.param("highway_cluster",
                  {"n_nodes": 4, "duration_s": 1e-9, "dt_s": 1e-10, "speed_redraw_period_s": 1e300},
                  "speed_redraw_period_s must be finite in dt_s steps, got inf", id="highway-redraw-overflows"),
+    # a speed step or a lane offset past the float range, which would turn positions into NaN
+    pytest.param("highway_cluster", {"max_speed_kmh": 1e308, "dt_s": 100.0, "duration_s": 1000.0},
+                 "max_speed_kmh must be finite in metres per dt_s step past length_m: "
+                 "length_m + max_speed_kmh / 3.6 * dt_s is inf", id="highway-speed-step-overflows"),
+    pytest.param("perturbation", {"lane_width_m": 1e308},
+                 "lane_width_m must be finite at the centre of the outer lane: (lanes - 0.5) * lane_width_m is inf",
+                 id="perturbation-lane-offset-overflows"),
     # numpy's array size limit, which the run would otherwise hit with a message naming no field
     pytest.param("highway_cluster", {"n_nodes": 10**400},
                  "n_nodes positions over duration_s / dt_s steps do not fit in one numpy array",

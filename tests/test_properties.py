@@ -187,6 +187,9 @@ RANGE_PROBES = [
     pytest.param("speed_redraw_period_s",
                  lambda: HighwayWorld(n_nodes=4, duration_s=1e-9, dt_s=1e-10, speed_redraw_period_s=1e300),
                  id="HighwayWorld(speed_redraw_period_s=1e300)"),
+    pytest.param("max_speed_kmh", lambda: HighwayWorld(max_speed_kmh=1e308, dt_s=100.0, duration_s=1000.0),
+                 id="HighwayWorld(speed step overflows)"),
+    pytest.param("lane_width_m", lambda: HighwayWorld(lane_width_m=1e308), id="HighwayWorld(lane offset overflows)"),
     pytest.param("target_distance_m", lambda: _field_dump(NAN), id="ppp_field_dump(target=nan)"),
     pytest.param("target_distance_m", lambda: _field_dump(-1.0), id="ppp_field_dump(target=-1)"),
     pytest.param("speed_step", lambda: SecrecyKnobs(NAN, 1.0), id="SecrecyKnobs(speed_step=nan)"),

@@ -4,7 +4,7 @@ from dataclasses import FrozenInstanceError
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import oracles
@@ -263,6 +263,32 @@ def test_highway_speed_bounds_and_redraw():
     assert np.allclose(first_block, first_block[0], atol=1e-9)
 
 
+# Worlds for the stepping reference, 30 steps or more each: a redraw period of
+# 10 steps, one of every step, one of 13 steps, a 50 m road that every vehicle
+# laps several times, a 0.3 m road shorter than one step, so that % removes
+# several laps at once, and a road near the float max whose unwrapped sums overflow.
+STEPPING_WORLDS = [
+    pytest.param(dict(duration_s=30.0), id="redraw-10-steps"),
+    pytest.param(dict(duration_s=30.0, speed_redraw_period_s=0.1), id="redraw-every-step"),
+    pytest.param(dict(duration_s=30.0, speed_redraw_period_s=1.3), id="redraw-13-steps"),
+    pytest.param(dict(duration_s=30.0, length_m=50.0), id="many-wraps"),
+    pytest.param(dict(duration_s=3.0, length_m=0.3, obu_range_m=100.0), id="road-shorter-than-a-step"),
+    pytest.param(dict(duration_s=30.0, dt_s=1.0, length_m=1e308, max_speed_kmh=1.7e308, obu_range_m=1.7e308),
+                 id="sums-overflow"),
+]
+
+
+@pytest.mark.parametrize("chunk_steps", [1, 7, 10**6], ids=["1-step", "7-steps", "one-chunk"])
+@pytest.mark.parametrize("params", STEPPING_WORLDS)
+def test_stepping_matches_the_per_step_loop(monkeypatch, params, chunk_steps):
+    world = HighwayWorld(n_nodes=8, n_sources=1, seed=9, **params)
+    monkeypatch.setattr(highway, "_CHUNK_ITEMS", chunk_steps * world.n_nodes)
+    xs = run_highway_experiment(world).positions[:, :, 0]
+    want = oracles.highway_xs(world)
+    assert len(want) >= 30 and (np.diff(want, axis=0) < 0).any()  # some vehicle wraps
+    assert xs.tobytes() == want.tobytes()
+
+
 def test_highway_targets_are_nearest():
     world = _small_world(duration_s=2.0)
     res = run_highway_experiment(world)
@@ -376,6 +402,31 @@ def test_highway_world_rejects_overflowing_step_count():
         HighwayWorld(duration_s=1e300, dt_s=1e-10)
 
 
+@pytest.fixture(params=["scan", "lanes"])
+def search(request, monkeypatch):
+    """Run _nearest_links on one search path whatever the node count: the
+    scan of every node, or the lane search."""
+    monkeypatch.setattr(highway, "_SCAN_MAX_NODES", 10**9 if request.param == "scan" else 0)
+    return request.param
+
+
+def _chunk_items(search, rows, n_sources, n_nodes):
+    """The _CHUNK_ITEMS that gives the search chunks of the given number of rows (steps)."""
+    return rows * n_nodes * (n_sources if search == "scan" else 1)
+
+
+@pytest.mark.parametrize("n_nodes, path", [(2, "_scan_links"), (highway._SCAN_MAX_NODES, "_scan_links"),
+                                           (highway._SCAN_MAX_NODES + 1, "_lane_links"), (1000, "_lane_links")])
+def test_nearest_links_choose_the_search_by_node_count(monkeypatch, n_nodes, path):
+    calls = []
+    for name in ("_scan_links", "_lane_links"):
+        search_path = getattr(highway, name)
+        monkeypatch.setattr(highway, name, lambda *args, name=name, f=search_path: calls.append(name) or f(*args))
+    xs = np.random.default_rng(3).uniform(0.0, 2500.0, (2, n_nodes))
+    _nearest_links(xs, np.full(n_nodes, 5.0), xs[:, :1], 2500.0)
+    assert calls == [path]
+
+
 def _oracle_links(xs, ys, queries, obu_range):
     """(target_idx, distances) from the brute-force oracle, pair by pair."""
     links = [
@@ -413,13 +464,14 @@ def _grid_worlds(draw):
     return xs, (lane_of + 0.5) * 10.0, xs[:, :n_sources] + delta
 
 
-@settings(max_examples=400, deadline=None)
+# The search fixture's patch holds for every example, so its function scope is harmless.
+@settings(max_examples=400, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(_grid_worlds())
-def test_nearest_links_match_brute_force(world):
+def test_nearest_links_match_brute_force(search, world):
     _assert_same_links(*world)
 
 
-def test_nearest_links_zero_width_lanes_and_range():
+def test_nearest_links_zero_width_lanes_and_range(search):
     rng = np.random.default_rng(11)
     xs = 100.0 * rng.integers(0, 5, (4, 30)).astype(float)
     ys = np.zeros(30)  # every lane at the same y
@@ -453,7 +505,7 @@ def test_nearest_links_match_brute_force_on_a_fleet_scale_grid():
 
 @pytest.mark.parametrize("rows_per_chunk", [1, 4])
 @pytest.mark.parametrize("grid", [False, True], ids=["uniform", "grid"])
-def test_nearest_links_chunks_agree(monkeypatch, grid, rows_per_chunk):
+def test_nearest_links_chunks_agree(monkeypatch, search, grid, rows_per_chunk):
     rng = np.random.default_rng(12)
     xs = rng.uniform(0.0, 2500.0, (23, 50))
     ys = (rng.integers(0, 6, 50) + 0.5) * 10.0
@@ -461,13 +513,13 @@ def test_nearest_links_chunks_agree(monkeypatch, grid, rows_per_chunk):
         xs = 100.0 * np.floor(xs / 100.0)
         assert _has_equal_x_in_every_lane(xs, ys)
     whole = _nearest_links(xs, ys, xs[:, :9] + 5.0, 2500.0)
-    monkeypatch.setattr(highway, "_SEARCH_NODE_STEPS", rows_per_chunk * 50)
+    monkeypatch.setattr(highway, "_CHUNK_ITEMS", _chunk_items(search, rows_per_chunk, 9, 50))
     chunked = _nearest_links(xs, ys, xs[:, :9] + 5.0, 2500.0)
     assert np.array_equal(whole[0], chunked[0])
     assert whole[1].tobytes() == chunked[1].tobytes()
 
 
-def test_nearest_links_search_every_lane_for_a_source_alone_in_its_lane():
+def test_nearest_links_search_every_lane_for_a_source_alone_in_its_lane(search):
     # Source 0 has no other node in its lane; its nearest node is five lanes away.
     xs = np.array([[1000.0, 0.0, 2000.0, 1000.0, 2500.0]])
     ys = np.array([5.0, 15.0, 25.0, 55.0, 35.0])
@@ -475,7 +527,7 @@ def test_nearest_links_search_every_lane_for_a_source_alone_in_its_lane():
     assert _nearest_links(xs, ys, xs[:, :1], 2500.0)[0].tolist() == [[3]]
 
 
-def test_nearest_links_keep_a_tie_at_the_lane_offset_with_a_lower_index():
+def test_nearest_links_keep_a_tie_at_the_lane_offset_with_a_lower_index(search):
     # The own-lane best (node 2, dx = 10) equals the next lane's |dy| exactly, and that
     # lane's node 1 sits at dx = 0: both are 10 m away and the lower index wins.
     xs = np.array([[100.0, 100.0, 110.0], [100.0, 100.0, 90.0]])
@@ -486,7 +538,7 @@ def test_nearest_links_keep_a_tie_at_the_lane_offset_with_a_lower_index():
 
 
 @pytest.mark.parametrize("obu_range", [3.0, 9.9])
-def test_nearest_links_with_a_range_below_the_lane_width(obu_range):
+def test_nearest_links_with_a_range_below_the_lane_width(search, obu_range):
     # Nodes 2k and 2k + 1 share a lane and are 0.5 to 3 m apart, so every source has a
     # link in its own lane and none in another.
     rng = np.random.default_rng(31)
@@ -498,12 +550,12 @@ def test_nearest_links_with_a_range_below_the_lane_width(obu_range):
 
 
 @pytest.mark.parametrize("rows_per_chunk", [1, 4])
-def test_nearest_links_name_the_range_and_the_first_source_without_a_link(monkeypatch, rows_per_chunk):
+def test_nearest_links_name_the_range_and_the_first_source_without_a_link(monkeypatch, search, rows_per_chunk):
     # Source 1 loses its only neighbour at step 2; source 0 keeps one throughout.
     xs = np.array([[0.0, 500.0, 1.0, 501.0]] * 4)
     xs[2:, 3] = 600.0
     ys = np.full(4, 5.0)
-    monkeypatch.setattr(highway, "_SEARCH_NODE_STEPS", rows_per_chunk * 4)
+    monkeypatch.setattr(highway, "_CHUNK_ITEMS", _chunk_items(search, rows_per_chunk, 2, 4))
     message = "no node within radio range of the source: obu_range_m = 50.0 leaves source 1 without a link at step 2"
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         _nearest_links(xs, ys, xs[:, :2], 50.0)
@@ -540,7 +592,7 @@ def test_hypot_is_at_least_the_lateral_offset(pairs):
 
 
 @pytest.mark.parametrize("delta", [5.0, -5.0, 3000.0, -3000.0])
-def test_engine_links_match_brute_force(delta):
+def test_engine_links_match_brute_force(search, delta):
     world = HighwayWorld(n_nodes=60, n_sources=12, lanes=4, duration_s=2.0, seed=5)
     base = run_highway_experiment(world)
     xs, ys = base.positions[:, :, 0], base.positions[0, :, 1]
