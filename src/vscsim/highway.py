@@ -27,9 +27,9 @@ CALIBRATED_DELTA = 5.0
 _CHUNK_ITEMS = 2**15
 
 # The most nodes _nearest_links scans in full; above it the lane search is
-# faster.  Over 1000 steps on 6 lanes of 2500 m, the lane search took 2.9x
-# the scan's time at 100 nodes x 2 sources and 1.05x at 100 x 50, but
-# 0.78x at 150 x 20 and 0.18x at 400 x 100.
+# faster.  Over 1000 steps on 6 lanes of 2500 m, on a 2-CPU Xeon, the
+# lane search took 2.9x the scan's time at 100 nodes x 2 sources and
+# 1.05x at 100 x 50, but 0.78x at 150 x 20 and 0.18x at 400 x 100.
 _SCAN_MAX_NODES = 100
 
 
