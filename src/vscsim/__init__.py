@@ -13,6 +13,7 @@ from .channel import (
     clamped,
     fading_secrecy_pair,
     gaussian_wiretap_secrecy,
+    link_capacities,
     link_snr,
     path_loss_coeff_sq,
     sample_fading,

@@ -1,7 +1,8 @@
 """Core channel math: Shannon capacity, wiretap secrecy, path loss, fading.
 
 capacity_bits, secrecy_bits and link_snr are the package's one
-implementation of log2(1 + SNR), SNR-pair secrecy and path-loss SNR.
+implementation of log2(1 + SNR), SNR-pair secrecy and path-loss SNR;
+link_capacities is the per-link float path of the first and last together.
 
 Secrecy values are signed differences of log2 capacities and are not
 clamped at zero here; callers that want the information-theoretic
@@ -58,7 +59,8 @@ def secrecy_bits(snr_b, snr_e):
 def link_snr(p_over_n0, d, alpha):
     """Path-loss SNR (P/N0) * d^(-2*alpha) for a float or ndarray distance.
     A distance so short that the SNR overflows raises ValueError, and so does
-    an SNR that is not a number, such as zero power times a gain that overflows."""
+    an SNR that is not a number, such as zero power times a gain that overflows,
+    or a negative float distance."""
     if isinstance(d, np.ndarray):
         with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
             snr = p_over_n0 * d ** (-2.0 * alpha)
@@ -68,6 +70,8 @@ def link_snr(p_over_n0, d, alpha):
             first = float(d[np.isnan(snr)][0])  # no element is inf, so each non-finite one is nan
             finite_result("snr", math.nan, p_over_n0=p_over_n0, d=first, alpha=alpha)
         return snr
+    if d < 0.0:  # before the power, which is complex or wrongly signed for a negative base
+        raise ValueError(f"d must be a distance >= 0, got {d!r}")
     try:
         snr = p_over_n0 * d ** (-2.0 * alpha)
     except (OverflowError, ZeroDivisionError):
@@ -77,6 +81,26 @@ def link_snr(p_over_n0, d, alpha):
             raise ValueError(f"distance {d!r} m is too short: the SNR overflows")
         finite_result("snr", snr, p_over_n0=p_over_n0, d=d, alpha=alpha)
     return snr
+
+
+def link_capacities(p_over_n0, distances, alpha) -> np.ndarray:
+    """capacity_bits(link_snr(p_over_n0, d, alpha)) for each float d of
+    distances, bit for bit, as an array of its shape.
+
+    The float operations of the two calls are written out, one link at a
+    time (the ndarray path of each rounds differently).  When a link
+    overflows, is negative or gives a result that is not finite, the links
+    go through the checked calls instead, which raise link_snr's ValueError.
+    """
+    distances = np.asarray(distances, dtype=float)
+    links, e, log2 = distances.ravel().tolist(), -2.0 * alpha, math.log2
+    try:
+        caps = np.fromiter((log2(1.0 + p_over_n0 * d ** e) for d in links), float, len(links))
+    except (OverflowError, ZeroDivisionError, TypeError):  # TypeError: log2 of a negative d's complex power
+        caps = None
+    if caps is None or not np.isfinite(caps).all() or (distances < 0.0).any():
+        caps = np.fromiter((capacity_bits(link_snr(p_over_n0, d, alpha)) for d in links), float, len(links))
+    return caps.reshape(distances.shape)
 
 
 def shannon_capacity(bandwidth_hz: float, snr: float) -> float:

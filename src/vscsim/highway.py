@@ -11,7 +11,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .channel import DEFAULT_ALPHA, DEFAULT_P_OVER_N0_DB, capacity_bits, link_snr
+from .channel import DEFAULT_ALPHA, DEFAULT_P_OVER_N0_DB, capacity_bits, link_capacities, link_snr
 from .units import (Decibel, IntAtLeast0, IntAtLeast1, IntAtLeast2, Positive, check_fields, db_to_linear,
                     is_finite, kmh_to_ms)
 
@@ -86,7 +86,7 @@ class HighwayWorld:
         if not is_finite(outer_y):
             raise ValueError(f"lane_width_m must be finite at the centre of the outer lane: "
                              f"(lanes - 0.5) * lane_width_m is {outer_y!r}")
-        if round(steps) * self.n_nodes * 16 > np.iinfo(np.intp).max:  # (n_steps, n_nodes, 2) float64
+        if round(steps) * self.n_nodes * 8 > np.iinfo(np.intp).max:  # (n_steps, n_nodes) float64
             raise ValueError("n_nodes positions over duration_s / dt_s steps do not fit in one numpy array")
 
 
@@ -95,7 +95,8 @@ class HighwayRunResult:
     world: HighwayWorld
     node_ids: list[str]
     times: np.ndarray            # (n_steps,)
-    positions: np.ndarray        # (n_steps, n_nodes, 2), sampled before advancing
+    positions: np.ndarray        # (n_steps, n_nodes) x along the road, sampled before advancing
+    lane_y: np.ndarray           # (n_nodes,) y of each node's lane centre
     target_idx: np.ndarray       # (n_steps, n_sources) int
     distances: np.ndarray        # (n_steps, n_sources)
     secrecy: np.ndarray          # (n_steps, n_sources)
@@ -282,23 +283,12 @@ def _lane_nearest(
 
 
 def _link_secrecy(world: HighwayWorld, dists: np.ndarray) -> np.ndarray:
-    """Per-link secrecy against the fixed-range eavesdropper, in scalar
-    arithmetic per link (the ndarray path rounds differently): the
-    eavesdropper's capacity once, then log2(1 + c * d**(-2 alpha)) - c_eve
-    per link, written out with the float operations of
-    capacity_bits(link_snr(c, d, alpha)), so the bits are those of
-    secrecy_bits.  When a link overflows or is not finite the links go
-    through the checked calls instead, which raise link_snr's ValueError."""
+    """Per-link secrecy against the fixed-range eavesdropper: the
+    eavesdropper's capacity once, taken from each link's link_capacities,
+    so the bits are those of secrecy_bits on float SNRs."""
     c = db_to_linear(world.p_over_n0_db)
     c_eve = capacity_bits(link_snr(c, world.eavesdropper_range_m, world.alpha))
-    links, e, log2 = dists.ravel().tolist(), -2.0 * world.alpha, math.log2
-    try:
-        secrecy = np.fromiter((log2(1.0 + c * d ** e) - c_eve for d in links), float, len(links))
-    except (OverflowError, ZeroDivisionError):
-        secrecy = None
-    if secrecy is None or not np.isfinite(secrecy).all():
-        secrecy = np.fromiter((capacity_bits(link_snr(c, d, world.alpha)) - c_eve for d in links), float, len(links))
-    return secrecy.reshape(dists.shape)
+    return link_capacities(c, dists, world.alpha) - c_eve
 
 
 def _step_xs(x: np.ndarray, steps: np.ndarray, redraw_every: int, length_m: float, out: np.ndarray) -> None:
@@ -351,16 +341,14 @@ def run_highway_experiment(world: HighwayWorld) -> HighwayRunResult:
     n_redraws = -(-n_steps // redraw_every)
     steps = kmh_to_ms(1.0) * rng.uniform(0.0, world.max_speed_kmh, (n_redraws, n)) * world.dt_s
     times = np.arange(n_steps) * world.dt_s
-    positions = np.empty((n_steps, n, 2))
-    positions[:, :, 1] = ys
-    all_xs = positions[:, :, 0]
-    _step_xs(xs, steps, redraw_every, world.length_m, all_xs)
+    positions = np.empty((n_steps, n))
+    _step_xs(xs, steps, redraw_every, world.length_m, positions)
     del steps  # so that the search does not hold the speed table
-    target_idx, dists = _nearest_links(all_xs, ys, all_xs[:, : world.n_sources], world.obu_range_m)
+    target_idx, dists = _nearest_links(positions, ys, positions[:, : world.n_sources], world.obu_range_m)
     secr = _link_secrecy(world, dists)
     # After the arrays, which numpy refuses at once for an impossible n_nodes.
     node_ids = [f"n{i:02d}" for i in range(n)]
-    return HighwayRunResult(world, node_ids, times, positions, target_idx, dists, secr)
+    return HighwayRunResult(world, node_ids, times, positions, ys, target_idx, dists, secr)
 
 
 @dataclass
@@ -401,10 +389,9 @@ def run_perturbation_study(
     """
     check_delta(delta_m, allow_custom_delta)
     base = run_highway_experiment(world)
-    base_xs = base.positions[:, :, 0]
-    ys = base.positions[0, :, 1]
+    base_xs = base.positions
     shifted = base_xs[:, : world.n_sources] + delta_m
-    t_idx, d_pert = _nearest_links(base_xs, ys, shifted, world.obu_range_m)
+    t_idx, d_pert = _nearest_links(base_xs, base.lane_y, shifted, world.obu_range_m)
     dx_base = np.take_along_axis(base_xs, base.target_idx, axis=1) - base_xs[:, : world.n_sources]
     return PerturbationResult(
         world=world,

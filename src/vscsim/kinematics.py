@@ -57,4 +57,5 @@ class VehicleState:
 
     @property
     def speed(self) -> float:
-        return math.hypot(*self.velocity)
+        """|velocity|; a magnitude past the float range raises ValueError."""
+        return finite_result("speed", math.hypot(*self.velocity), velocity=self.velocity)

@@ -7,7 +7,7 @@ import dataclasses
 import typing
 from dataclasses import dataclass
 
-from .channel import ChannelParams, capacity_bits, link_snr
+from .channel import ChannelParams, capacity_bits, link_capacities, link_snr
 from .scenarios import (
     HighwayScenario,
     RelayScenario,
@@ -225,7 +225,7 @@ def run_ppp_field_dump(
     c_ab = capacity_bits(target_snr(params.p_over_n0, params.alpha, target_distance_m))
     host = FIELD_HOST
     field = sample_field(lam, square_region(host, region_area_m2), seed, ref_area_m2)
-    rows = []
-    for (x, y), d_e in zip(field.xy.tolist(), field.distances(host).tolist()):
-        rows.append((x, y, d_e, c_ab - capacity_bits(link_snr(params.p_over_n0, d_e, params.alpha))))
-    return TableData(("x_m", "y_m", "distance_m", "pair_secrecy"), tuple(rows))
+    d_e = field.distances(host)
+    secrecy = c_ab - link_capacities(params.p_over_n0, d_e, params.alpha)
+    rows = tuple(zip(*field.xy.T.tolist(), d_e.tolist(), secrecy.tolist()))
+    return TableData(("x_m", "y_m", "distance_m", "pair_secrecy"), rows)

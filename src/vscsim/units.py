@@ -130,9 +130,9 @@ def kmh_to_ms(speed_kmh: float) -> float:
 
 
 def ms_to_kmh(speed_ms: float) -> float:
-    """Convert m/s to km/h."""
+    """Convert m/s to km/h; a result past the float range raises ValueError."""
     require_non_negative(speed=speed_ms)
-    return speed_ms * 3.6
+    return finite_result("speed", speed_ms * 3.6, speed_ms=speed_ms)
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from vscsim.channel import (
     clamped,
     fading_secrecy_pair,
     gaussian_wiretap_secrecy,
+    link_capacities,
     link_snr,
     path_loss_coeff_sq,
     sample_fading,
@@ -268,3 +270,33 @@ def test_link_snr_names_a_distance_out_of_range():
         path_loss_coeff_sq(1e-200, 1.4)
     # a far link only loses its signal: the SNR underflows to zero
     assert link_snr(1e7, 1e200, 1.4) == 0.0
+
+
+@pytest.mark.parametrize("alpha", [1.4, 1.0], ids=["complex-power", "integral-power"])
+def test_a_negative_distance_is_refused_naming_d(alpha):
+    # (-1.0) ** -2.8 is complex and (-1.0) ** -2.0 is 1.0: neither may pass for a distance
+    with pytest.raises(ValueError, match=r"^d must be a distance >= 0, got -1.0$"):
+        link_snr(1e7, -1.0, alpha)
+    with pytest.raises(ValueError, match=r"^d must be a distance >= 0, got -1.0$"):
+        link_capacities(1e7, np.array([3.0, -1.0, 4.0]), alpha)
+
+
+def test_link_capacities_are_the_checked_calls_bit_for_bit():
+    dists = np.concatenate([DISTANCES[:620], np.logspace(-80.0, 300.0, 60)]).reshape(17, 40)
+    got = link_capacities(1e7, dists, 1.4)
+    want = [capacity_bits(link_snr(1e7, d, 1.4)) for d in dists.ravel().tolist()]
+    assert got.shape == dists.shape
+    assert got.tobytes() == np.array(want).reshape(dists.shape).tobytes()
+    assert link_capacities(1e7, np.empty((0, 3)), 1.4).shape == (0, 3)
+
+
+@pytest.mark.parametrize("d, message", [
+    (0.0, "distance 0.0 m is too short: d**(-2*alpha) overflows"),
+    (1e-109, "distance 1e-109 m is too short: the SNR overflows"),
+    (math.nan, "snr must be finite, got nan from p_over_n0=10000000.0, d=nan, alpha=1.4"),
+])
+def test_link_capacities_refuse_with_the_message_of_link_snr(d, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        link_snr(1e7, d, 1.4)
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        link_capacities(1e7, np.array([5.0, d]), 1.4)

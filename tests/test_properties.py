@@ -36,7 +36,7 @@ from vscsim.cluster import (
 )
 from vscsim.highway import HighwayWorld
 from vscsim.intersection import make_case, run_intersection_case
-from vscsim.kinematics import braking_distance, coupled_distance, safety_distance
+from vscsim.kinematics import VehicleState, braking_distance, coupled_distance, safety_distance
 from vscsim.scenarios import (HighwayScenario, RelayScenario, UrbanScenario, relay_secrecy, urban_fixed_secrecy,
                               urban_moving_secrecy)
 from vscsim.stochastic import ErgodicConfig, Rect, ergodic_secrecy_mc, poisson_pmf, sample_field
@@ -220,6 +220,10 @@ RANGE_PROBES = [
                  id="safety_distance(inf - inf)"),
     pytest.param("braking_distance", lambda: braking_distance(1.0, 1e-300, 3.0, 3.0, 5e-324),
                  id="braking_distance(overflows)"),
+    # Speeds past the float range: a unit conversion and the magnitude of a finite velocity.
+    pytest.param("speed", lambda: ms_to_kmh(1.7e308), id="ms_to_kmh(overflows)"),
+    pytest.param("speed", lambda: VehicleState("v", Point2D(0, 0), (1.7e308, 1.7e308)).speed,
+                 id="VehicleState.speed(overflows)"),
 ]
 
 

@@ -223,7 +223,8 @@ def test_highway_shapes_and_ids():
     res = run_highway_experiment(world)
     n_steps = int(round(world.duration_s / world.dt_s))
     assert res.times.shape == (n_steps,)
-    assert res.positions.shape == (n_steps, world.n_nodes, 2)
+    assert res.positions.shape == (n_steps, world.n_nodes)
+    assert res.lane_y.shape == (world.n_nodes,)
     assert res.target_idx.shape == (n_steps, world.n_sources)
     assert res.node_ids[0] == "n00"
     assert len(res.node_ids) == world.n_nodes
@@ -244,17 +245,16 @@ def test_highway_deterministic_per_seed():
 def test_highway_positions_stay_on_road():
     world = _small_world()
     res = run_highway_experiment(world)
-    xs = res.positions[:, :, 0]
-    ys = res.positions[:, :, 1]
+    xs = res.positions
     assert np.all((xs >= 0.0) & (xs < world.length_m))
     centers = (np.arange(world.lanes) + 0.5) * world.lane_width_m
-    assert set(np.unique(ys)).issubset(set(centers))
+    assert set(np.unique(res.lane_y)).issubset(set(centers))
 
 
 def test_highway_speed_bounds_and_redraw():
     world = _small_world()
     res = run_highway_experiment(world)
-    xs = res.positions[:, :, 0]
+    xs = res.positions
     step = np.diff(xs, axis=0) % world.length_m
     v_max = world.max_speed_kmh / 3.6 * world.dt_s
     assert np.all(step <= v_max + 1e-9)
@@ -283,7 +283,7 @@ STEPPING_WORLDS = [
 def test_stepping_matches_the_per_step_loop(monkeypatch, params, chunk_steps):
     world = HighwayWorld(n_nodes=8, n_sources=1, seed=9, **params)
     monkeypatch.setattr(highway, "_CHUNK_ITEMS", chunk_steps * world.n_nodes)
-    xs = run_highway_experiment(world).positions[:, :, 0]
+    xs = run_highway_experiment(world).positions
     want = oracles.highway_xs(world)
     assert len(want) >= 30 and (np.diff(want, axis=0) < 0).any()  # some vehicle wraps
     assert xs.tobytes() == want.tobytes()
@@ -293,8 +293,8 @@ def test_highway_targets_are_nearest():
     world = _small_world(duration_s=2.0)
     res = run_highway_experiment(world)
     for k in range(res.times.size):
-        xs = res.positions[k, :, 0]
-        ys = res.positions[k, :, 1]
+        xs = res.positions[k]
+        ys = res.lane_y
         for s in range(world.n_sources):
             d = np.hypot(xs - xs[s], ys - ys[s])
             d[s] = np.inf
@@ -387,10 +387,10 @@ def test_highway_world_rejects_zero_step_runs(duration):
 
 
 def test_highway_world_refuses_positions_past_numpy_array_size():
-    # The most nodes whose 1000 default steps of (n_nodes, 2) float64 positions numpy holds in one array.
-    max_nodes = np.iinfo(np.intp).max // (1000 * 2 * 8)
+    # The most nodes whose 1000 default steps of float64 positions numpy holds in one array.
+    max_nodes = np.iinfo(np.intp).max // (1000 * 8)
     with pytest.raises(ValueError, match="array is too big"):
-        np.empty((1000, max_nodes + 1, 2))
+        np.empty((1000, max_nodes + 1))
     for n_nodes in (max_nodes + 1, 10**400):
         with pytest.raises(ValueError, match="^n_nodes positions over duration_s / dt_s steps do not fit"):
             HighwayWorld(n_nodes=n_nodes)
@@ -595,7 +595,7 @@ def test_hypot_is_at_least_the_lateral_offset(pairs):
 def test_engine_links_match_brute_force(search, delta):
     world = HighwayWorld(n_nodes=60, n_sources=12, lanes=4, duration_s=2.0, seed=5)
     base = run_highway_experiment(world)
-    xs, ys = base.positions[:, :, 0], base.positions[0, :, 1]
+    xs, ys = base.positions, base.lane_y
     want = _oracle_links(xs, ys, xs[:, :12], world.obu_range_m)
     assert np.array_equal(base.target_idx, want[0])
     assert base.distances.tobytes() == want[1].tobytes()
@@ -660,8 +660,8 @@ def test_perturbation_reselection_never_hurts_distance():
         # shifted position and compare
         base = run_highway_experiment(world)
         for k, s in zip(*np.nonzero(changed)):
-            xs = base.positions[k, :, 0]
-            ys = base.positions[k, :, 1]
+            xs = base.positions[k]
+            ys = base.lane_y
             jb = int(res.target_idx_base[k, s])
             d_to_old = math.hypot(xs[jb] - (xs[s] + res.delta), ys[jb] - ys[s])
             assert res.distances_pert[k, s] <= d_to_old + 1e-12

@@ -30,14 +30,35 @@ MODEL_SPANS = {
 }
 
 
-@pytest.mark.parametrize("preset", list(MODEL_SPANS))
-def test_the_model_span_of_each_experiment_is_recorded_under_build_table(preset):
+def _traced_table(preset):
+    """The preset's table, built under a tracer, and the tracer."""
     config = build_config(get_preset(preset))
     probe = tracer.Tracer()
     probe.install()
     try:
-        vscsim.runner.build_table(config)
+        table = vscsim.runner.build_table(config)
     finally:
         probe.uninstall()
+    return table, config, probe
+
+
+@pytest.mark.parametrize("preset", list(MODEL_SPANS))
+def test_the_model_span_of_each_experiment_is_recorded_under_build_table(preset):
+    _, _, probe = _traced_table(preset)
     parents = {name: probe.spans[parent][0] if parent >= 0 else None for name, _, _, parent, _ in probe.spans}
     assert parents.get(MODEL_SPANS[preset]) == "runner.build_table", parents
+
+
+# Nearest-link searches of each highway preset, every one over all (step, source) links:
+# the perturbation study searches the baseline and the shifted sources.
+LINK_SEARCHES = {"highway-cluster": 1, "perturbation": 2}
+
+
+@pytest.mark.parametrize("preset, searches", LINK_SEARCHES.items())
+def test_the_highway_counters_count_vehicle_steps_and_links(preset, searches):
+    table, config, probe = _traced_table(preset)
+    n_steps = len({row[0] for row in table.rows})  # one t_s per step
+    assert n_steps == round(config.params["duration_s"] / config.params["dt_s"])
+    assert len(table.rows) == n_steps * config.params["n_sources"]  # one row per (step, source) link
+    assert probe.counts["highway.vehicle_steps"] == n_steps * config.params["n_nodes"]
+    assert probe.counts["highway.link_evals"] == searches * len(table.rows)
