@@ -1,6 +1,7 @@
 """Intersection drive-through cases: a host crosses a junction while one
-target vehicle moves through it on a case-specific path, and the link
-capacity is logged against distance at every step.
+target vehicle moves through it, each on one straight segment, and the
+link capacity is logged against distance at every step.  Both vehicles
+are sampled at all steps at once, as arrays.
 
 Geometry, speeds, and spans are overridable; the defaults place the host
 on a 100 m west-to-east run at 35 km/h with the target on a 40 m path.
@@ -15,7 +16,7 @@ from functools import cached_property
 import numpy as np
 
 from .channel import DEFAULT_ALPHA, DEFAULT_P_OVER_N0_DB, capacity_bits, link_snr
-from .units import (NonNegative, Point2D, check_fields, db_to_linear, distance, is_finite, kmh_to_ms,
+from .units import (NonNegative, Point2D, check_fields, db_to_linear, distance, distances, is_finite, kmh_to_ms,
                     require_finite, require_integer, require_positive)
 
 # A capacity sample counts as "nearly zero" below this fraction of the
@@ -33,27 +34,20 @@ LANE_OFFSET = 3.0
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Piecewise-linear path traversed at constant speed, holding position
-    at the final waypoint once the path is exhausted."""
+    """Straight segment from start to end driven at constant speed,
+    holding position at end once it is reached."""
 
-    waypoints: tuple[Point2D, ...]
+    start: Point2D
+    end: Point2D
     speed: NonNegative
-    speed_limit: float
 
     def __post_init__(self) -> None:
-        if len(self.waypoints) < 1:
-            raise ValueError("trajectory needs at least one waypoint")
         check_fields(self)
-        if self.speed > self.speed_limit:
-            raise ValueError(
-                f"speed {self.speed!r} exceeds speed limit {self.speed_limit!r}"
-            )
 
     @cached_property
     def path_length(self) -> float:
         # The fields are frozen: measured on the first read, kept in the instance __dict__.
-        pts = self.waypoints
-        return sum(distance(a, b) for a, b in zip(pts, pts[1:]))
+        return distance(self.start, self.end)
 
     def steps(self, dt_s: float) -> int:
         """Whole dt_s steps the path takes at the trajectory's speed."""
@@ -64,26 +58,28 @@ class Trajectory:
             raise ValueError(f"step_count must be < {np.iinfo(np.intp).max}, got {steps!r}")
         return int(math.floor(steps + 1e-9))
 
+    def _positions(self, times: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(x, y) at each time: start + f * (end - start) per axis, f the share
+        min(speed * t, path_length) / path_length of the way driven; end on a zero-length path.
+        A speed * t past the float range is inf, which the min clamps to the end."""
+        a, b, length = self.start, self.end, self.path_length
+        if length == 0.0:
+            return np.full(times.shape, float(b.x)), np.full(times.shape, float(b.y))
+        with np.errstate(over="ignore", invalid="ignore"):
+            f = np.minimum(self.speed * times, length) / length
+            return a.x + f * (b.x - a.x), a.y + f * (b.y - a.y)
+
     def position(self, t: float) -> Point2D:
         if not (is_finite(t) and t >= 0.0):
             raise ValueError(f"t must be finite and >= 0, got {t!r}")
-        s = min(self.speed * t, self.path_length)
-        pts = self.waypoints
-        for a, b in zip(pts, pts[1:]):
-            seg = distance(a, b)
-            if seg > 0.0 and s <= seg:
-                f = s / seg
-                return Point2D(a.x + f * (b.x - a.x), a.y + f * (b.y - a.y))
-            s -= seg
-        return pts[-1]
+        x, y = self._positions(np.array([t], dtype=float))
+        return Point2D(float(x[0]), float(y[0]))
 
 
 @dataclass(frozen=True)
 class IntersectionCase:
-    case_id: int
     host: Trajectory
     target: Trajectory
-    description: str
 
 
 def make_case(
@@ -109,33 +105,19 @@ def make_case(
     if target_span[1] <= target_span[0]:
         raise ValueError("target_span must be increasing")
     v = kmh_to_ms(speed_kmh)
-    limit = v
-    host = Trajectory(
-        (Point2D(host_span[0], 0.0), Point2D(host_span[1], 0.0)), v, limit
-    )
+    host = Trajectory(Point2D(host_span[0], 0.0), Point2D(host_span[1], 0.0), v)
     lo, hi = target_span
     host_len = host_span[1] - host_span[0]
     off = lane_offset_m
-    if case == 1:
-        pts = (Point2D(0.0, lo), Point2D(0.0, hi))
-        desc = "target crosses the junction south to north"
-    elif case == 2:
-        pts = (Point2D(0.0, hi), Point2D(0.0, lo))
-        desc = "target crosses the junction north to south"
-    elif case == 3:
-        pts = (Point2D(lo, off), Point2D(hi, off))
-        desc = "target runs the adjacent lane in the host direction"
-    elif case == 4:
-        pts = (Point2D(hi, off), Point2D(lo, off))
-        desc = "target runs the adjacent lane against the host"
-    elif case == 5:
-        pts = (Point2D(lo, 0.0), Point2D(lo + host_len, 0.0))
-        desc = "host follows the target in the same lane"
-    else:
-        pts = (Point2D(hi, off), Point2D(hi - host_len, off))
-        desc = "host closes on an oncoming target in the adjacent lane"
-    target = Trajectory(pts, v, limit)
-    return IntersectionCase(case, host, target, desc)
+    start, end = {
+        1: ((0.0, lo), (0.0, hi)),
+        2: ((0.0, hi), (0.0, lo)),
+        3: ((lo, off), (hi, off)),
+        4: ((hi, off), (lo, off)),
+        5: ((lo, 0.0), (lo + host_len, 0.0)),
+        6: ((hi, off), (hi - host_len, off)),
+    }[case]
+    return IntersectionCase(host, Trajectory(Point2D(*start), Point2D(*end), v))
 
 
 @dataclass
@@ -175,7 +157,10 @@ def run_intersection_case(
     n_steps = geometry.host.steps(dt_s)
     c = db_to_linear(p_over_n0_db)
     times = np.arange(n_steps + 1) * dt_s
-    dists = np.array([distance(geometry.host.position(t), geometry.target.position(t)) for t in times.tolist()])
+    hx, hy = geometry.host._positions(times)
+    tx, ty = geometry.target._positions(times)
+    with np.errstate(over="ignore"):  # a gap past the float range is an inf distance, as math.hypot gives
+        dists = distances(hx - tx, hy - ty)
     caps = capacity_bits(link_snr(c, dists, alpha))
     peak = float(np.max(caps))
     try:

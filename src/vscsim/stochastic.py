@@ -14,8 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import ChannelParams, FadingModel, link_snr, sample_fading, secrecy_bits
-from .units import (IntAtLeast0, IntAtLeast1, Point2D, Positive, check_fields, distance, require_finite,
-                    require_integer, require_non_negative, require_positive)
+from .units import (IntAtLeast0, IntAtLeast1, Point2D, Positive, check_fields, distance, distances,
+                    require_finite, require_integer, require_non_negative, require_positive)
 
 COLLUDING = "colluding"
 NON_COLLUDING = "non-colluding"
@@ -122,14 +122,12 @@ class PppField:
         return tuple(Point2D(x, y) for x, y in self.xy.tolist())
 
     def distances(self, host: Point2D) -> np.ndarray:
-        """Read-only distances from host to every point, bit for bit
-        units.distance (np.hypot differs in the last bit on some points).
+        """Read-only distances from host to every point, from units.distances.
         The last host's array is kept, so repeated calls cost nothing."""
         key = (host.x, host.y)
         last_key, dists = self._last
         if key != last_key:
-            dx, dy = (host.x - self.xy[:, 0]).tolist(), (host.y - self.xy[:, 1]).tolist()
-            dists = np.array(list(map(math.hypot, dx, dy)), dtype=float)
+            dists = distances(host.x - self.xy[:, 0], host.y - self.xy[:, 1])
             dists.flags.writeable = False
             object.__setattr__(self, "_last", (key, dists))
         return dists

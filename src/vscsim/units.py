@@ -14,6 +14,8 @@ import typing
 from dataclasses import dataclass, fields
 from numbers import Integral
 
+import numpy as np
+
 __all__ = [
     "db_to_linear",
     "linear_to_db",
@@ -150,3 +152,9 @@ class Point2D:
 def distance(a: Point2D, b: Point2D) -> float:
     """Euclidean distance between two points, in meters."""
     return math.hypot(a.x - b.x, a.y - b.y)
+
+
+def distances(dx: np.ndarray, dy: np.ndarray) -> np.ndarray:
+    """math.hypot of each (dx, dy) pair of two 1-d arrays: distance bit for bit,
+    which np.hypot is not on some pairs."""
+    return np.fromiter(map(math.hypot, dx.tolist(), dy.tolist()), float, len(dx))

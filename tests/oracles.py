@@ -4,7 +4,7 @@ These reimplement the closed forms directly in mpmath at 50 digits (the
 Poisson mass at 400), the Rayleigh fading average of the secrecy (and
 the Rician and Nakagami ones as 20-digit quadratures), the
 highway nearest-neighbour search as a brute-force scan and its stepping
-as a per-step loop, the result
+as a per-step loop, a vehicle's path as a walk of its legs per time, the result
 tables and their cells one row and one cell at a time, and the identity
 hash chain as uncached walks on hashlib, on purpose sharing no code with
 the package, so tests compare two routes to every number.  Three
@@ -220,6 +220,21 @@ def highway_xs(world) -> np.ndarray:
         out[k] = xs
         xs = (xs + speeds * world.dt_s) % world.length_m
     return out
+
+
+def path_position(waypoints, speed: float, t: float) -> tuple[float, float]:
+    """(x, y) at time t on the piecewise-linear path through waypoints, (x,
+    y) pairs, driven at speed and held at the last waypoint once driven:
+    a walk of the legs at one time, f = s / leg of the leg that s ends on."""
+    legs = list(zip(waypoints, waypoints[1:]))
+    s = min(speed * t, sum(math.hypot(ax - bx, ay - by) for (ax, ay), (bx, by) in legs))
+    for (ax, ay), (bx, by) in legs:
+        leg = math.hypot(ax - bx, ay - by)
+        if leg > 0.0 and s <= leg:
+            f = s / leg
+            return ax + f * (bx - ax), ay + f * (by - ay)
+        s -= leg
+    return waypoints[-1]
 
 
 def csv_cell(value) -> str:

@@ -1,6 +1,6 @@
 import math
 import re
-from dataclasses import FrozenInstanceError
+from dataclasses import FrozenInstanceError, astuple
 
 import numpy as np
 import pytest
@@ -25,63 +25,73 @@ from vscsim.intersection import (
     run_intersection_case,
 )
 from vscsim.runner import build_table
-from vscsim.units import Point2D
+from vscsim.units import Point2D, distance
 
 V35 = 35.0 / 3.6
 
 
 def test_trajectory_interpolates_and_clamps():
-    tr = Trajectory((Point2D(0.0, 0.0), Point2D(10.0, 0.0)), speed=2.0, speed_limit=5.0)
+    tr = Trajectory(Point2D(0.0, 0.0), Point2D(10.0, 0.0), speed=2.0)
     assert tr.path_length == 10.0
     assert tr.position(0.0) == Point2D(0.0, 0.0)
     assert tr.position(2.5).x == pytest.approx(5.0)
-    # path exhausted: hold the final waypoint
+    # path exhausted: hold the end
     assert tr.position(100.0) == Point2D(10.0, 0.0)
     with pytest.raises(ValueError):
         tr.position(-0.1)
 
 
-def test_trajectory_respects_speed_limit():
-    with pytest.raises(ValueError):
-        Trajectory((Point2D(0.0, 0.0), Point2D(1.0, 0.0)), speed=6.0, speed_limit=5.0)
+@pytest.mark.parametrize("speed", [2.0, 1e300], ids=["finite-travel", "travel-overflows"])
+def test_trajectory_holds_the_end_past_it(speed):
+    # speed * 1e308 overflows to inf, which the min clamps to the path length, with no warning
+    start, end = Point2D(-1.5, 0.25), Point2D(7.0, -3.0)
+    tr = Trajectory(start, end, speed=speed)
+    for t in (tr.path_length / speed, 100.0, 1e308):
+        assert tr.position(t) == Point2D(*oracles.path_position(((-1.5, 0.25), (7.0, -3.0)), speed, t))
+    assert tr.position(1e308) == tr.position(100.0) == Point2D(-1.5 + (7.0 + 1.5), 0.25 + (-3.0 - 0.25))
 
 
-def test_trajectory_multi_segment():
-    tr = Trajectory(
-        (Point2D(0.0, 0.0), Point2D(3.0, 0.0), Point2D(3.0, 4.0)), speed=1.0, speed_limit=1.0
-    )
-    assert tr.path_length == 7.0
-    p = tr.position(5.0)
-    assert p.x == pytest.approx(3.0)
-    assert p.y == pytest.approx(2.0)
-
-
-def test_trajectory_repeated_waypoints_leave_positions_unchanged():
-    a, b, c = Point2D(0.0, 0.0), Point2D(3.0, 0.0), Point2D(3.0, 4.0)
-    plain = Trajectory((a, b, c), speed=1.3, speed_limit=2.0)
-    times = [0.25 * k for k in range(30)] + [3.0 / 1.3, 7.0 / 1.3, 1e9]
-    for pts in [(a, a, b, c), (a, b, b, c), (a, b, c, c), (a, a, b, b, b, c, c)]:
-        cold = Trajectory(pts, speed=1.3, speed_limit=2.0)  # position() measures the path itself
-        cold_positions = [cold.position(t) for t in times]
-        repeated = Trajectory(pts, speed=1.3, speed_limit=2.0)
-        assert repeated.path_length == plain.path_length
-        assert [repeated.position(t) for t in times] == [plain.position(t) for t in times] == cold_positions
-    still = Trajectory((b, b, b), speed=1.3, speed_limit=2.0)
+def test_trajectory_zero_length_segment_stays_at_its_end():
+    b = Point2D(3.0, 4.0)
+    still = Trajectory(b, b, speed=1.3)
+    times = [0.25 * k for k in range(30)] + [1e9, 1e308]
+    assert still.path_length == 0.0
     assert [still.position(t) for t in times] == [b] * len(times)
+    assert still.steps(0.1) == 0
 
 
 def test_trajectory_cached_path_length_keeps_equality_and_frozen_fields():
-    pts = (Point2D(0.0, 0.0), Point2D(3.0, 0.0), Point2D(3.0, 4.0))
-    read = Trajectory(pts, speed=1.0, speed_limit=1.0)
-    assert read.path_length == 7.0
-    fresh = Trajectory(pts, speed=1.0, speed_limit=1.0)
+    ends = (Point2D(0.0, 0.0), Point2D(3.0, 4.0))
+    read = Trajectory(*ends, speed=1.0)
+    assert read.path_length == 5.0
+    fresh = Trajectory(*ends, speed=1.0)
     assert "path_length" in vars(read) and "path_length" not in vars(fresh)
     assert read == fresh
     assert hash(read) == hash(fresh)
     for tr in (read, fresh):
         with pytest.raises(FrozenInstanceError):
             tr.path_length = 1.0
-    assert read.path_length == fresh.path_length == 7.0
+    assert read.path_length == fresh.path_length == 5.0
+
+
+@pytest.mark.parametrize("case", CASE_IDS)
+def test_intersection_distances_are_the_per_step_walk_bit_for_bit(case):
+    # the array kernel against units.distance of the walked positions, one step at a time
+    rng = np.random.default_rng(case)
+    for _ in range(40):
+        lo, hi = sorted(rng.uniform(-150.0, 150.0, 2))
+        start = float(rng.uniform(-200.0, 0.0))
+        kwargs = dict(speed_kmh=float(rng.uniform(10.0, 120.0)),
+                      host_span=(start, start + float(rng.uniform(5.0, 300.0))), target_span=(lo, hi + 1.0),
+                      lane_offset_m=float(rng.uniform(0.5, 10.0)))
+        dt_s = float(rng.uniform(0.05, 0.5))
+        geometry = make_case(case, **kwargs)
+        host, target = ((astuple(tr.start), astuple(tr.end)) for tr in (geometry.host, geometry.target))
+        v = geometry.host.speed
+        res = run_intersection_case(case, dt_s, **kwargs)
+        want = [distance(Point2D(*oracles.path_position(host, v, t)), Point2D(*oracles.path_position(target, v, t)))
+                for t in res.times.tolist()]
+        assert res.distances.tobytes() == np.array(want).tobytes()
 
 
 def test_case_geometries():
