@@ -60,8 +60,11 @@ def link_snr(p_over_n0, d, alpha):
     """Path-loss SNR (P/N0) * d^(-2*alpha) for a float or ndarray distance.
     A distance so short that the SNR overflows raises ValueError, and so does
     an SNR that is not a number, such as zero power times a gain that overflows,
-    or a negative float distance."""
+    or a negative distance."""
     if isinstance(d, np.ndarray):
+        negative = d < 0.0  # before the power, as on the float path
+        if negative.any():
+            raise ValueError(f"d must be a distance >= 0, got {float(d[negative][0])!r}")
         with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
             snr = p_over_n0 * d ** (-2.0 * alpha)
         if not np.isfinite(snr).all():

@@ -279,6 +279,11 @@ def test_a_negative_distance_is_refused_naming_d(alpha):
         link_snr(1e7, -1.0, alpha)
     with pytest.raises(ValueError, match=r"^d must be a distance >= 0, got -1.0$"):
         link_capacities(1e7, np.array([3.0, -1.0, 4.0]), alpha)
+    # the ndarray power gives nan at 1.4 and a real SNR at 1.0; the check comes before it
+    with pytest.raises(ValueError, match=r"^d must be a distance >= 0, got -1.0$"):
+        link_snr(1e7, np.array([2.0, -1.0, -3.0]), alpha)
+    with pytest.raises(ValueError, match=r"^snr must be finite, got nan from p_over_n0=10000000.0, d=nan, "):
+        link_snr(1e7, np.array([2.0, math.nan]), alpha)
 
 
 def test_link_capacities_are_the_checked_calls_bit_for_bit():
