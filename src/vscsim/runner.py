@@ -5,16 +5,24 @@ from __future__ import annotations
 import os
 from pathlib import Path
 
-from .config import EXPERIMENT_RECORDS, ConfigError, RunConfig
+from .config import EXPERIMENT_RECORDS, EXPERIMENTS, ConfigError, RunConfig
 from .tables import ARTIFACT_VERSION, ResultTable, config_hash, emit_plot_data, write_csv
 
 OUT_DIR_ENV = "VSCSIM_OUT"
 
 
 def build_table(config: RunConfig) -> ResultTable:
-    """Plan and run the configured experiment, and stamp provenance on the result."""
+    """Plan and run the configured experiment, and stamp provenance on the result.  An unknown
+    experiment or a missing key, in a RunConfig not made by build_config, raises ConfigError
+    in validate_config's words."""
+    if config.experiment not in EXPERIMENTS:
+        raise ConfigError([f"$.experiment: {config.experiment!r} is not one of {list(EXPERIMENTS)!r}"])
     record = EXPERIMENT_RECORDS[config.experiment]
-    errors, planned = record.plan(config.params)
+    # build_config fills the defaults, so a plan reads every key but the optional ones.
+    errors = [f"$.params: {key!r} is a required property"
+              for key in record.keys if key not in config.params and key not in record.optional]
+    if not errors:
+        errors, planned = record.plan(config.params)
     if errors:
         raise ConfigError(errors)
     table = record.build(planned, config.seed)

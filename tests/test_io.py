@@ -732,6 +732,21 @@ def test_build_table_stamps_provenance():
     assert len(table.rows) == 3
 
 
+@pytest.mark.parametrize("experiment, params, message", [
+    ("intersection", {}, "$.params: 'case' is a required property"),
+    ("sweep", {k: v for k, v in {**PARAM_DEFAULTS["sweep"], **SWEEP_DOC["params"]}.items() if k != "unit"},
+     "$.params: 'unit' is a required property"),
+    ("perturbation", {**PARAM_DEFAULTS["highway_cluster"]}, "$.params: 'delta_m' is a required property"),
+    ("ppp", {k: v for k, v in PARAM_DEFAULTS["ppp"].items() if k != "mode"}, "$.params: 'mode' is a required property"),
+    ("nope", {}, "$.experiment: 'nope' is not one of " + repr(list(EXPERIMENTS))),
+], ids=["intersection-case", "sweep-unit", "perturbation-delta", "ppp-mode", "unknown-experiment"])
+def test_build_table_refuses_a_hand_built_config_in_validate_words(experiment, params, message):
+    config = RunConfig("x", experiment, params, 0, None, True, False)
+    with pytest.raises(ConfigError) as refused:
+        build_table(config)
+    assert message in refused.value.errors
+
+
 def test_runner_writes_requested_outputs(tmp_path):
     doc = json.loads(json.dumps(SWEEP_DOC))
     doc["emit"] = {"csv": True, "plot_data": True}
