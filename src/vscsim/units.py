@@ -1,8 +1,9 @@
 """Unit conversions and planar geometry helpers.
 
 Everything downstream computes in SI (meters, seconds, m/s) with linear
-power ratios.  Decibels and km/h exist only at configuration boundaries,
-so the converters here are the single place those units are handled.
+power ratios.  Models may take decibel and km/h inputs (the `*_db` and
+`*_kmh` keywords), and the converters here hold the one formula for
+each of those conversions.
 """
 
 from __future__ import annotations
@@ -15,16 +16,6 @@ from dataclasses import dataclass, fields
 from numbers import Integral
 
 import numpy as np
-
-__all__ = [
-    "db_to_linear",
-    "linear_to_db",
-    "kmh_to_ms",
-    "ms_to_kmh",
-    "Point2D",
-    "distance",
-    "Positive", "NonNegative", "Decibel", "IntAtLeast0", "IntAtLeast1", "IntAtLeast2", "field_rules", "check_fields",
-]
 
 
 def is_finite(value: float) -> bool:
