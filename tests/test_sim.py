@@ -47,8 +47,8 @@ def test_trajectory_holds_the_end_past_it(speed):
     start, end = Point2D(-1.5, 0.25), Point2D(7.0, -3.0)
     tr = Trajectory(start, end, speed=speed)
     for t in (tr.path_length / speed, 100.0, 1e308):
-        assert tr.position(t) == Point2D(*oracles.path_position(((-1.5, 0.25), (7.0, -3.0)), speed, t))
-    assert tr.position(1e308) == tr.position(100.0) == Point2D(-1.5 + (7.0 + 1.5), 0.25 + (-3.0 - 0.25))
+        assert tr.position(t) == Point2D(*oracles.path_position((astuple(start), astuple(end)), speed, t))
+    assert tr.position(1e308) == tr.position(100.0) == end
 
 
 def test_trajectory_zero_length_segment_stays_at_its_end():
