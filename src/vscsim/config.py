@@ -32,7 +32,7 @@ import numpy as np
 from . import highway, intersection, sweeps
 from .channel import DEFAULT_ALPHA, DEFAULT_P_OVER_N0_DB, ChannelParams
 from .highway import HighwayWorld, check_delta
-from .intersection import CASE_IDS, make_case
+from .intersection import CASE_IDS, check_span, make_case
 from .stochastic import expected_count, sample_field, square_region
 from .sweeps import FIELD_HOST, GRID_UNITS, SWEEP_FIELDS, SWEEP_SCENARIOS, SweepSpec, sweep_errors, target_snr
 from .tables import ResultTable
@@ -339,7 +339,8 @@ class _Sweep(Experiment):
 
 
 class _Intersection(Experiment):
-    # make_case, Trajectory.steps and run_intersection_case check these inline; no field type declares them.
+    # check_span, make_case, Trajectory.steps and run_intersection_case check these inline; no field type
+    # declares them.
     keys = {
         "case": {"type": "integer", "minimum": min(CASE_IDS), "maximum": max(CASE_IDS)},
         "dt_s": _POSITIVE,
@@ -354,9 +355,13 @@ class _Intersection(Experiment):
     geometry_keys = frozenset(inspect.signature(make_case).parameters)
 
     def plan(self, params: dict) -> tuple[list[str], dict]:
-        """The case's geometry and step count; the run takes the params as they are."""
+        """The spans, the case's geometry and step count; the run takes the params as they are."""
         if "case" not in params:  # a schema error
             return [], params
+        errors = [error for key in ("host_span", "target_span")
+                  for error in _refused(f"$.params.{key}", check_span, key, params[key])]
+        if errors:
+            return errors, params
         geometry = {key: params[key] for key in self.geometry_keys}
         return _refused("$.params", lambda: make_case(**geometry).host.steps(params["dt_s"])), params
 

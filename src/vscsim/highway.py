@@ -19,12 +19,14 @@ from .units import (Decibel, IntAtLeast0, IntAtLeast1, IntAtLeast2, Positive, ch
 CALIBRATED_DELTA = 5.0
 
 # Array items a chunk holds: node-steps for the stepping and the lane
-# search, step-source-node triples for the scan.  It bounds their
+# search, step-query-node triples for the scan.  It bounds their
 # temporaries, which would otherwise raise the peak memory of large runs:
-# over 100 steps the stepping allocates at most about 0.9 MB at 1000 and
-# 10^4 nodes, a lane search with 100 sources about 1.2 MB besides its
-# result, and a scan of 100 nodes about 0.9 MB (tracemalloc peaks).
-_CHUNK_ITEMS = 2**15
+# over 100 steps the stepping allocates at most about 1.6 MB at 1000 and
+# 10^4 nodes, a lane search of 100 sources and their shifted copies about
+# 2.7 MB besides its result, and a scan of 100 nodes and their copies
+# about 1.6 MB (tracemalloc peaks; 2^15 items halve them, and 2^17 double
+# them for no clear gain in speed at 1000 and 10^4 nodes).
+_CHUNK_ITEMS = 2**16
 
 # The most nodes _nearest_links scans in full; above it the lane search is
 # faster.  Over 1000 steps on 6 lanes of 2500 m, on a 2-CPU Xeon, the
@@ -100,47 +102,59 @@ class HighwayRunResult:
     target_idx: np.ndarray       # (n_steps, n_sources) int
     distances: np.ndarray        # (n_steps, n_sources)
     secrecy: np.ndarray          # (n_steps, n_sources)
+    # The links of the sources shifted by shift_m (run_highway_experiment); None without a shift.
+    shifted_target_idx: np.ndarray | None = None   # (n_steps, n_sources) int
+    shifted_distances: np.ndarray | None = None    # (n_steps, n_sources)
 
 
 def _nearest_links(
-    xs: np.ndarray, ys: np.ndarray, queries: np.ndarray, obu_range: float
+    xs: np.ndarray, ys: np.ndarray, queries: np.ndarray, obu_range: float, owners: np.ndarray | None = None
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Nearest other node within radio range of every source at every step.
+    """Nearest other node within radio range of every query at every step.
 
     xs is (n_steps, n_nodes), ys is (n_nodes,) and queries (n_steps,
-    n_sources) holds the x each source s (node s) is evaluated at.  Returns
-    (target_idx, distances), both (n_steps, n_sources): the lowest index
-    at the smallest np.hypot(xs[j] - query, ys[j] - ys[s]) with j != s,
+    n_queries) holds the x each query column c is evaluated at for the
+    source node owners[c] (node c without owners).  Returns (target_idx,
+    distances), both (n_steps, n_queries): the lowest index at the
+    smallest np.hypot(xs[j] - query, ys[j] - ys[owner]) with j != owner,
     as a brute-force argmin over every node gives.  Up to _SCAN_MAX_NODES
     nodes that argmin is what runs (_scan_links); above it each lane is
     sorted and searched (_lane_links), which is cheaper when a source has
     many nodes to pass over.  Raises ValueError naming the range and the
-    first (step, source) without a node in range.
+    first (step, source) without a node in range.  The columns form query
+    sets, each a run of rising owners (the perturbation study's sources,
+    then their shifted copies), and an earlier set's refusal comes first,
+    as with one search per set.
     """
+    if owners is None:
+        owners = np.arange(queries.shape[1])
     search = _scan_links if xs.shape[1] <= _SCAN_MAX_NODES else _lane_links
-    target_idx, dists = search(xs, ys, queries, obu_range)
-    if not np.isfinite(dists).all():
-        step, source = np.argwhere(~np.isfinite(dists))[0]
+    target_idx, dists = search(xs, ys, queries, owners, obu_range)
+    missing = ~np.isfinite(dists)
+    if missing.any():
+        query_set = np.cumsum(np.r_[True, np.diff(owners) <= 0])  # a set starts where owners stop rising
+        first_set = query_set[missing.any(axis=0)].min()
+        step, column = np.argwhere(missing & (query_set == first_set))[0]
         raise ValueError(f"no node within radio range of the source: obu_range_m = {obu_range!r} "
-                         f"leaves source {source} without a link at step {step}")
+                         f"leaves source {owners[column]} without a link at step {step}")
     return target_idx, dists
 
 
 def _scan_links(
-    xs: np.ndarray, ys: np.ndarray, queries: np.ndarray, obu_range: float
+    xs: np.ndarray, ys: np.ndarray, queries: np.ndarray, owners: np.ndarray, obu_range: float
 ) -> tuple[np.ndarray, np.ndarray]:
-    """_nearest_links by measuring every node, a chunk of (step, source,
+    """_nearest_links by measuring every node, a chunk of (step, query,
     node) triples at a time; inf where no node is in range."""
     n_steps, n_nodes = xs.shape
-    n_sources = queries.shape[1]
-    target_idx = np.empty((n_steps, n_sources), dtype=int)
-    dists = np.empty((n_steps, n_sources))
-    dy = ys - ys[:n_sources, None]
-    sources = np.arange(n_sources)
-    per_chunk = max(1, _CHUNK_ITEMS // (n_sources * n_nodes))
+    n_queries = queries.shape[1]
+    target_idx = np.empty((n_steps, n_queries), dtype=int)
+    dists = np.empty((n_steps, n_queries))
+    dy = ys - ys[owners, None]
+    columns = np.arange(n_queries)
+    per_chunk = max(1, _CHUNK_ITEMS // (n_queries * n_nodes))
     for k0 in range(0, n_steps, per_chunk):
         d = np.hypot(xs[k0 : k0 + per_chunk, None, :] - queries[k0 : k0 + per_chunk, :, None], dy)
-        d[:, sources, sources] = np.inf
+        d[:, columns, owners] = np.inf
         d[d > obu_range] = np.inf
         j = d.argmin(axis=2)
         target_idx[k0 : k0 + len(d)] = j
@@ -149,15 +163,15 @@ def _scan_links(
 
 
 def _lane_links(
-    xs: np.ndarray, ys: np.ndarray, queries: np.ndarray, obu_range: float
+    xs: np.ndarray, ys: np.ndarray, queries: np.ndarray, owners: np.ndarray, obu_range: float
 ) -> tuple[np.ndarray, np.ndarray]:
     """_nearest_links by sorting each lane, a chunk of steps at a time; inf
     where no node is in range.
 
     Nodes sharing a y form a lane, and each lane is sorted once per chunk
-    of steps.  Every (step, source) searches its own lane first.  It then
-    searches another lane only if that lane's |dy| is at most the best
-    distance found so far: np.hypot(dx, dy) >= |dy| (hypot is faithfully
+    of steps, whatever the number of queries.  Every (step, query) searches
+    its source's own lane first.  It then searches another lane only if
+    that lane's |dy| is at most the best distance found so far: np.hypot(dx, dy) >= |dy| (hypot is faithfully
     rounded and |dy| is a float), so no node of a lane past the bound can
     be nearer, and at the bound a node at dx = 0 can still tie with a
     lower index.  A source with no node in range in its own lane keeps an
@@ -165,13 +179,13 @@ def _lane_links(
     (distance, index) over the lanes searched, whatever their order.
     """
     n_steps, n_nodes = xs.shape
-    n_sources = queries.shape[1]
-    target_idx = np.empty((n_steps, n_sources), dtype=int)
-    dists = np.empty((n_steps, n_sources))
+    n_queries = queries.shape[1]
+    target_idx = np.empty((n_steps, n_queries), dtype=int)
+    dists = np.empty((n_steps, n_queries))
     lane_ys, lane_of = np.unique(ys, return_inverse=True)
     lanes = [np.flatnonzero(lane_of == lane) for lane in range(lane_ys.size)]
-    source_lane, source_y = lane_of[:n_sources], ys[:n_sources]
-    # |dy| from each lane to each source, the bound the second pass prunes by.
+    source_lane, source_y = lane_of[owners], ys[owners]
+    # |dy| from each lane to each query's source, the bound the second pass prunes by.
     gap = np.abs(lane_ys[:, None] - source_y)
     own = source_lane == np.arange(lane_ys.size)[:, None]
     per_chunk = max(1, _CHUNK_ITEMS // n_nodes)
@@ -183,17 +197,17 @@ def _lane_links(
         for first_pass in (True, False):
             for lane, sort in enumerate(sorted_lanes):
                 if first_pass:
-                    rows, sources = np.nonzero(np.broadcast_to(own[lane], q.shape))
+                    rows, cols = np.nonzero(np.broadcast_to(own[lane], q.shape))
                 else:
-                    rows, sources = np.nonzero((gap[lane] <= best_d) & ~own[lane])
+                    rows, cols = np.nonzero((gap[lane] <= best_d) & ~own[lane])
                 if not rows.size:
                     continue
-                lane_d, lane_j = _lane_nearest(sort, rows, q[rows, sources], sources,
-                                               lane_ys[lane] - source_y[sources], obu_range)
-                cur_d, cur_j = best_d[rows, sources], best_j[rows, sources]
+                lane_d, lane_j = _lane_nearest(sort, rows, q[rows, cols], owners[cols],
+                                               lane_ys[lane] - source_y[cols], obu_range)
+                cur_d, cur_j = best_d[rows, cols], best_j[rows, cols]
                 closer = (lane_d < cur_d) | ((lane_d == cur_d) & (lane_j < cur_j))
-                rows, sources = rows[closer], sources[closer]
-                best_d[rows, sources], best_j[rows, sources] = lane_d[closer], lane_j[closer]
+                rows, cols = rows[closer], cols[closer]
+                best_d[rows, cols], best_j[rows, cols] = lane_d[closer], lane_j[closer]
         del sorted_lanes  # so that two chunks' sorted lanes are never held at once
         target_idx[k0 : k0 + len(x)] = best_j
         dists[k0 : k0 + len(x)] = best_d
@@ -246,8 +260,8 @@ def _lane_nearest(
     lane: _SortedLane, rows: np.ndarray, qx: np.ndarray, sources: np.ndarray, dy: np.ndarray,
     obu_range: float,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Nearest node of one sorted lane to each query (row, x, source, dy),
-    as (distance, index) with inf for none in range.
+    """Nearest node of one sorted lane to each query (row, x, source node,
+    dy), as (distance, index) with inf for none in range.
 
     Inside a lane the distance grows with |dx|, so the nearest node sits
     next to the query in the lane's x order.  One searchsorted over the
@@ -328,8 +342,13 @@ def _step_xs(x: np.ndarray, steps: np.ndarray, redraw_every: int, length_m: floa
             x = acc[-1]
 
 
-def run_highway_experiment(world: HighwayWorld) -> HighwayRunResult:
-    """Step the world and log each source's nearest-neighbor link."""
+def run_highway_experiment(world: HighwayWorld, *, shift_m: float | None = None) -> HighwayRunResult:
+    """Step the world and log each source's nearest-neighbor link.
+
+    Given shift_m, the same search also links each source shifted shift_m
+    metres along x at every step, without wrapping, so that each lane is
+    sorted once for both; run_perturbation_study reads those links.
+    """
     rng = np.random.default_rng(world.seed)
     n = world.n_nodes
     lanes = rng.integers(0, world.lanes, n)
@@ -344,11 +363,18 @@ def run_highway_experiment(world: HighwayWorld) -> HighwayRunResult:
     positions = np.empty((n_steps, n))
     _step_xs(xs, steps, redraw_every, world.length_m, positions)
     del steps  # so that the search does not hold the speed table
-    target_idx, dists = _nearest_links(positions, ys, positions[:, : world.n_sources], world.obu_range_m)
+    n_sources = world.n_sources
+    queries, owners = positions[:, :n_sources], None
+    if shift_m is not None:
+        queries = np.concatenate([queries, queries + shift_m], axis=1)
+        owners = np.tile(np.arange(n_sources), 2)
+    target_idx, dists = _nearest_links(positions, ys, queries, world.obu_range_m, owners)
+    shifted = (target_idx[:, n_sources:], dists[:, n_sources:]) if shift_m is not None else (None, None)
+    target_idx, dists = target_idx[:, :n_sources], dists[:, :n_sources]
     secr = _link_secrecy(world, dists)
     # After the arrays, which numpy refuses at once for an impossible n_nodes.
     node_ids = [f"n{i:02d}" for i in range(n)]
-    return HighwayRunResult(world, node_ids, times, positions, ys, target_idx, dists, secr)
+    return HighwayRunResult(world, node_ids, times, positions, ys, target_idx, dists, secr, *shifted)
 
 
 @dataclass
@@ -370,7 +396,9 @@ class PerturbationResult:
 
 
 def check_delta(delta_m: float, allow_custom_delta: bool = False) -> None:
-    """Raise ValueError for a zero source shift, or an uncalibrated one not allowed."""
+    """Raise ValueError for a non-finite or zero source shift, or an uncalibrated one not allowed."""
+    if not is_finite(delta_m):
+        raise ValueError(f"delta_m must be a finite number, got {delta_m!r}")
     if delta_m == 0.0:
         raise ValueError("delta_m must be non-zero")
     if abs(delta_m) != CALIBRATED_DELTA and not allow_custom_delta:
@@ -388,10 +416,9 @@ def run_perturbation_study(
     check_delta says which delta_m the study is calibrated for.
     """
     check_delta(delta_m, allow_custom_delta)
-    base = run_highway_experiment(world)
+    # Looked up at call time, so that a tracer that rebinds the module attribute sees the run.
+    base = run_highway_experiment(world, shift_m=delta_m)
     base_xs = base.positions
-    shifted = base_xs[:, : world.n_sources] + delta_m
-    t_idx, d_pert = _nearest_links(base_xs, base.lane_y, shifted, world.obu_range_m)
     dx_base = np.take_along_axis(base_xs, base.target_idx, axis=1) - base_xs[:, : world.n_sources]
     return PerturbationResult(
         world=world,
@@ -399,10 +426,10 @@ def run_perturbation_study(
         node_ids=base.node_ids,
         times=base.times,
         target_idx_base=base.target_idx,
-        target_idx_pert=t_idx,
+        target_idx_pert=base.shifted_target_idx,
         distances_base=base.distances,
-        distances_pert=d_pert,
+        distances_pert=base.shifted_distances,
         secrecy_base=base.secrecy,
-        secrecy_pert=_link_secrecy(world, d_pert),
+        secrecy_pert=_link_secrecy(world, base.shifted_distances),
         dx_base=dx_base,
     )

@@ -76,6 +76,15 @@ class Trajectory:
         return Point2D(float(x[0]), float(y[0]))
 
 
+def check_span(name: str, span: tuple[float, float]) -> None:
+    """Raise ValueError naming the span unless it increases over a finite length."""
+    lo, hi = span
+    if hi <= lo:
+        raise ValueError(f"{name} must be increasing")
+    if not is_finite(hi - lo):  # the run would take an infinite step count or NaN positions
+        raise ValueError(f"{name} must have a finite length: {hi!r} - {lo!r} overflows")
+
+
 @dataclass(frozen=True)
 class IntersectionCase:
     host: Trajectory
@@ -100,10 +109,8 @@ def make_case(
     require_integer(1, case=case)
     if case not in CASE_IDS:
         raise ValueError(f"case must be one of {CASE_IDS}, got {case!r}")
-    if host_span[1] <= host_span[0]:
-        raise ValueError("host_span must be increasing")
-    if target_span[1] <= target_span[0]:
-        raise ValueError("target_span must be increasing")
+    check_span("host_span", host_span)
+    check_span("target_span", target_span)
     v = kmh_to_ms(speed_kmh)
     host = Trajectory(Point2D(host_span[0], 0.0), Point2D(host_span[1], 0.0), v)
     lo, hi = target_span

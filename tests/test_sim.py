@@ -1,5 +1,6 @@
 import math
 import re
+import tracemalloc
 from dataclasses import FrozenInstanceError, astuple
 
 import numpy as np
@@ -191,9 +192,18 @@ def test_intersection_rejects_bad_dt():
 
 
 def test_intersection_rejects_overflowing_step_count():
-    # the host path is 2e308 m long: an infinite step count
+    # 100 m in steps of 1e-320 s: an infinite step count
     with pytest.raises(ValueError, match="^step_count must be finite"):
-        run_intersection_case(1, host_span=(-1e308, 1e308))
+        run_intersection_case(1, dt_s=1e-320)
+
+
+@pytest.mark.parametrize("case", CASE_IDS)
+@pytest.mark.parametrize("key", ["host_span", "target_span"])
+def test_intersection_refuses_a_span_whose_length_overflows(case, key):
+    # 2e308 m: an infinite step count for the host, NaN positions for the target
+    message = f"{key} must have a finite length: 1e+308 - -1e+308 overflows"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        run_intersection_case(case, **{key: (-1e308, 1e308)})
 
 
 def test_intersection_rejects_step_count_past_array_size():
@@ -571,6 +581,128 @@ def test_nearest_links_name_the_range_and_the_first_source_without_a_link(monkey
         _nearest_links(xs, ys, xs[:, :2], 50.0)
 
 
+def _shared_search(xs, ys, sources, shift, obu_range=2500.0):
+    """One _nearest_links call over the sources and their copies shifted by shift."""
+    owners = np.tile(np.arange(sources.shape[1]), 2)
+    return _nearest_links(xs, ys, np.concatenate([sources, sources + shift], axis=1), obu_range, owners)
+
+
+@pytest.mark.parametrize("rows_per_chunk", [1, 4, 30])  # one row, a count that does not divide 23, all 23
+@pytest.mark.parametrize("shift", [5.0, -5.0, 37.5])
+@pytest.mark.parametrize("grid", [False, True], ids=["uniform", "grid"])
+def test_one_search_of_sources_and_shifted_copies_equals_two(monkeypatch, search, grid, shift, rows_per_chunk):
+    rng = np.random.default_rng(13)
+    xs = rng.uniform(0.0, 2500.0, (23, 50))
+    ys = (rng.integers(0, 6, 50) + 0.5) * 10.0
+    if grid:
+        xs = 100.0 * np.floor(xs / 100.0)
+        assert _has_equal_x_in_every_lane(xs, ys)
+    sources = xs[:, :9]
+    apart = [_nearest_links(xs, ys, queries, 2500.0) for queries in (sources, sources + shift)]
+    monkeypatch.setattr(highway, "_CHUNK_ITEMS", _chunk_items(search, rows_per_chunk, 18, 50))
+    target, dist = _shared_search(xs, ys, sources, shift)
+    assert np.array_equal(target, np.concatenate([t for t, _ in apart], axis=1))
+    assert dist.tobytes() == np.concatenate([d for _, d in apart], axis=1).tobytes()
+
+
+# One lane holds two source-target pairs, 10 m apart, that a 30 m shift takes 20 m apart.  In
+# "base", node 3 drifts 60 m from source 1 at step 2 (the shifted copy, at 530, keeps it); in
+# "shifted", node 2 falls 30 m behind source 0 at step 1 (its copy, at 30, is 60 m away); in
+# "both", both happen.  Two searches refuse the baseline's link first; so must one.
+_NO_LINK_MOVES = {"base": [(2, 3, 560.0)], "shifted": [(1, 2, -30.0)], "both": [(2, 3, 560.0), (1, 2, -30.0)]}
+
+
+@pytest.mark.parametrize("rows_per_chunk", [1, 4])
+@pytest.mark.parametrize("lost, step, source", [("base", 2, 1), ("shifted", 1, 0), ("both", 2, 1)])
+def test_one_search_refuses_the_link_two_searches_refuse(monkeypatch, search, rows_per_chunk, lost, step, source):
+    xs = np.array([[0.0, 500.0, 10.0, 510.0]] * 4)
+    for k, node, x in _NO_LINK_MOVES[lost]:
+        xs[k:, node] = x
+    ys = np.full(4, 5.0)
+    monkeypatch.setattr(highway, "_CHUNK_ITEMS", _chunk_items(search, rows_per_chunk, 4, 4))
+    message = (f"no node within radio range of the source: obu_range_m = 50.0 "
+               f"leaves source {source} without a link at step {step}")
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        for queries in (xs[:, :2], xs[:, :2] + 30.0):
+            _nearest_links(xs, ys, queries, 50.0)
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        _shared_search(xs, ys, xs[:, :2], 30.0, 50.0)
+
+
+@pytest.mark.parametrize("shift", [5.0, -5.0, 37.5])
+def test_highway_run_links_the_shifted_sources_in_the_same_search(search, shift):
+    world = HighwayWorld(n_nodes=60, n_sources=12, lanes=4, duration_s=2.0, seed=5)
+    plain = run_highway_experiment(world)
+    assert plain.shifted_target_idx is None and plain.shifted_distances is None
+    res = run_highway_experiment(world, shift_m=shift)
+    for name in ("positions", "target_idx", "distances", "secrecy"):
+        assert getattr(res, name).tobytes() == getattr(plain, name).tobytes(), name
+    target, dist = _nearest_links(res.positions, res.lane_y, res.positions[:, :12] + shift, world.obu_range_m)
+    assert np.array_equal(res.shifted_target_idx, target)
+    assert res.shifted_distances.tobytes() == dist.tobytes()
+
+
+def _counting(monkeypatch, name):
+    """Patch highway.<name> with a wrapper that records each call, and return the records."""
+    calls = []
+    fn = getattr(highway, name)
+    monkeypatch.setattr(highway, name, lambda *args, **kwargs: calls.append(args) or fn(*args, **kwargs))
+    return calls
+
+
+@pytest.mark.parametrize("n_nodes", [25, 150])  # the scan and the lane search at the default threshold
+def test_a_perturbation_run_searches_once(monkeypatch, n_nodes):
+    world = HighwayWorld(n_nodes=n_nodes, n_sources=10, duration_s=2.0)
+    searches = _counting(monkeypatch, "_nearest_links")
+    run_perturbation_study(world)
+    assert len(searches) == 1
+    assert searches[0][2].shape == (20, 20)  # (steps, the sources and their shifted copies)
+
+
+def test_a_perturbation_run_sorts_each_lane_chunk_once(monkeypatch):
+    world = HighwayWorld(n_nodes=150, n_sources=20, duration_s=10.0)
+    monkeypatch.setattr(highway, "_CHUNK_ITEMS", 30 * world.n_nodes)  # four chunks of 100 steps
+    sorts = _counting(monkeypatch, "_sort_lane")
+    run_highway_experiment(world)
+    plain = len(sorts)
+    assert plain == 4 * world.lanes
+    run_perturbation_study(world)
+    assert len(sorts) == 2 * plain
+
+
+# The tracemalloc peaks the _CHUNK_ITEMS comment states for 10^4 nodes over 100 steps, in MB:
+# the stepping's, and the search's besides its result, and the margin a check allows them.
+_CHUNK_PEAKS_MB = {"_step_xs": 1.6, "_nearest_links": 2.7}
+_PEAK_MARGIN = 1.25
+
+
+def test_perturbation_stepping_and_search_stay_within_the_chunk_memory(monkeypatch):
+    world = HighwayWorld(n_nodes=10**4, n_sources=100, duration_s=10.0)
+    peaks = {}
+
+    def traced(name):
+        fn = getattr(highway, name)
+
+        def call(*args, **kwargs):
+            held = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            out = fn(*args, **kwargs)
+            result = sum(a.nbytes for a in out) if out is not None else 0
+            peaks[name] = (tracemalloc.get_traced_memory()[1] - held - result) / 1e6
+            return out
+        monkeypatch.setattr(highway, name, call)
+
+    for name in _CHUNK_PEAKS_MB:
+        traced(name)
+    tracemalloc.start()
+    try:
+        run_perturbation_study(world)
+    finally:
+        tracemalloc.stop()
+    for name, figure in _CHUNK_PEAKS_MB.items():
+        assert 0.0 < peaks[name] <= figure * _PEAK_MARGIN, (name, peaks[name], figure)
+
+
 def test_highway_no_link_refusal_names_the_range_key():
     doc = {"experiment": "highway_cluster", "params": {"obu_range_m": 0.001}}
     with pytest.raises(ValueError, match=r"^no node within radio range of the source: obu_range_m = 0\.001 "):
@@ -630,6 +762,15 @@ def test_perturbation_delta_guard():
     assert res.delta == 3.0
     res = run_perturbation_study(world, delta_m=-5.0)
     assert res.delta == -5.0
+
+
+@pytest.mark.parametrize("delta", [math.nan, math.inf, -math.inf])
+def test_perturbation_refuses_a_non_finite_shift_before_stepping(monkeypatch, search, delta):
+    steps = _counting(monkeypatch, "_step_xs")
+    for allow in (False, True):
+        with pytest.raises(ValueError, match=f"^delta_m must be a finite number, got {delta!r}$"):
+            run_perturbation_study(HighwayWorld(n_nodes=150, duration_s=1.0), delta, allow_custom_delta=allow)
+    assert not steps
 
 
 def test_perturbation_baseline_matches_plain_run():
