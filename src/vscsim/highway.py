@@ -13,7 +13,7 @@ import numpy as np
 
 from .channel import DEFAULT_ALPHA, DEFAULT_P_OVER_N0_DB, capacity_bits, link_capacities, link_snr
 from .units import (Decibel, IntAtLeast0, IntAtLeast1, IntAtLeast2, Positive, check_fields, db_to_linear,
-                    is_finite, kmh_to_ms)
+                    is_finite, kmh_to_ms, require_finite)
 
 # Source shift, in meters, that the perturbation study is calibrated for.
 CALIBRATED_DELTA = 5.0
@@ -169,14 +169,15 @@ def _lane_links(
     where no node is in range.
 
     Nodes sharing a y form a lane, and each lane is sorted once per chunk
-    of steps, whatever the number of queries.  Every (step, query) searches
-    its source's own lane first.  It then searches another lane only if
-    that lane's |dy| is at most the best distance found so far: np.hypot(dx, dy) >= |dy| (hypot is faithfully
-    rounded and |dy| is a float), so no node of a lane past the bound can
-    be nearer, and at the bound a node at dx = 0 can still tie with a
-    lower index.  A source with no node in range in its own lane keeps an
-    infinite bound and searches every lane.  The best link is the lowest
-    (distance, index) over the lanes searched, whatever their order.
+    of steps, whatever the number of queries.  Every (step, query)
+    searches its source's own lane first.  It then searches another lane
+    only if that lane's |dy| is at most the best distance found so far:
+    np.hypot(dx, dy) >= |dy| (hypot is faithfully rounded and |dy| is a
+    float), so no node of a lane past the bound can be nearer, and at the
+    bound a node at dx = 0 can still tie with a lower index.  A source
+    with no node in range in its own lane keeps an infinite bound and
+    searches every lane.  The best link is the lowest (distance, index)
+    over the lanes searched, whatever their order.
     """
     n_steps, n_nodes = xs.shape
     n_queries = queries.shape[1]
@@ -349,6 +350,8 @@ def run_highway_experiment(world: HighwayWorld, *, shift_m: float | None = None)
     metres along x at every step, without wrapping, so that each lane is
     sorted once for both; run_perturbation_study reads those links.
     """
+    if shift_m is not None:
+        require_finite(shift_m=shift_m)
     rng = np.random.default_rng(world.seed)
     n = world.n_nodes
     lanes = rng.integers(0, world.lanes, n)

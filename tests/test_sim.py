@@ -770,6 +770,8 @@ def test_perturbation_refuses_a_non_finite_shift_before_stepping(monkeypatch, se
     for allow in (False, True):
         with pytest.raises(ValueError, match=f"^delta_m must be a finite number, got {delta!r}$"):
             run_perturbation_study(HighwayWorld(n_nodes=150, duration_s=1.0), delta, allow_custom_delta=allow)
+    with pytest.raises(ValueError, match=f"^shift_m must be finite, got {delta!r}$"):
+        run_highway_experiment(HighwayWorld(n_nodes=150, duration_s=1.0), shift_m=delta)
     assert not steps
 
 
