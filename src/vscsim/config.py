@@ -362,8 +362,11 @@ class _Intersection(Experiment):
                   for error in _refused(f"$.params.{key}", check_span, key, params[key])]
         if errors:
             return errors, params
-        geometry = {key: params[key] for key in self.geometry_keys}
-        return _refused("$.params", lambda: make_case(**geometry).host.steps(params["dt_s"])), params
+        try:
+            host = make_case(**{key: params[key] for key in self.geometry_keys}).host
+        except ValueError as exc:  # with finite spans, only the end that a case 5 or 6 target takes
+            return [f"$.params.target_span: {exc}"], params
+        return _refused("$.params", host.steps, params["dt_s"]), params
 
     def build(self, params: dict, seed: int) -> ResultTable:
         res = intersection.run_intersection_case(**params)

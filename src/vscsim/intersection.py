@@ -124,6 +124,10 @@ def make_case(
         5: ((lo, 0.0), (lo + host_len, 0.0)),
         6: ((hi, off), (hi - host_len, off)),
     }[case]
+    if not is_finite(end[0]):  # cases 5 and 6: the target drives one host length from its span's end
+        formula, sign = ("lo + host_len", "+") if case == 5 else ("hi - host_len", "-")
+        raise ValueError(f"target_span must leave case {case} a finite end: {formula} = "
+                         f"{start[0]!r} {sign} {host_len!r} overflows")
     return IntersectionCase(host, Trajectory(Point2D(*start), Point2D(*end), v))
 
 

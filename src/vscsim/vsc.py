@@ -24,7 +24,7 @@ INADEQUATE = "inadequate"
 CSI_CSV_HEADER = ["timestamp_s", "sender_id", "snr_db", "chain_element_hex"]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CsiRecord:
     """One received signaling sample: who sent, when, at what linear SNR.
 
@@ -48,7 +48,7 @@ class CsiRecord:
             raise ValueError(f"snr must be finite and > 0, got {self.snr!r}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class VscResult:
     """VSC for one candidate target within one window."""
 

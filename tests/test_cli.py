@@ -264,6 +264,19 @@ def test_validate_and_run_name_a_span_whose_length_overflows(tmp_path, capsys, c
     assert capsys.readouterr().err == message * 2
 
 
+@pytest.mark.parametrize("case, target_span, end", [
+    (5, [1.7e308, 1.75e308], "lo + host_len = 1.7e+308 + 1.5e+308"),
+    (6, [-1.75e308, -1.7e308], "hi - host_len = -1.7e+308 - 1.5e+308"),
+])
+def test_validate_and_run_name_the_target_span_whose_end_overflows(tmp_path, capsys, case, target_span, end):
+    params = {"case": case, "host_span": [-1e308, 5e307], "target_span": target_span}
+    cfg = _write_cfg(tmp_path, {"experiment": "intersection", "params": params})
+    codes = main(["validate", str(cfg)]), main(["run", "--config", str(cfg), "--out", str(tmp_path)])
+    assert codes == (1, 1)
+    message = f"error: $.params.target_span: target_span must leave case {case} a finite end: {end} overflows\n"
+    assert capsys.readouterr().err == message * 2
+
+
 @pytest.mark.parametrize("exc, line", [(MemoryError(), "MemoryError"), (MemoryError("no room"), "no room")])
 def test_run_reports_memory_error(tmp_path, capsys, monkeypatch, exc, line):
     def out_of_memory(config, out_dir=None):

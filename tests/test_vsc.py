@@ -273,3 +273,12 @@ def test_vsc_result_is_frozen():
     res = VscResult("a", 1.0, 2.0, 3)
     with pytest.raises(Exception):
         res.vsc = 0.0
+
+
+@pytest.mark.parametrize("record", [CsiRecord(0.0, "a", 2.0, "ff"), VscResult("a", 1.0, 2.0, 3)],
+                         ids=["CsiRecord", "VscResult"])
+def test_records_are_slotted(record):
+    # a 3e5-record stream holds no per-record __dict__; instances take no new attributes either
+    assert not hasattr(record, "__dict__")
+    with pytest.raises((AttributeError, TypeError)):
+        object.__setattr__(record, "note", 1)
