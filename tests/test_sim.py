@@ -206,16 +206,13 @@ def test_intersection_refuses_a_span_whose_length_overflows(case, key):
         run_intersection_case(case, **{key: (-1e308, 1e308)})
 
 
-# Case 5's target drives from lo to lo + host_len, case 6's from hi to hi - host_len.
-TARGET_END_OVERFLOWS = [
+@pytest.mark.parametrize("case, target_span, end", [
     (5, (1.7e308, 1.75e308), "lo + host_len = 1.7e+308 + 1.5e+308"),
     (6, (-1.75e308, -1.7e308), "hi - host_len = -1.7e+308 - 1.5e+308"),
-]
-
-
-@pytest.mark.parametrize("case, target_span, end", TARGET_END_OVERFLOWS)
+])
 def test_intersection_names_the_target_span_whose_end_overflows(case, target_span, end):
-    # both spans have finite lengths; the end of the target's path does not
+    # Both spans have finite lengths; the end of the target's path (lo + host_len for case 5,
+    # hi - host_len for case 6) does not.
     message = f"target_span must leave case {case} a finite end: {end} overflows"
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         run_intersection_case(case, host_span=(-1e308, 5e307), target_span=target_span)
